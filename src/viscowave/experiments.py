@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DomainError, InsufficientDataError, InvalidParameterError,
-                     PreconditionError, RefinementError)
+from .errors import (ConfigError, DomainError, InsufficientDataError,
+                     InvalidParameterError, PreconditionError, RefinementError)
 from .kernels import (leading_profiles, mgt_mode_basis, mgt_mode_solution,
                       vdw_kernel_basis, vdw_mode_solution)
-from .oracle import (integrate_mgt_many, integrate_mgt_mode,
+from .oracle import (default_step, integrate_mgt_many, integrate_mgt_mode,
                      integrate_vdw_many, integrate_vdw_mode)
 from .params import ModelParams
 from .quadrature import DataSpectrum, l2_norm_radial, rate_function, \
@@ -47,7 +47,11 @@ def thread_map(fn, items):
     """Order-preserving map with a worker count capped by VISCOWAVE_THREADS."""
     items = list(items)
     raw = os.environ.get("VISCOWAVE_THREADS", "").strip()
-    workers = int(raw) if raw else (os.cpu_count() or 1)
+    try:
+        workers = int(raw) if raw else (os.cpu_count() or 1)
+    except ValueError:
+        raise ConfigError(
+            f"VISCOWAVE_THREADS must be an integer, got {raw!r}") from None
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=min(workers, len(items))) as ex:
@@ -298,7 +302,6 @@ def _grid_norm_series(config: ExperimentConfig, which: str) -> np.ndarray:
     u0v, u1v = config.u0(r) + 0j, config.u1(r) + 0j
     params = config.params.without_tau()
     if config.solver == "oracle":
-        from .oracle import default_step, integrate_vdw_many
         step = min(default_step(params, float(r.max())), 0.05)
         traj = integrate_vdw_many(np.full(r.shape, params.gamma), r,
                                   config.t_grid, u0v, u1v, step)
@@ -484,8 +487,6 @@ def envelope_check(config: ExperimentConfig) -> EnvelopeReport:
     The kernels are tested directly (unit data values), once with datum
     (1, 0) and once with (0, 1), so each data channel meets its own bound.
     """
-    from .spectrum import cubic_char_roots_batch
-
     params = config.params.without_tau()
     g, gt, pd = params.gamma, params.gamma_tilde, params.parabolic_decay
     eps, n_cut = config.r_grid.eps_cut, config.r_grid.n_cut
@@ -565,10 +566,8 @@ class EnergySeries:
 class SingularEnergyResult:
     series: list[EnergySeries]
     fit_sup: RateFit          # sup_t E_S against tau
-    probe_values: np.ndarray  # E_S at the probe time per tau
     es0_values: np.ndarray    # E_S at t = 0 per tau
     w2_norm_sq: float         # ||v2 - (Delta u0 + Delta u1)||^2
-    monotone_in_tau: bool     # soft check on the probe values
 
 
 def _difference_tables(config: ExperimentConfig, tau: float,
@@ -650,18 +649,14 @@ def singular_limit_energy(config: ExperimentConfig) -> SingularEnergyResult:
 
     series = thread_map(one_tau, config.tau_list)
     sup_vals = np.array([s.total.max() for s in series])
-    probe_vals = np.array([s.total[-1] for s in series])
     es0_vals = np.array([s.total[0] for s in series])
     window = (config.tau_list.min(), config.tau_list.max())
     if sup_vals.max() == 0.0:      # identically zero difference (trivial data)
         fit = RateFit(0.0, -math.inf, 1.0, window)
     else:
         fit = rate_fit(config.tau_list, sup_vals, window)
-    order = np.argsort(config.tau_list)
-    monotone = bool(np.all(np.diff(probe_vals[order]) >= -1e-12 * probe_vals.max()))
-    return SingularEnergyResult(series=series, fit_sup=fit,
-                                probe_values=probe_vals, es0_values=es0_vals,
-                                w2_norm_sq=w2_norm_sq, monotone_in_tau=monotone)
+    return SingularEnergyResult(series=series, fit_sup=fit, es0_values=es0_vals,
+                                w2_norm_sq=w2_norm_sq)
 
 
 @dataclass

@@ -3,7 +3,8 @@
 This is the independent validation route for :mod:`viscowave.kernels` and
 the fallback at (near-)degenerate frequencies.  The memory convolution
 ``z = g * u`` with ``g(t) = exp(-gamma t)`` is reduced exactly to the extra
-state equation ``z' = u - gamma z``, so the mode systems are ordinary ODEs:
+state equation ``z' = u - gamma z``, so every mode is a linear autonomous
+system ``y' = A y``:
 
 second order (3 complex states u, u', z):
 
@@ -14,7 +15,14 @@ relaxed third order (4 complex states u, u', u'', z):
     tau u''' = -u'' - r^2 u - r^2 u' + r^2 z
 
 Both are integrated with the classical fixed-step fourth-order Runge-Kutta
-scheme; the step is tied to the stiffness scale max(gamma, r^2, 1/tau).
+scheme.  On a linear autonomous system one step of length h is exactly
+
+    y <- P(hA) y,    P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
+
+the scheme's stability function (Hairer & Wanner, Solving ODEs II, IV.2),
+so n equal steps are the matrix power ``P(hA)^n``: the same numbers as a
+stepped loop, up to rounding, with no eigendecomposition and no use of the
+root solver.  The step is tied to the stiffness scale max(gamma, r^2, 1/tau).
 """
 
 from __future__ import annotations
@@ -69,12 +77,17 @@ def _check_step(step: float, scale: float):
             f"for stiffness scale {scale:.3e}")
 
 
-def _rk4_path(rhs, y0: np.ndarray, t_eval: np.ndarray, step: float) -> np.ndarray:
-    """Classical RK4 from 0 through every requested output time.
+def _rk4_path(a: np.ndarray, y0: np.ndarray, t_eval: np.ndarray,
+              step: float) -> np.ndarray:
+    """Classical RK4 of ``y' = A y`` from 0 through every output time.
 
+    ``a`` stacks the generators, shape (..., n, n), and ``y0`` the start
+    states, shape (..., n); the path has shape (len(t_eval), ..., n).
     Each output interval is subdivided into an integer number of equal
-    steps no larger than ``step``, so sample points are hit exactly.
+    steps no larger than ``step``, so sample points are hit exactly, and
+    advanced by one power of ``P(hA)``.
     """
+    eye = np.eye(a.shape[-1])
     out = np.empty((len(t_eval),) + y0.shape, dtype=complex)
     y = y0.astype(complex)
     t = 0.0
@@ -82,13 +95,9 @@ def _rk4_path(rhs, y0: np.ndarray, t_eval: np.ndarray, step: float) -> np.ndarra
         dt = t_next - t
         if dt > 0:
             n_sub = max(1, int(np.ceil(dt / step - 1e-12)))
-            h = dt / n_sub
-            for _ in range(n_sub):
-                k1 = rhs(y)
-                k2 = rhs(y + 0.5 * h * k1)
-                k3 = rhs(y + 0.5 * h * k2)
-                k4 = rhs(y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            ha = (dt / n_sub) * a
+            p = eye + ha @ (eye + ha @ (eye / 2.0 + ha @ (eye / 6.0 + ha / 24.0)))
+            y = (np.linalg.matrix_power(p, n_sub) @ y[..., None])[..., 0]
             t = t_next
         out[i] = y
     return out
@@ -105,6 +114,50 @@ def _prepare_times(t_end, t_eval):
     return t_eval
 
 
+def _vdw_path(gamma, r, t_eval, u0hat, u1hat, step) -> ModeTrajectory:
+    """Second-order modes of any batch shape (0-d for a single mode)."""
+    gamma, r = np.broadcast_arrays(np.asarray(gamma, dtype=float),
+                                   np.asarray(r, dtype=float))
+    r2 = r * r
+    _check_step(step, float(np.max(np.maximum(gamma, r2))))
+    a = np.zeros(r.shape + (3, 3))
+    a[..., 0, 1] = 1.0
+    a[..., 1, 0] = a[..., 1, 1] = -r2
+    a[..., 1, 2] = r2
+    a[..., 2, 0] = 1.0
+    a[..., 2, 2] = -gamma
+    y0 = np.stack(np.broadcast_arrays(
+        np.asarray(u0hat, dtype=complex), np.asarray(u1hat, dtype=complex),
+        np.zeros(r.shape, dtype=complex)), axis=-1)
+    path = _rk4_path(a, y0, t_eval, step)
+    u, ut, z = path[..., 0], path[..., 1], path[..., 2]
+    return ModeTrajectory(t=t_eval, u=u, ut=ut, utt=-r2 * (u + ut) + r2 * z, z=z)
+
+
+def _mgt_path(gamma, tau, r, t_eval, u0hat, u1hat, v2hat, step) -> ModeTrajectory:
+    """Relaxed third-order modes of any batch shape (0-d for a single mode)."""
+    gamma, tau, r = np.broadcast_arrays(np.asarray(gamma, dtype=float),
+                                        np.asarray(tau, dtype=float),
+                                        np.asarray(r, dtype=float))
+    if np.any(tau <= 0):
+        raise InvalidParameterError("tau must be positive")
+    r2 = r * r
+    _check_step(step, float(np.max(np.maximum(np.maximum(gamma, r2), 1.0 / tau))))
+    a = np.zeros(r.shape + (4, 4))
+    a[..., 0, 1] = a[..., 1, 2] = 1.0
+    a[..., 2, 0] = a[..., 2, 1] = -r2 / tau
+    a[..., 2, 2] = -1.0 / tau
+    a[..., 2, 3] = r2 / tau
+    a[..., 3, 0] = 1.0
+    a[..., 3, 3] = -gamma
+    y0 = np.stack(np.broadcast_arrays(
+        np.asarray(u0hat, dtype=complex), np.asarray(u1hat, dtype=complex),
+        np.asarray(v2hat, dtype=complex), np.zeros(r.shape, dtype=complex)), axis=-1)
+    path = _rk4_path(a, y0, t_eval, step)
+    return ModeTrajectory(t=t_eval, u=path[..., 0], ut=path[..., 1],
+                          utt=path[..., 2], z=path[..., 3])
+
+
 def integrate_vdw_mode(params: ModelParams, r: float, t_end: float | None = None,
                        u0hat=1.0, u1hat=0.0, step: float | None = None,
                        t_eval=None) -> ModeTrajectory:
@@ -114,22 +167,9 @@ def integrate_vdw_mode(params: ModelParams, r: float, t_end: float | None = None
     carries the full state used by comparisons.
     """
     t_eval = _prepare_times(t_end, t_eval)
-    scale = stiffness_scale(params.without_tau(), r)
     if step is None:
         step = default_step(params.without_tau(), r)
-    _check_step(step, scale)
-    g = params.gamma
-    r2 = r * r
-
-    def rhs(y):
-        u, ut, z = y
-        return np.array([ut, -r2 * u - r2 * ut + r2 * z, u - g * z])
-
-    y0 = np.array([u0hat, u1hat, 0.0], dtype=complex)
-    path = _rk4_path(rhs, y0, t_eval, step)
-    u, ut, z = path[:, 0], path[:, 1], path[:, 2]
-    utt = -r2 * u - r2 * ut + r2 * z
-    return ModeTrajectory(t=t_eval, u=u, ut=ut, utt=utt, z=z)
+    return _vdw_path(params.gamma, r, t_eval, u0hat, u1hat, step)
 
 
 def integrate_mgt_mode(params: ModelParams, r: float, t_end: float | None = None,
@@ -138,25 +178,9 @@ def integrate_mgt_mode(params: ModelParams, r: float, t_end: float | None = None
     """Integrate one relaxed third-order mode."""
     tau = params.require_tau()
     t_eval = _prepare_times(t_end, t_eval)
-    scale = stiffness_scale(params, r)
     if step is None:
         step = default_step(params, r)
-    _check_step(step, scale)
-    g = params.gamma
-    r2 = r * r
-
-    def rhs(y):
-        u, ut, utt, z = y
-        return np.array([
-            ut, utt,
-            (-utt - r2 * u - r2 * ut + r2 * z) / tau,
-            u - g * z,
-        ])
-
-    y0 = np.array([u0hat, u1hat, v2hat, 0.0], dtype=complex)
-    path = _rk4_path(rhs, y0, t_eval, step)
-    return ModeTrajectory(t=t_eval, u=path[:, 0], ut=path[:, 1],
-                          utt=path[:, 2], z=path[:, 3])
+    return _mgt_path(params.gamma, tau, r, t_eval, u0hat, u1hat, v2hat, step)
 
 
 def integrate_vdw_many(gamma: np.ndarray, r: np.ndarray, t_eval,
@@ -166,46 +190,11 @@ def integrate_vdw_many(gamma: np.ndarray, r: np.ndarray, t_eval,
     All modes share the output grid and the step, which must satisfy the
     strictest stability bound in the batch.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    r = np.asarray(r, dtype=float)
-    t_eval = _prepare_times(None, t_eval)
-    scale = float(np.max(np.maximum(gamma, r * r)))
-    _check_step(step, scale)
-    r2 = r * r
-
-    def rhs(y):
-        u, ut, z = y
-        return np.stack([ut, -r2 * u - r2 * ut + r2 * z, u - gamma * z])
-
-    y0 = np.stack(np.broadcast_arrays(
-        np.asarray(u0hat, dtype=complex), np.asarray(u1hat, dtype=complex),
-        np.zeros_like(gamma, dtype=complex)))
-    path = _rk4_path(rhs, y0, t_eval, step)
-    u, ut, z = path[:, 0], path[:, 1], path[:, 2]
-    return ModeTrajectory(t=t_eval, u=u, ut=ut, utt=-r2 * (u + ut) + r2 * z, z=z)
+    return _vdw_path(gamma, r, _prepare_times(None, t_eval), u0hat, u1hat, step)
 
 
 def integrate_mgt_many(gamma: np.ndarray, tau: np.ndarray, r: np.ndarray, t_eval,
                        u0hat, u1hat, v2hat, step: float) -> ModeTrajectory:
     """Vectorised relaxed-model integration over a batch of modes."""
-    gamma = np.asarray(gamma, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if np.any(tau <= 0):
-        raise InvalidParameterError("tau must be positive")
-    t_eval = _prepare_times(None, t_eval)
-    scale = float(np.max(np.maximum(np.maximum(gamma, r * r), 1.0 / tau)))
-    _check_step(step, scale)
-    r2 = r * r
-
-    def rhs(y):
-        u, ut, utt, z = y
-        return np.stack([
-            ut, utt, (-utt - r2 * u - r2 * ut + r2 * z) / tau, u - gamma * z])
-
-    y0 = np.stack(np.broadcast_arrays(
-        np.asarray(u0hat, dtype=complex), np.asarray(u1hat, dtype=complex),
-        np.asarray(v2hat, dtype=complex), np.zeros_like(gamma, dtype=complex)))
-    path = _rk4_path(rhs, y0, t_eval, step)
-    return ModeTrajectory(t=t_eval, u=path[:, 0], ut=path[:, 1],
-                          utt=path[:, 2], z=path[:, 3])
+    return _mgt_path(gamma, tau, r, _prepare_times(None, t_eval),
+                     u0hat, u1hat, v2hat, step)

@@ -133,11 +133,8 @@ class DataSpectrum:
 # adaptive panel integration
 # ---------------------------------------------------------------------------
 
-def _initial_edges(a: float, b: float, breakpoints, cap_segments) -> np.ndarray:
+def _initial_edges(a: float, b: float, cap_segments) -> np.ndarray:
     edges = {a, b}
-    for x in breakpoints or ():
-        if a < x < b:
-            edges.add(float(x))
     for lo, hi, width in cap_segments or ():
         lo, hi = max(a, lo), min(b, hi)
         if hi <= lo or width <= 0:
@@ -148,7 +145,7 @@ def _initial_edges(a: float, b: float, breakpoints, cap_segments) -> np.ndarray:
 
 
 def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
-                      breakpoints=None, cap_segments=None, max_depth: int = 30,
+                      cap_segments=None, max_depth: int = 30,
                       max_panels: int = 60000) -> tuple[float, float]:
     """Globally adaptive panel quadrature of a vectorised integrand.
 
@@ -161,7 +158,7 @@ def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
     """
     if not b > a:
         raise DomainError(f"empty integration range [{a}, {b}]")
-    edges = _initial_edges(a, b, breakpoints, cap_segments)
+    edges = _initial_edges(a, b, cap_segments)
     lefts = edges[:-1]
     rights = edges[1:]
     depths = np.zeros(lefts.shape, dtype=int)

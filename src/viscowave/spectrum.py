@@ -83,13 +83,6 @@ class FrequencyGrid:
             raise InvalidParameterError("need 0 < eps_cut < n_cut")
 
     @classmethod
-    def log_spaced(cls, r_min, r_max, count, eps_cut=DEFAULT_EPS_CUT,
-                   n_cut=DEFAULT_N_CUT) -> "FrequencyGrid":
-        """Log-spaced sweep nodes with trapezoid weights."""
-        nodes = np.geomspace(r_min, r_max, count)
-        return cls(nodes, _trapezoid_weights(nodes), eps_cut, n_cut)
-
-    @classmethod
     def composite_gauss(cls, r_min, r_max, panels, order=8,
                         eps_cut=DEFAULT_EPS_CUT, n_cut=DEFAULT_N_CUT) -> "FrequencyGrid":
         """Composite Gauss-Legendre nodes/weights on [r_min, r_max].
@@ -104,15 +97,6 @@ class FrequencyGrid:
         nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
         weights = (half[:, None] * w[None, :]).ravel()
         return cls(nodes, weights, eps_cut, n_cut)
-
-
-def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(nodes)
-    d = np.diff(nodes)
-    w[:-1] += 0.5 * d
-    w[1:] += 0.5 * d
-    # end weights stay positive even for a 2-node grid
-    return w
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,15 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path, "g.cfg", "gamma = 0.5\n")
         assert run_command(["roots", "--config", cfg]) == 2
 
+    def test_non_integer_thread_count_is_config_error(self, tmp_path,
+                                                      monkeypatch, capsys):
+        cfg = write_cfg(tmp_path, "w.cfg", "gamma = 2.0\nn = 3\n")
+        monkeypatch.setenv("VISCOWAVE_THREADS", "two")
+        assert run_command(["decay", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert "VISCOWAVE_THREADS" in err
+
 
 def strip_timestamp(raw: bytes) -> bytes:
     return b"\n".join(ln for ln in raw.split(b"\n")

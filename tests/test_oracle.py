@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from viscowave import (InvalidParameterError, ModelParams, StabilityError,
-                       integrate_mgt_mode, integrate_vdw_mode, vdw_kernels)
-from viscowave.oracle import default_step, integrate_vdw_many
+                       integrate_mgt_mode, integrate_vdw_mode, vdw_kernels,
+                       vdw_mode_solution)
+from viscowave.oracle import default_step, integrate_mgt_many, integrate_vdw_many
+from viscowave.spectrum import cubic_char_roots_batch, discriminant_zero_radii
 
 
 def test_zero_frequency_is_linear_in_time():
@@ -66,8 +69,6 @@ def test_equation_identity_along_trajectory():
 def test_bounded_zone_exponential_damping():
     # horizon scaled to the spectral abscissa: several damping times later
     # the mode magnitude must have dropped by the predicted exponential
-    from viscowave.spectrum import cubic_char_roots_batch
-
     p = ModelParams(2.0)
     for r in (0.2, 0.7, 4.0):
         roots, _, _, _ = cubic_char_roots_batch(p, np.array([r]))
@@ -120,14 +121,99 @@ def test_invalid_times_rejected():
         integrate_vdw_mode(p, 0.5, t_eval=[1.0, 0.5])    # unsorted
 
 
-def test_batch_matches_scalar():
+@pytest.mark.parametrize("kind", ["vdw", "mgt"])
+def test_batch_matches_scalar(kind):
     g = np.array([2.0, 4.0])
+    tau = np.array([0.5, 0.3])
     r = np.array([0.3, 1.2])
+    u0, u1, v2 = np.array([1.0, 0.5]), np.array([0.0, 1.0]), np.array([-1.0, 2.0])
     t_eval = np.linspace(0.0, 3.0, 7)
-    batch = integrate_vdw_many(g, r, t_eval, np.array([1.0, 0.5]),
-                               np.array([0.0, 1.0]), step=0.01)
+    if kind == "vdw":
+        batch = integrate_vdw_many(g, r, t_eval, u0, u1, step=0.01)
+    else:
+        batch = integrate_mgt_many(g, tau, r, t_eval, u0, u1, v2, step=0.01)
     for i in range(2):
-        single = integrate_vdw_mode(ModelParams(g[i]), float(r[i]),
-                                    t_eval=t_eval, u0hat=[1.0, 0.5][i],
-                                    u1hat=[0.0, 1.0][i], step=0.01)
-        assert np.allclose(batch.u[:, i], single.u, rtol=0, atol=1e-12)
+        if kind == "vdw":
+            single = integrate_vdw_mode(ModelParams(g[i]), float(r[i]),
+                                        t_eval=t_eval, u0hat=u0[i],
+                                        u1hat=u1[i], step=0.01)
+        else:
+            single = integrate_mgt_mode(ModelParams(g[i], tau[i]), float(r[i]),
+                                        t_eval=t_eval, u0hat=u0[i], u1hat=u1[i],
+                                        v2hat=v2[i], step=0.01)
+        for name in ("u", "ut", "utt", "z"):
+            assert np.allclose(getattr(batch, name)[:, i], getattr(single, name),
+                               rtol=0, atol=1e-12)
+
+
+def _stepped_rk4(rhs, y0, t_eval, step):
+    """Reference: the textbook RK4 step loop, same sub-step rule."""
+    y, t, out = np.array(y0, dtype=complex), 0.0, []
+    for t_next in t_eval:
+        if t_next > t:
+            n_sub = max(1, int(np.ceil((t_next - t) / step - 1e-12)))
+            h = (t_next - t) / n_sub
+            for _ in range(n_sub):
+                k1 = rhs(y)
+                k2 = rhs(y + 0.5 * h * k1)
+                k3 = rhs(y + 0.5 * h * k2)
+                k4 = rhs(y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t = t_next
+        out.append(y)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind", ["vdw", "mgt"])
+def test_matches_stepped_rk4(kind):
+    # a repeated time, a short interval and one of 1,320 sub-steps
+    t_eval = np.array([0.0, 0.37, 0.37, 0.4, 13.6])
+    g, tau, r, step = 3.0, 0.2, 1.3, 0.01
+    r2 = r * r
+    if kind == "vdw":
+        traj = integrate_vdw_mode(ModelParams(g), r, t_eval=t_eval,
+                                  u0hat=1.0 + 0.5j, u1hat=-0.2, step=step)
+        ref = _stepped_rk4(lambda y: np.array([
+            y[1], -r2 * y[0] - r2 * y[1] + r2 * y[2], y[0] - g * y[2]]),
+            [1.0 + 0.5j, -0.2, 0.0], t_eval, step)
+        got = np.stack([traj.u, traj.ut, traj.z], axis=-1)
+    else:
+        traj = integrate_mgt_mode(ModelParams(g, tau), r, t_eval=t_eval,
+                                  u0hat=1.0 + 0.5j, u1hat=-0.2, v2hat=0.7j,
+                                  step=step)
+        ref = _stepped_rk4(lambda y: np.array([
+            y[1], y[2], (-y[2] - r2 * y[0] - r2 * y[1] + r2 * y[3]) / tau,
+            y[0] - g * y[3]]),
+            [1.0 + 0.5j, -0.2, 0.7j, 0.0], t_eval, step)
+        got = np.stack([traj.u, traj.ut, traj.utt, traj.z], axis=-1)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _unflagged_offset(params, r):
+    """Least offset r * 10^k with neither r - dr nor r + dr flagged."""
+    for exp in range(-12, 0):
+        dr = r * 10.0 ** exp
+        if not cubic_char_roots_batch(params, np.array([r - dr, r + dr]))[3].any():
+            return dr
+    raise AssertionError(f"no unflagged radii around r={r}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=st.floats(1.01, 10.0, exclude_min=True))
+def test_coalescence_radius_matches_closed_form(g):
+    # at a root-coalescence radius the kernel path has no closed form; the
+    # solution is analytic in r, so the mean of the closed forms at r -+ dr
+    # is off by O(dr^2) only
+    p = ModelParams(g)
+    t = np.concatenate([[0.0], np.geomspace(1.0, 1e4)])
+    u0, u1 = 1.0 - 0.5j, 0.3 + 1.0j
+    for r in discriminant_zero_radii(p):
+        r = float(r)
+        dr = _unflagged_offset(p, r)
+        refs = [vdw_mode_solution(p, r + sign * dr, t, u0, u1) for sign in (-1.0, 1.0)]
+        traj = integrate_vdw_mode(p, r, t_eval=t, u0hat=u0, u1hat=u1,
+                                  step=0.25 * default_step(p, r))
+        for name in ("u", "ut"):
+            ref = 0.5 * (getattr(refs[0], name) + getattr(refs[1], name))
+            gap = np.abs(getattr(traj, name) - ref).max() / np.abs(ref).max()
+            assert gap <= 1e-6, (name, r, gap)

@@ -349,7 +349,8 @@ def rate_function(kind: str, t, s: float | None = None, n: int = 1):
 
     G(t; s, n) bounds the sin-kernel norm (four branches switching at
     2s + n = 2, 3); H(t; n) is the sharp two-sided rate of the solution
-    norm; kappa_n(t) weights the relaxed-model energy bound.
+    norm; kappa_n(t) weights the relaxed-model energy bound.  H(t; 2) =
+    sqrt(log t) is a large-time rate and raises DomainError for t <= 1.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
@@ -372,6 +373,8 @@ def rate_function(kind: str, t, s: float | None = None, n: int = 1):
         if n == 1:
             out = np.sqrt(t)
         elif n == 2:
+            if np.any(t <= 1):
+                raise DomainError("H(t; n=2) = sqrt(log t) requires t > 1")
             out = np.sqrt(np.log(t))
         else:
             out = t ** (0.5 - n / 4.0)

@@ -12,9 +12,14 @@ and the thermally relaxed model into a fourth-order ODE with quartic
     tau mu^4 + (1 + tau gamma) mu^3 + (r^2 + gamma) mu^2
         + (1 + gamma) r^2 mu + (gamma - 1) r^2 = 0.
 
-Roots are computed by the companion-matrix eigenvalue method followed by a
-single Newton polish, which keeps a uniform residual bound across frequency
-zones without case analysis.  Printed low/high-frequency truncations are
+Roots are computed as the eigenvalues of the real companion matrix followed
+by a single Newton polish, which keeps a uniform residual bound across
+frequency zones without case analysis; the companion route is backward
+stable (Edelman & Murakami, Math. Comp. 64, 1995).  Exact conjugate pairing
+needs no clean-up pass: LAPACK returns the eigenvalues of a real matrix in
+exactly conjugate pairs, with real eigenvalues carrying imaginary part
+``+0.0``, and the Newton step preserves both because IEEE complex arithmetic
+commutes with conjugation.  Printed low/high-frequency truncations are
 available separately through :func:`asymptotic_roots`.
 """
 
@@ -47,7 +52,8 @@ class RootSet:
     """Matched characteristic roots at one radial frequency.
 
     ``roots`` holds 3 entries for the second-order model and 4 for the
-    relaxed model, conjugate-symmetric and sorted by (real, imag).
+    relaxed model, sorted by (real, imag); complex roots come in exactly
+    conjugate pairs and real roots have imaginary part exactly zero.
     """
 
     r: float
@@ -136,14 +142,15 @@ def quartic_coefficients(params: ModelParams, r) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _companion_eigvals(coeffs: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the companion matrices of monic-normalised rows."""
+    """Eigenvalues of the real companion matrices of monic-normalised rows
+    (``eigvals`` returns a float array when all of them are real)."""
     monic = coeffs / coeffs[..., :1]
     deg = monic.shape[-1] - 1
-    comp = np.zeros(monic.shape[:-1] + (deg, deg), dtype=complex)
+    comp = np.zeros(monic.shape[:-1] + (deg, deg))
     idx = np.arange(deg - 1)
     comp[..., idx + 1, idx] = 1.0
     comp[..., 0, :] = -monic[..., 1:]
-    return np.linalg.eigvals(comp)
+    return np.linalg.eigvals(comp).astype(complex)
 
 
 def _polyval_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -183,29 +190,6 @@ def _newton_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return np.where(better, polished, roots)
 
 
-def _symmetrize_conjugates(roots: np.ndarray) -> np.ndarray:
-    """Enforce exact conjugate pairing (real-coefficient polynomials)."""
-    out = roots.copy()
-    for row in np.atleast_2d(out):
-        imag_scale = 1e-12 * np.maximum(1.0, np.abs(row))
-        is_real = np.abs(row.imag) <= imag_scale
-        row[is_real] = row[is_real].real
-        cplx = np.where(~is_real)[0]
-        if cplx.size % 2 == 1:
-            # stray unpaired value: realify the one with the smallest |Im|
-            k = cplx[np.argmin(np.abs(row[cplx].imag))]
-            row[k] = row[k].real
-            cplx = cplx[cplx != k]
-        if cplx.size:
-            order = np.lexsort((row[cplx].imag, row[cplx].real))
-            cplx = cplx[order]
-            for a, b in zip(cplx[::2], cplx[1::2]):
-                m = 0.5 * (row[a] + np.conj(row[b]))
-                row[a] = np.conj(m) if row[a].imag < 0 else m
-                row[b] = np.conj(row[a])
-    return out
-
-
 def _canonical_sort(roots: np.ndarray) -> np.ndarray:
     order = np.lexsort((roots.imag, roots.real), axis=-1)
     return np.take_along_axis(roots, order, axis=-1)
@@ -223,13 +207,18 @@ def solve_polynomial_batch(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     Returns
     -------
     roots, residuals, scales:
-        ``roots`` conjugate-symmetric and sorted by (Re, Im); ``residuals``
-        the values |p(root)|; ``scales`` the absolute-monomial sums used to
-        normalise the residual bound.
+        ``roots`` complex, sorted by (Re, Im); ``residuals`` the values
+        |p(root)|; ``scales`` the absolute-monomial sums used to normalise
+        the residual bound.
+
+    Pairing is exact (see the module docstring), so no threshold snaps
+    roots with tiny imaginary parts onto the real axis: a pair within
+    1e-12 |z| of the axis is closer than ``MULTIPLICITY_RTOL``, so
+    ``_near_multiple`` flags its row and callers route it to the oracle.
     """
     roots = _companion_eigvals(coeffs)
     roots = _newton_polish(coeffs, roots)
-    roots = _canonical_sort(_symmetrize_conjugates(roots))
+    roots = _canonical_sort(roots)
     residuals = np.abs(_polyval_many(coeffs, roots))
     scales = np.maximum(1.0, _evaluation_scale(coeffs, roots))
     return roots, residuals, scales

@@ -199,6 +199,17 @@ data.v2 = consistent
         rc = run_command(["singular-limit-solution", "--config", cfg])
         assert rc == 2
 
+    def test_optimality_log_rate_domain_is_error(self, tmp_path, capsys):
+        # at n = 2 the rate sqrt(log t) is undefined for t <= 1
+        cfg = write_cfg(tmp_path, "n2.cfg", "gamma = 2.0\nn = 2\n"
+                        "data.u1 = gaussian:1.0,1.0\nt.min = 0.5\n")
+        rc = run_command(["optimality", "--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error:")
+        assert "t > 1" in captured.err
+        assert "nan" not in captured.out.lower()
+
     def test_singular_limit_energy_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "sle.cfg", """
 gamma = 2.0

@@ -192,6 +192,13 @@ class TestRateFunction:
         with pytest.raises(DomainError):
             rate_function("H", 0.0, n=1)
 
+    def test_log_rate_domain(self):
+        # H(t; 2) = sqrt(log t) has no real value for t < 1 and vanishes at 1
+        for t in (0.5, 1.0, np.array([0.5, 2.0])):
+            with pytest.raises(DomainError):
+                rate_function("H", t, n=2)
+        assert rate_function("H", math.e ** 4, n=2) == pytest.approx(2.0)
+
 
 class TestRateCaseBoundaries:
     def test_bounded_jump_across_branches(self):

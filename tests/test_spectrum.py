@@ -10,7 +10,8 @@ from viscowave import (DomainError, FrequencyGrid, InvalidParameterError,
                        cubic_discriminant_expanded, discriminant_zero_radii,
                        quartic_char_roots, track_branches)
 from viscowave.spectrum import (RESIDUAL_RTOL, cubic_char_roots_batch,
-                                quartic_char_roots_batch)
+                                cubic_coefficients, quartic_char_roots_batch,
+                                solve_polynomial_batch)
 
 
 def sorted_real(roots):
@@ -128,6 +129,60 @@ class TestQuarticRoots:
         roots, resid, scales, _ = quartic_char_roots_batch(
             ModelParams(g, tau), np.array([r]))
         assert np.all(resid < RESIDUAL_RTOL * scales)
+
+
+class TestExactPairing:
+    """Real companion matrices give exact conjugate pairs and exactly real
+    roots; the Newton polish must not break either."""
+
+    GAMMAS = (1.05, 1.5, 2.0, 3.7, 6.0, 9.5)
+
+    @staticmethod
+    def _batches(g):
+        r = np.concatenate([np.geomspace(1e-6, 1e3, 2000),
+                            np.linspace(0.0, 10.0, 2001)])
+        yield cubic_char_roots_batch(ModelParams(g), r)[0]
+        for tau in (0.1, 0.5, 0.9):
+            yield quartic_char_roots_batch(ModelParams(g, tau), r)[0]
+
+    @pytest.mark.parametrize("g", GAMMAS)
+    def test_conjugation_gap_is_zero(self, g):
+        for roots in self._batches(g):
+            gap = np.abs(np.sort_complex(roots) - np.sort_complex(np.conj(roots)))
+            assert gap.max() == 0.0
+
+    @pytest.mark.parametrize("g", GAMMAS)
+    def test_real_roots_have_zero_imaginary_part(self, g):
+        # a negative discriminant means one real root and one pair, a
+        # positive one three distinct real roots
+        p = ModelParams(g)
+        r = np.linspace(0.01, 10.0, 4001)
+        roots = cubic_char_roots_batch(p, r)[0]
+        disc = cubic_discriminant(p, r)
+        n_real = (roots.imag == 0.0).sum(axis=1)
+        assert np.all(n_real[disc < 0] == 1)
+        assert np.all(n_real[disc > 0] == 3)
+
+    @pytest.mark.parametrize("g", (1.5, 3.0, 6.0, 9.0))
+    def test_all_real_batch_returns_complex(self, g):
+        # between the first two discriminant zeros all three roots are real,
+        # and numpy's eigvals then returns a float array
+        lo, hi = discriminant_zero_radii(ModelParams(g))[:2]
+        r = np.linspace(lo, hi, 12)[1:-1]
+        coeffs = cubic_coefficients(ModelParams(g), r)
+        roots, residuals, scales = solve_polynomial_batch(coeffs)
+        assert roots.dtype == np.complex128
+        assert np.all(roots.imag == 0.0)
+        assert np.all(residuals < RESIDUAL_RTOL * scales)
+
+    @pytest.mark.parametrize("g", (1.05, 1.3, 1.97, 2.18, 3.7, 6.0, 9.5))
+    def test_discriminant_zero_radii_stay_flagged(self, g):
+        p = ModelParams(g)
+        radii = discriminant_zero_radii(p)
+        assert radii.size
+        assert cubic_char_roots_batch(p, radii)[3].all()
+        for r in radii:
+            assert cubic_char_roots(p, float(r)).multiplicity_flag
 
 
 class TestDiscriminant:

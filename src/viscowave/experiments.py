@@ -249,24 +249,12 @@ def _mgt_tables(params: ModelParams, r: np.ndarray, t_grid: np.ndarray,
 
 
 def _field_factory(config: ExperimentConfig, t: float, which: str):
-    """Vectorised r -> mode value at time t (kernel path, oracle fallback)."""
-    params = config.params.without_tau()
-    u0, u1 = config.u0, config.u1
+    """Vectorised r -> mode value at time t (mode tables, oracle fallback)."""
+    params, u0, u1 = config.params, config.u0, config.u1
 
     def field(r):
-        basis = vdw_kernel_basis(params, r)
-        pair = basis.eval(t)
-        u0v, u1v = u0(r), u1(r)
-        if which == "u":
-            vals = pair.k0 * u0v + pair.k1 * u1v
-        else:
-            vals = pair.dk0 * u0v + pair.dk1 * u1v
-        for k in np.where(basis.flags)[0]:
-            rk = float(np.atleast_1d(r)[k])
-            traj = integrate_vdw_mode(params, rk, t_eval=[t], u0hat=u0v[k],
-                                      u1hat=u1v[k], step=default_step(params, rk) / 4)
-            vals[k] = traj.u[0] if which == "u" else traj.ut[0]
-        return vals
+        u, ut, _ = _vdw_tables(params, r, [t], u0(r), u1(r))
+        return (u if which == "u" else ut)[0]
 
     return field
 

@@ -1,25 +1,24 @@
-"""Closed-form Fourier-space solution kernels and leading profiles.
+"""Closed-form Fourier-space mode solutions and leading profiles.
 
-With pairwise-distinct characteristic roots ``lambda_j`` the mode solution
-of the second-order model is
+With pairwise-distinct characteristic roots ``lambda_j`` both models have
+mode solutions ``sum_j a_j exp(lambda_j t)`` over the three roots of the
+memory-only cubic or the four of the relaxed quartic.  The amplitudes solve
+the Vandermonde system ``sum_j a_j lambda_j^m = d_m`` (m < deg), whose last
+datum each equation fixes at t = 0 (where the memory integral vanishes):
 
-    u_hat(t) = K0(t, r) u0_hat + K1(t, r) u1_hat,
+    u2_hat = -r^2 (u0_hat + u1_hat),
+    v3_hat = -(v2_hat + r^2 (u0_hat + u1_hat)) / tau,
 
-    K0 = sum_j (lambda_k lambda_l - r^2) / D_j * exp(lambda_j t),
-    K1 = sum_j (-(lambda_k + lambda_l) - r^2) / D_j * exp(lambda_j t),
-
-where ``{k, l}`` are the other two indices and ``D_j`` the product of root
-gaps.  These follow from the Lagrange solve of the third-order initial
-value problem with second datum ``u2_hat = -r^2 (u0_hat + u1_hat)``.
-
-The relaxed model is handled the same way through a 4x4 Vandermonde solve,
-with the third datum closed by evaluating the third-order equation at
-t = 0 where the memory integral vanishes:
-
-    v3_hat = -(v2_hat + r^2 (u0_hat + u1_hat)) / tau.
-
-Near-degenerate roots raise :class:`~viscowave.errors.NearDegenerateError`;
-callers fall back to :mod:`viscowave.oracle` (no confluent formulas here).
+so the kernels K0, K1 are the amplitudes for the data (1, 0, -r^2) and
+(0, 1, -r^2).  One closed-form Vandermonde inverse serves both degrees
+(Gautschi, Numer. Math. 4, 1962): a_j is the data paired with the
+coefficients of ``prod_{k != j} (x - lambda_k)``, over the root-gap product
+``prod_{k != j} (lambda_j - lambda_k)``.  There is no conditioning guard: a
+tiny tau spreads the roots and drives the matrix condition number past 1e14,
+yet the formula stays accurate to rounding there; only small gaps hurt it.
+Rows the root solver flags as (near-)multiple raise
+:class:`~viscowave.errors.NearDegenerateError`, and callers fall back to
+:mod:`viscowave.oracle` (no confluent formulas here).
 """
 
 from __future__ import annotations
@@ -67,10 +66,46 @@ class ProfilePair:
 
 
 # ---------------------------------------------------------------------------
-# batched kernel machinery
+# batched mode machinery
 # ---------------------------------------------------------------------------
 
-_OTHERS3 = [(1, 2), (0, 2), (0, 1)]
+def _amplitudes(roots: np.ndarray, data: tuple, flags: np.ndarray) -> np.ndarray:
+    """Solve ``sum_j a_j lambda_j^m = data[m]`` (m < deg) in closed form.
+
+    ``roots`` is (B, deg).  ``data`` holds deg arrays broadcasting to
+    (..., B), the first with all leading axes; the amplitudes are
+    (..., B, deg).  The other roots of component j are the cyclic shifts
+    of the root rows, so one loop builds the ascending coefficients of
+    ``prod_{k != j} (x - lambda_k)`` for every j.  The work runs on (deg, B)
+    arrays, so the elementwise loops run along B.  Flagged rows get unit
+    gaps: finite values that callers discard.
+    """
+    deg = roots.shape[-1]
+    lam = np.ascontiguousarray(roots.T)
+    poly, gap = [1.0], 1.0
+    for s in range(1, deg):
+        other = np.roll(lam, -s, axis=0)
+        gap = gap * (lam - other)
+        poly = ([other * -poly[0]]
+                + [poly[m - 1] - other * poly[m] for m in range(1, s)]
+                + [poly[-1]])
+    amp = data[0][..., None, :] * poly[0]
+    for m in range(1, deg):
+        amp += data[m][..., None, :] * poly[m]
+    amp /= np.where(flags, 1.0, gap)
+    return np.ascontiguousarray(np.swapaxes(amp, -1, -2))
+
+
+def _mode_sums(amp: np.ndarray, roots: np.ndarray, t):
+    """(u, u_t, u_tt) = sum_j amp_j lambda_j^p exp(lambda_j t), p = 0, 1, 2.
+
+    ``amp`` and ``roots`` are (B, deg) or (deg,); results have shape
+    ``t.shape + roots.shape[:-1]``.  The amplitudes weight the exponential
+    table inside each sum, so no weighted copy of it outlives one sum.
+    """
+    e = np.exp(np.multiply.outer(np.asarray(t, dtype=float), roots))
+    return ((amp * e).sum(axis=-1), (amp * roots * e).sum(axis=-1),
+            (amp * roots ** 2 * e).sum(axis=-1))
 
 
 @dataclass
@@ -85,38 +120,23 @@ class VdwKernelBasis:
 
     def eval(self, t) -> KernelPair:
         """Kernels at time(s) ``t``; shape (B,) or (T, B)."""
-        t = np.asarray(t, dtype=float)
-        e = np.exp(np.multiply.outer(t, self.roots))  # (..., B, 3)
-        k0 = (self.coef0 * e).sum(axis=-1)
-        k1 = (self.coef1 * e).sum(axis=-1)
-        dk0 = (self.coef0 * self.roots * e).sum(axis=-1)
-        dk1 = (self.coef1 * self.roots * e).sum(axis=-1)
+        k0, dk0, _ = _mode_sums(self.coef0, self.roots, t)
+        k1, dk1, _ = _mode_sums(self.coef1, self.roots, t)
         return KernelPair(k0=k0, k1=k1, dk0=dk0, dk1=dk1)
 
     def mode_tables(self, t, u0vals, u1vals):
         """(u, ut, utt) tables for data values on the node batch."""
-        t = np.asarray(t, dtype=float)
         amp = self.coef0 * np.asarray(u0vals, dtype=complex)[:, None] \
             + self.coef1 * np.asarray(u1vals, dtype=complex)[:, None]
-        e = np.exp(np.multiply.outer(t, self.roots))
-        u = (amp * e).sum(axis=-1)
-        ut = (amp * self.roots * e).sum(axis=-1)
-        utt = (amp * self.roots ** 2 * e).sum(axis=-1)
-        return u, ut, utt
+        return _mode_sums(amp, self.roots, t)
 
 
 def vdw_kernel_basis(params: ModelParams, r) -> VdwKernelBasis:
     """Solve the cubic on a node batch and form kernel amplitudes."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     roots, _, _, flags = cubic_char_roots_batch(params, r)
-    r2 = (r * r)[:, None]
-    coef0 = np.empty_like(roots)
-    coef1 = np.empty_like(roots)
-    for j, (k, l) in enumerate(_OTHERS3):
-        gap = (roots[:, j] - roots[:, k]) * (roots[:, j] - roots[:, l])
-        gap = np.where(flags, 1.0, gap)  # flagged nodes are rejected by users
-        coef0[:, j] = (roots[:, k] * roots[:, l] - r2[:, 0]) / gap
-        coef1[:, j] = (-(roots[:, k] + roots[:, l]) - r2[:, 0]) / gap
+    unit = np.array([[1.0], [0.0]])         # data (1, 0, -r^2) and (0, 1, -r^2)
+    coef0, coef1 = _amplitudes(roots, (unit, unit[::-1], -r * r), flags)
     return VdwKernelBasis(r=r, roots=roots, coef0=coef0, coef1=coef1, flags=flags)
 
 
@@ -131,35 +151,32 @@ class MgtModeBasis:
 
     def eval(self, t):
         """(v, vt, vtt) at time(s) ``t``; shape (B,) or (T, B)."""
-        t = np.asarray(t, dtype=float)
-        e = np.exp(np.multiply.outer(t, self.roots))
-        v = (self.amp * e).sum(axis=-1)
-        vt = (self.amp * self.roots * e).sum(axis=-1)
-        vtt = (self.amp * self.roots ** 2 * e).sum(axis=-1)
-        return v, vt, vtt
+        return _mode_sums(self.amp, self.roots, t)
 
 
 def mgt_mode_basis(params: ModelParams, r, u0vals, u1vals, v2vals) -> MgtModeBasis:
-    """Quartic solve plus Vandermonde coefficients for given data values."""
+    """Quartic solve plus closed-form Vandermonde amplitudes for given data."""
     tau = params.require_tau()
     r = np.atleast_1d(np.asarray(r, dtype=float))
     roots, _, _, flags = quartic_char_roots_batch(params, r)
     u0vals = np.broadcast_to(np.asarray(u0vals, dtype=complex), r.shape)
     u1vals = np.broadcast_to(np.asarray(u1vals, dtype=complex), r.shape)
     v2vals = np.broadcast_to(np.asarray(v2vals, dtype=complex), r.shape)
-    r2 = r * r
-    v3vals = -(v2vals + r2 * (u0vals + u1vals)) / tau
-    powers = np.arange(4)
-    vander = roots[:, None, :] ** powers[None, :, None]       # (B, 4, 4)
-    data = np.stack([u0vals, u1vals, v2vals, v3vals], axis=1)  # (B, 4)
-    safe = np.where(flags[:, None, None], np.eye(4)[None], vander)
-    amp = np.linalg.solve(safe, data[..., None])[..., 0]
+    v3vals = -(v2vals + r * r * (u0vals + u1vals)) / tau
+    amp = _amplitudes(roots, (u0vals, u1vals, v2vals, v3vals), flags)
     return MgtModeBasis(r=r, roots=roots, amp=amp, flags=flags)
 
 
 # ---------------------------------------------------------------------------
 # scalar-frequency API
 # ---------------------------------------------------------------------------
+
+def _check_distinct(basis) -> None:
+    """Reject the one node of ``basis`` when its roots are (near-)multiple."""
+    if basis.flags[0]:
+        raise NearDegenerateError(
+            f"near-multiple roots at r={basis.r[0]}; evaluate via the ode oracle")
+
 
 def vdw_kernels(params: ModelParams, r: float, t) -> KernelPair:
     """Kernels of the second-order model at one frequency.
@@ -172,9 +189,7 @@ def vdw_kernels(params: ModelParams, r: float, t) -> KernelPair:
     """
     _check_time(t)
     basis = vdw_kernel_basis(params, np.array([r]))
-    if basis.flags[0]:
-        raise NearDegenerateError(
-            f"near-multiple roots at r={r}; evaluate via the ode oracle")
+    _check_distinct(basis)
     pair = basis.eval(t)
     return KernelPair(k0=pair.k0[..., 0], k1=pair.k1[..., 0],
                       dk0=pair.dk0[..., 0], dk1=pair.dk1[..., 0])
@@ -217,6 +232,15 @@ def _memory_weights(roots: np.ndarray, gamma: float, t) -> np.ndarray:
     return np.where(near, stable, direct)
 
 
+def _mode_state(basis, amp: np.ndarray, gamma: float, t) -> ModeState:
+    """(u, u_t, u_tt, z) at the one node of ``basis``, amplitudes ``amp``."""
+    _check_distinct(basis)
+    roots = basis.roots[0]
+    u, ut, utt = _mode_sums(amp, roots, t)
+    z = (amp * _memory_weights(roots, gamma, t)).sum(axis=-1)
+    return ModeState(u=u, ut=ut, utt=utt, z=z)
+
+
 def vdw_mode_solution(params: ModelParams, r: float, t, u0hat, u1hat) -> ModeState:
     """Mode solution (u, u_t, u_tt, z) of the second-order model.
 
@@ -234,17 +258,8 @@ def vdw_mode_solution(params: ModelParams, r: float, t, u0hat, u1hat) -> ModeSta
         return ModeState(u=u, ut=u1hat * np.ones_like(t_arr) if t_arr.ndim else u1hat,
                          utt=np.zeros_like(t_arr) if t_arr.ndim else 0.0, z=z)
     basis = vdw_kernel_basis(params, np.array([r]))
-    if basis.flags[0]:
-        raise NearDegenerateError(
-            f"near-multiple roots at r={r}; evaluate via the ode oracle")
-    roots = basis.roots[0]
     amp = basis.coef0[0] * u0hat + basis.coef1[0] * u1hat
-    e = np.exp(np.multiply.outer(t_arr, roots))
-    u = (amp * e).sum(axis=-1)
-    ut = (amp * roots * e).sum(axis=-1)
-    utt = (amp * roots ** 2 * e).sum(axis=-1)
-    z = (amp * _memory_weights(roots, g, t_arr)).sum(axis=-1)
-    return ModeState(u=u, ut=ut, utt=utt, z=z)
+    return _mode_state(basis, amp, g, t_arr)
 
 
 def mgt_mode_solution(params: ModelParams, r: float, t, u0hat, u1hat,
@@ -252,21 +267,7 @@ def mgt_mode_solution(params: ModelParams, r: float, t, u0hat, u1hat,
     """Mode solution (v, v_t, v_tt, z) of the relaxed model."""
     _check_time(t)
     basis = mgt_mode_basis(params, np.array([r]), [u0hat], [u1hat], [v2hat])
-    if basis.flags[0]:
-        raise NearDegenerateError(
-            f"near-multiple quartic roots at r={r}; evaluate via the ode oracle")
-    cond = np.linalg.cond(np.vander(basis.roots[0], increasing=True).T)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise NearDegenerateError(
-            f"ill-conditioned mode solve at r={r} (cond={cond:.2e})")
-    t_arr = np.asarray(t, dtype=float)
-    roots, amp = basis.roots[0], basis.amp[0]
-    e = np.exp(np.multiply.outer(t_arr, roots))
-    v = (amp * e).sum(axis=-1)
-    vt = (amp * roots * e).sum(axis=-1)
-    vtt = (amp * roots ** 2 * e).sum(axis=-1)
-    z = (amp * _memory_weights(roots, params.gamma, t_arr)).sum(axis=-1)
-    return ModeState(u=v, ut=vt, utt=vtt, z=z)
+    return _mode_state(basis, basis.amp[0], params.gamma, t)
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,9 @@ def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
     contributions are summed left to right for reproducibility.
 
     ``cap_segments`` is an iterable of (lo, hi, width) triples bounding
-    the initial panel width on oscillatory subintervals.
+    the initial panel width on oscillatory subintervals.  Raises
+    :class:`TruncationError` past ``max_panels`` panels, or when the panels
+    accepted only at ``max_depth`` leave an error above ``rel_tol * |value|``.
     """
     if not b > a:
         raise DomainError(f"empty integration range [{a}, {b}]")
@@ -174,6 +176,7 @@ def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
     accepted_val: list[np.ndarray] = []
     accepted_err: list[np.ndarray] = []
     total_ref = 0.0
+    capped_err = 0.0
     span = b - a
     n_panels = lefts.size
     while lefts.size:
@@ -191,6 +194,7 @@ def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
         frac = (rights - lefts) / span
         tol_local = rel_tol * np.maximum(np.abs(fine), total_ref * frac) + 1e-300
         done = (err <= tol_local) | (depths >= max_depth)
+        capped_err += float(err[done & (err > tol_local)].sum())
         accepted_left.append(lefts[done])
         accepted_val.append(fine[done])
         accepted_err.append(err[done])
@@ -204,6 +208,10 @@ def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
     order = np.argsort(left, kind="stable")
     value = float(np.concatenate(accepted_val)[order].sum())
     err_total = float(np.concatenate(accepted_err)[order].sum())
+    if capped_err > rel_tol * abs(value):
+        raise TruncationError(
+            f"panels at max_depth={max_depth} left error {capped_err:.2e} "
+            f"on a value of {value:.2e}")
     return value, err_total
 
 

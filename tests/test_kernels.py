@@ -7,6 +7,7 @@ from viscowave import (DomainError, ModelParams, NearDegenerateError,
                        integrate_mgt_mode, integrate_vdw_mode,
                        leading_profiles, mgt_mode_solution, vdw_kernels,
                        vdw_mode_solution)
+from viscowave.experiments import _mgt_tables
 from viscowave.kernels import profile_branch_terms
 
 
@@ -166,6 +167,25 @@ class TestMgtModeSolution:
     def test_degenerate_rejected(self):
         with pytest.raises(NearDegenerateError):
             mgt_mode_solution(ModelParams(2.0, 0.1), 0.0, 1.0, 1.0, 0.0, 0.0)
+
+    def test_tiny_tau_small_radius(self):
+        # distinct roots spread over four decades: the Vandermonde matrix has
+        # cond ~1.6e14, yet its closed-form inverse is accurate here
+        p, r = ModelParams(6.0, 1e-4), 0.005
+        t = np.array([0.0, 0.5, 2.0, 10.0, 50.0])
+        u0, u1, v2 = 1.0 - 0.5j, 0.3 + 1.0j, -0.7
+        state = mgt_mode_solution(p, r, t, u0, u1, v2)
+        ref = integrate_mgt_mode(p, r, t_eval=t, u0hat=u0, u1hat=u1, v2hat=v2,
+                                 step=2e-6)
+        for name in ("u", "ut", "utt", "z"):
+            want = getattr(ref, name)
+            gap = np.abs(getattr(state, name) - want).max()
+            assert gap <= 1e-8 * np.abs(want).max(), name
+        tables = _mgt_tables(p, np.array([r]), t, np.array([u0]),
+                             np.array([u1]), np.array([v2]))
+        for name, table in zip(("u", "ut", "utt"), tables):
+            want = getattr(state, name)
+            assert np.abs(table[:, 0] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestLeadingProfiles:

@@ -6,10 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from viscowave import (DataSpectrum, ExperimentConfig, InvalidParameterError,
                        ModelParams, StabilityError, integrate_mgt_mode,
-                       integrate_vdw_mode, vdw_kernels, vdw_mode_solution)
-from viscowave.experiments import _field_factory, _vdw_tables
+                       integrate_vdw_mode, mgt_mode_solution, vdw_kernels,
+                       vdw_mode_solution)
+from viscowave.experiments import _field_factory, _mgt_tables, _vdw_tables
 from viscowave.oracle import default_step, integrate_mgt_many, integrate_vdw_many
-from viscowave.spectrum import cubic_char_roots_batch, discriminant_zero_radii
+from viscowave.spectrum import (_disc_terms_quartic, cubic_char_roots_batch,
+                                discriminant_zero_radii,
+                                quartic_char_roots_batch, quartic_coefficients)
 
 
 def test_zero_frequency_is_linear_in_time():
@@ -190,23 +193,29 @@ def test_matches_stepped_rk4(kind):
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def _unflagged_offset(params, r):
+_MODELS = {"vdw": (cubic_char_roots_batch, vdw_mode_solution),
+           "mgt": (quartic_char_roots_batch, mgt_mode_solution)}
+
+
+def _unflagged_offset(solve, params, r):
     """Least offset r * 10^k with neither r - dr nor r + dr flagged."""
     for exp in range(-12, 0):
         dr = r * 10.0 ** exp
-        if not cubic_char_roots_batch(params, np.array([r - dr, r + dr]))[3].any():
+        if not solve(params, np.array([r - dr, r + dr]))[3].any():
             return dr
     raise AssertionError(f"no unflagged radii around r={r}")
 
 
-def _closed_form_mean(p, r, t, u0, u1, name):
+def _closed_form_mean(model, p, r, t, data, name):
     """Mean of the closed forms at r -+ dr for a radius r the solver flags.
 
-    At a root-coalescence radius the kernel path has no closed form; the
+    ``model`` is "vdw" (data u0, u1) or "mgt" (data u0, u1, v2).  At a
+    root-coalescence radius the kernel path has no closed form; the
     solution is analytic in r, so this mean is off by O(dr^2) only.
     """
-    dr = _unflagged_offset(p, r)
-    refs = [vdw_mode_solution(p, r + sign * dr, t, u0, u1) for sign in (-1.0, 1.0)]
+    solve, solution = _MODELS[model]
+    dr = _unflagged_offset(solve, p, r)
+    refs = [solution(p, r + sign * dr, t, *data) for sign in (-1.0, 1.0)]
     return 0.5 * (getattr(refs[0], name) + getattr(refs[1], name))
 
 
@@ -221,7 +230,7 @@ def test_coalescence_radius_matches_closed_form(g):
         traj = integrate_vdw_mode(p, r, t_eval=t, u0hat=u0, u1hat=u1,
                                   step=0.25 * default_step(p, r))
         for name in ("u", "ut"):
-            ref = _closed_form_mean(p, r, t, u0, u1, name)
+            ref = _closed_form_mean("vdw", p, r, t, (u0, u1), name)
             gap = np.abs(getattr(traj, name) - ref).max() / np.abs(ref).max()
             assert gap <= 1e-6, (name, r, gap)
 
@@ -249,6 +258,45 @@ def test_fallback_route_matches_closed_form(g):
             d0, d1 = config.u0(np.array([r]))[0], config.u1(np.array([r]))[0]
             for got, ts, a, b in ((tables[name][:, k], t, u0, u1),
                                   (field[:, k], t_field, d0, d1)):
-                ref = _closed_form_mean(p, r, ts, a, b, name)
+                ref = _closed_form_mean("vdw", p, r, ts, (a, b), name)
                 gap = np.abs(got - ref).max() / np.abs(ref).max()
                 assert gap <= 1e-6, (name, r, gap)
+
+
+def _quartic_coalescence_radii(p):
+    """Radii in [1e-3, 1e2] where the quartic discriminant changes sign,
+    bisected to the last representable step."""
+    def disc(r):
+        return _disc_terms_quartic(quartic_coefficients(p, r))[0]
+
+    grid = np.geomspace(1e-3, 1e2, 4001)
+    signs = np.sign(disc(grid))
+    radii = []
+    for k in np.where(signs[:-1] != signs[1:])[0]:
+        lo, hi = grid[k], grid[k + 1]
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            if np.sign(disc(mid)) == signs[k]:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        radii.append(lo)
+    return np.array(radii)
+
+
+@pytest.mark.parametrize("g, tau", [(1.3, 0.05), (1.3, 0.3), (2.0, 0.05),
+                                    (4.5, 0.05), (9.0, 0.05)])
+def test_relaxed_fallback_route_matches_closed_form(g, tau):
+    # flagged relaxed-model nodes reach the oracle through _mgt_tables
+    p = ModelParams(g, tau)
+    radii = _quartic_coalescence_radii(p)
+    assert radii.size and quartic_char_roots_batch(p, radii)[3].all()
+    t = np.concatenate([[0.0], np.geomspace(1.0, 1e3, 7)])
+    data = (1.0 - 0.5j, 0.3 + 1.0j, -0.7 + 0.2j)
+    tables = _mgt_tables(p, radii, t, *(np.full(radii.shape, d) for d in data))
+    for name, table in zip(("u", "ut", "utt"), tables):
+        for k, r in enumerate(radii):
+            ref = _closed_form_mean("mgt", p, float(r), t, data, name)
+            gap = np.abs(table[:, k] - ref).max() / np.abs(ref).max()
+            assert gap <= 1e-6, (name, r, gap)

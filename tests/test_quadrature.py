@@ -134,6 +134,13 @@ class TestAdaptiveIntegral:
         with pytest.raises(DomainError):
             adaptive_integral(lambda r: r, 1.0, 1.0)
 
+    def test_depth_capped_panels_reported(self):
+        # a jump off the dyadic points never converges; at depth 4 the
+        # panel holding it still carries an error far above rel_tol
+        with pytest.raises(TruncationError, match="max_depth=4"):
+            adaptive_integral(lambda r: (r > 1.0 / 3.0).astype(float), 0.0, 1.0,
+                              max_depth=4)
+
 
 class TestKernelNorm:
     def test_argument_validation(self):

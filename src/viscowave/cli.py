@@ -367,13 +367,7 @@ def _handle_envelope(opts, config):
     return table, checks
 
 
-def _require_tau_list(config):
-    if config.tau_list is None:
-        raise ConfigError("singular-limit commands need tau.list or tau.min/max")
-
-
 def _handle_sl_energy(opts, config):
-    _require_tau_list(config)
     res = singular_limit_energy(config)
     table = ResultTable(["tau", "t", "e_wtt", "e_grad_wt", "e_grad_w", "e_wt",
                          "e_memory", "e_total", "w_l2_sq"], [])
@@ -398,7 +392,6 @@ def _handle_sl_energy(opts, config):
 
 
 def _handle_sl_solution(opts, config):
-    _require_tau_list(config)
     res = singular_limit_solution(
         config, allow_outside=opts.get("allow_outside", "") == "true")
     table = ResultTable(["tau", "w_l2_sq"], [])

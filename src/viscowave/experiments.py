@@ -248,13 +248,14 @@ def _mgt_tables(params: ModelParams, r: np.ndarray, t_grid: np.ndarray,
     return v, vt, vtt
 
 
-def _field_factory(config: ExperimentConfig, t: float, which: str):
-    """Vectorised r -> mode value at time t (mode tables, oracle fallback)."""
+def _field_factory(config: ExperimentConfig, t: float):
+    """Vectorised r -> stacked (u, ut) mode rows at time t, shape (2, B)
+    (mode tables, oracle fallback)."""
     params, u0, u1 = config.params, config.u0, config.u1
 
     def field(r):
         u, ut, _ = _vdw_tables(params, r, [t], u0(r), u1(r))
-        return (u if which == "u" else ut)[0]
+        return np.concatenate((u, ut))
 
     return field
 
@@ -277,9 +278,13 @@ def _osc_segments(config: ExperimentConfig, t: float):
     return segs
 
 
-def solution_norm(config: ExperimentConfig, t: float, which: str = "u") -> float:
-    """|| |D|^s u(t) || (or u_t) over all frequencies via adaptive quadrature."""
-    f = _field_factory(config, t, which)
+def solution_norm(config: ExperimentConfig, t: float) -> np.ndarray:
+    """(|| |D|^s u(t) ||, || |D|^s u_t(t) ||) over all frequencies.
+
+    One adaptive pass integrates both: they share nodes, root solves and
+    mode tables, and a panel is accepted only when both have converged.
+    """
+    f = _field_factory(config, t)
     r_max = max(config.u0.tail_radius(), config.u1.tail_radius())
     return l2_norm_radial(
         f, n=config.n, s=config.s, zone_filter="all",
@@ -288,8 +293,9 @@ def solution_norm(config: ExperimentConfig, t: float, which: str = "u") -> float
         cap_segments=_osc_segments(config, t))
 
 
-def _grid_norm_series(config: ExperimentConfig, which: str) -> np.ndarray:
-    """Norm series on the fixed frequency grid, kernel or oracle solver."""
+def _grid_norm_series(config: ExperimentConfig) -> np.ndarray:
+    """(u, ut) norm series, shape (2, T), on the fixed frequency grid from
+    one kernel table or one oracle batch."""
     grid = config.r_grid
     r = grid.nodes
     u0v, u1v = config.u0(r) + 0j, config.u1(r) + 0j
@@ -298,12 +304,11 @@ def _grid_norm_series(config: ExperimentConfig, which: str) -> np.ndarray:
         step = min(default_step(params, float(r.max())), 0.05)
         traj = integrate_vdw_many(np.full(r.shape, params.gamma), r,
                                   config.t_grid, u0v, u1v, step)
-        table = traj.u if which == "u" else traj.ut
+        tables = np.stack((traj.u, traj.ut))
     else:
-        u, ut, _ = _vdw_tables(params, r, config.t_grid, u0v, u1v)
-        table = u if which == "u" else ut
+        tables = np.stack(_vdw_tables(params, r, config.t_grid, u0v, u1v)[:2])
     w = sphere_area(config.n) * grid.weights * r ** (2 * config.s + config.n - 1)
-    return np.sqrt((np.abs(table) ** 2 * w).sum(axis=-1))
+    return np.sqrt((np.abs(tables) ** 2 * w).sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +333,10 @@ class DecayResult:
 def decay_experiment(config: ExperimentConfig) -> DecayResult:
     """Time-decay slopes of the solution and velocity norms."""
     if config.solver == "kernel":
-        u_norms = np.array(thread_map(
-            lambda t: solution_norm(config, t, "u"), config.t_grid))
-        ut_norms = np.array(thread_map(
-            lambda t: solution_norm(config, t, "ut"), config.t_grid))
+        u_norms, ut_norms = np.array(thread_map(
+            lambda t: solution_norm(config, t), config.t_grid)).T
     else:
-        u_norms = _grid_norm_series(config, "u")
-        ut_norms = _grid_norm_series(config, "ut")
+        u_norms, ut_norms = _grid_norm_series(config)
     pred_u = predicted_decay(config.s, config.n, config.u0.moment,
                              config.u1.moment, "u",
                              u0_present=not config.u0.is_zero,
@@ -395,11 +397,11 @@ def profile_error_experiment(config: ExperimentConfig) -> ProfileResult:
     eps = config.r_grid.eps_cut
 
     def error_norm(t: float) -> float:
-        f_u = _field_factory(config, t, "u")
+        field = _field_factory(config, t)
 
         def f(r):
             prof = leading_profiles(params, r, t, eps_cut=eps * (1 + 1e-9))
-            return f_u(r) - prof.j0 * m0 - prof.j1 * m1
+            return field(r)[0] - prof.j0 * m0 - prof.j1 * m1
 
         return l2_norm_radial(f, n=config.n, s=config.s, zone_filter="small",
                               eps_cut=eps, rel_tol=config.rel_tol,
@@ -411,7 +413,7 @@ def profile_error_experiment(config: ExperimentConfig) -> ProfileResult:
         return ProfileResult(config.t_grid, zeros, zeros, fit0, fit0, 0.0, zeros)
 
     err = np.array(thread_map(error_norm, config.t_grid))
-    sol = np.array(thread_map(lambda t: solution_norm(config, t, "u"),
+    sol = np.array(thread_map(lambda t: solution_norm(config, t)[0],
                               config.t_grid))
     err_window = (max(config.error_fit_window[0], config.t_grid[0]),
                   min(config.error_fit_window[1], config.t_grid[-1]))
@@ -439,7 +441,7 @@ def optimality_check(config: ExperimentConfig) -> OptimalityReport:
         raise PreconditionError(
             "optimality needs a nonzero first-datum moment (spectrum(0) != 0)")
     hvals = rate_function("H", config.t_grid, n=config.n)
-    sol = np.array(thread_map(lambda t: solution_norm(config, t, "u"),
+    sol = np.array(thread_map(lambda t: solution_norm(config, t)[0],
                               config.t_grid))
     lo, hi = config.fit_window
     mask = (config.t_grid >= lo) & (config.t_grid <= hi)
@@ -576,6 +578,11 @@ def _difference_tables(config: ExperimentConfig, tau: float,
     return v - u, vt - ut, vtt - utt
 
 
+def _require_tau_list(config: ExperimentConfig) -> None:
+    if config.tau_list is None or len(config.tau_list) < 5:
+        raise PreconditionError("singular-limit runs need a tau_list (>= 5 values)")
+
+
 def _memory_series(t_grid: np.ndarray, gram: np.ndarray, gamma: float,
                    stride: int = 1) -> np.ndarray:
     """History term by trapezoid over the (possibly strided) time grid.
@@ -605,8 +612,7 @@ def singular_limit_energy(config: ExperimentConfig) -> SingularEnergyResult:
     [0, probe_time]; see the module docstring for why a fixed probe past
     the initial layer would measure the tau^2 remainder only.
     """
-    if config.tau_list is None or len(config.tau_list) < 5:
-        raise PreconditionError("singular-limit runs need a tau_list (>= 5 values)")
+    _require_tau_list(config)
     span = math.log10(config.tau_list.max() / config.tau_list.min())
     if span < 2.0 - 1e-9:
         raise PreconditionError("tau_list must span at least two decades")
@@ -669,8 +675,7 @@ def singular_limit_solution(config: ExperimentConfig,
     range the run must be forced with ``allow_outside`` and the observed
     slope carries no predicted value.
     """
-    if config.tau_list is None or len(config.tau_list) < 5:
-        raise PreconditionError("singular-limit runs need a tau_list (>= 5 values)")
+    _require_tau_list(config)
     if (config.params.gamma <= 5.0 or config.n < 3) and not allow_outside:
         raise PreconditionError(
             "the solution-limit estimate requires gamma > 5 and n >= 3 "
@@ -751,38 +756,35 @@ def oracle_mode_comparison(count: int = 50, seed: int = 20240808,
         g = np.empty(0)
         r = np.empty(0)
         tau = np.empty(0)
+        roots = np.empty((0, 3 if kind == "vdw" else 4), dtype=complex)
         while g.size < count:
             need = count - g.size
             gi = rng.uniform(1.0 + 1e-3, 10.0, need)
             if kind == "vdw":
                 ri = rng.uniform(0.01, 20.0, need)
                 ti = np.ones(need)
-                flags = np.array([cubic_char_roots_batch(
-                    ModelParams(a), np.array([b]))[3][0] for a, b in zip(gi, ri)])
+                solved = [cubic_char_roots_batch(ModelParams(a), np.array([b]))
+                          for a, b in zip(gi, ri)]
             else:
                 ri = rng.uniform(0.01, 10.0, need)
                 ti = rng.uniform(0.3, 0.9, need)
-                flags = np.array([quartic_char_roots_batch(
-                    ModelParams(a, c), np.array([b]))[3][0]
-                    for a, c, b in zip(gi, ti, ri)])
-            keep = ~flags
+                solved = [quartic_char_roots_batch(ModelParams(a, c), np.array([b]))
+                          for a, c, b in zip(gi, ti, ri)]
+            drawn = np.concatenate([out[0] for out in solved])
+            keep = ~np.concatenate([out[3] for out in solved])
             g = np.concatenate([g, gi[keep]])
             r = np.concatenate([r, ri[keep]])
             tau = np.concatenate([tau, ti[keep]])
+            roots = np.concatenate([roots, drawn[keep]])
         u0 = rng.standard_normal(count) + 1j * rng.standard_normal(count)
         u1 = rng.standard_normal(count) + 1j * rng.standard_normal(count)
         v2 = rng.standard_normal(count) + 1j * rng.standard_normal(count)
         t_idx = rng.integers(1, len(t_eval), count)
         if kind == "vdw":
-            roots = np.concatenate([cubic_char_roots_batch(
-                ModelParams(a), np.array([b]))[0][0] for a, b in zip(g, r)])
             stiffness = float(np.max(np.maximum(g, r * r)))
             step = _accuracy_step(roots, stiffness, t_max)
             traj = integrate_vdw_many(g, r, t_eval, u0, u1, step)
         else:
-            roots = np.concatenate([quartic_char_roots_batch(
-                ModelParams(a, c), np.array([b]))[0][0]
-                for a, c, b in zip(g, tau, r)])
             stiffness = float(np.max(np.maximum(np.maximum(g, r * r), 1.0 / tau)))
             step = _accuracy_step(roots, stiffness, t_max)
             traj = integrate_mgt_many(g, tau, r, t_eval, u0, u1, v2, step)

@@ -12,6 +12,13 @@ cap segments so that no panel ever spans more than a prescribed fraction
 of the oscillation period (otherwise a coarse panel and its two halves
 can alias to the same wrong answer and stop the refinement early).
 
+An integrand may return a (k, P) stack of k components sampled on the
+same P nodes, as the u and u_t modes of one time are.  A panel is then
+accepted only when every component has converged on it (the vector-valued
+rule of Shampine, "Vectorized adaptive quadrature in MATLAB", J. Comput.
+Appl. Math. 211, 2008), so the components share one set of nodes, and
+each is refined at least as far as it would be on its own.
+
 The smooth frequency cut-offs of the underlying estimates are replaced by
 sharp cuts at the zone boundaries; every rate is insensitive to that
 choice, and the three zones then partition the radial domain exactly.
@@ -144,19 +151,28 @@ def _initial_edges(a: float, b: float, cap_segments) -> np.ndarray:
     return np.array(sorted(edges))
 
 
+def _unbox(x):
+    """A Python float for a scalar result, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
                       cap_segments=None, max_depth: int = 30,
-                      max_panels: int = 60000) -> tuple[float, float]:
+                      max_panels: int = 60000):
     """Globally adaptive panel quadrature of a vectorised integrand.
 
-    Returns (value, error_estimate).  Panels are accepted once the
-    15-point estimate and its two-half refinement agree locally; accepted
-    contributions are summed left to right for reproducibility.
+    ``f`` maps P nodes to P values, or to a (k, P) stack of k components.
+    Returns (value, error_estimate) with the integrand's leading shape:
+    floats for a 1-d integrand, (k,) arrays for a stack.  A panel is
+    accepted once, for every component, the 15-point estimate and its
+    two-half refinement agree locally; accepted contributions are summed
+    left to right for reproducibility.
 
     ``cap_segments`` is an iterable of (lo, hi, width) triples bounding
     the initial panel width on oscillatory subintervals.  Raises
     :class:`TruncationError` past ``max_panels`` panels, or when the panels
-    accepted only at ``max_depth`` leave an error above ``rel_tol * |value|``.
+    accepted only at ``max_depth`` leave some component an error above
+    ``rel_tol`` times its own value.
     """
     if not b > a:
         raise DomainError(f"empty integration range [{a}, {b}]")
@@ -166,11 +182,13 @@ def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
     depths = np.zeros(lefts.shape, dtype=int)
 
     def gl_rows(lo, hi):
-        """Per-row Gauss-Legendre estimates; one integrand call for all rows."""
+        """Per-row Gauss-Legendre estimates, shape (..., rows); one
+        integrand call for all rows."""
         half = 0.5 * (hi - lo)
         nodes = 0.5 * (lo + hi)[:, None] + half[:, None] * _GL_X[None, :]
-        vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-        return (vals * _GL_W[None, :]).sum(axis=1) * half
+        vals = np.asarray(f(nodes.ravel()), dtype=float)
+        vals = vals.reshape(vals.shape[:-1] + nodes.shape)
+        return (vals * _GL_W).sum(axis=-1) * half
 
     accepted_left: list[np.ndarray] = []
     accepted_val: list[np.ndarray] = []
@@ -187,32 +205,34 @@ def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
         chunks = gl_rows(np.concatenate([lefts, lefts, mids]),
                          np.concatenate([rights, mids, rights]))
         p = lefts.size
-        coarse = chunks[:p]
-        fine = chunks[p:2 * p] + chunks[2 * p:]
+        coarse = chunks[..., :p]
+        fine = chunks[..., p:2 * p] + chunks[..., 2 * p:]
         err = np.abs(fine - coarse)
-        total_ref = max(total_ref, float(np.abs(fine).sum()))
+        total_ref = np.maximum(total_ref, np.abs(fine).sum(axis=-1))
         frac = (rights - lefts) / span
-        tol_local = rel_tol * np.maximum(np.abs(fine), total_ref * frac) + 1e-300
-        done = (err <= tol_local) | (depths >= max_depth)
-        capped_err += float(err[done & (err > tol_local)].sum())
+        tol_local = rel_tol * np.maximum(
+            np.abs(fine), np.multiply.outer(total_ref, frac)) + 1e-300
+        ok = err <= tol_local
+        done = ok.reshape(-1, p).all(axis=0) | (depths >= max_depth)
+        capped_err = capped_err + np.where(done & ~ok, err, 0.0).sum(axis=-1)
         accepted_left.append(lefts[done])
-        accepted_val.append(fine[done])
-        accepted_err.append(err[done])
+        accepted_val.append(fine[..., done])
+        accepted_err.append(err[..., done])
         split = ~done
         lefts = np.concatenate([lefts[split], mids[split]])
         rights = np.concatenate([mids[split], rights[split]])
         depths = np.concatenate([depths[split] + 1, depths[split] + 1])
         n_panels += int(split.sum())
 
-    left = np.concatenate(accepted_left)
-    order = np.argsort(left, kind="stable")
-    value = float(np.concatenate(accepted_val)[order].sum())
-    err_total = float(np.concatenate(accepted_err)[order].sum())
-    if capped_err > rel_tol * abs(value):
-        raise TruncationError(
-            f"panels at max_depth={max_depth} left error {capped_err:.2e} "
-            f"on a value of {value:.2e}")
-    return value, err_total
+    order = np.argsort(np.concatenate(accepted_left), kind="stable")
+    value = np.concatenate(accepted_val, axis=-1)[..., order].sum(axis=-1)
+    err_total = np.concatenate(accepted_err, axis=-1)[..., order].sum(axis=-1)
+    for capped, v in zip(np.ravel(capped_err), np.ravel(value)):
+        if capped > rel_tol * abs(v):
+            raise TruncationError(
+                f"panels at max_depth={max_depth} left error {capped:.2e} "
+                f"on a value of {v:.2e}")
+    return _unbox(value), _unbox(err_total)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +261,10 @@ def l2_norm_radial(spectrum, n: int, s: float = 0.0, zone_filter=None, *,
     ----------
     spectrum:
         Vectorised callable r -> complex values (a :class:`DataSpectrum`
-        works directly).
+        works directly), or r -> a (k, P) stack of k spectra on the same
+        nodes.  A stack gets one norm per component, from one adaptive
+        pass whose panels are accepted only when every component has
+        converged; the tail check and ``full_output`` hold per component.
     n, s:
         Space dimension (positive integer) and Sobolev order (s >= 0).
     zone_filter:
@@ -256,7 +279,7 @@ def l2_norm_radial(spectrum, n: int, s: float = 0.0, zone_filter=None, *,
     ------
     TruncationError
         If no tail radius is known and none is supplied, or the integrand
-        has not decayed at the chosen radius.
+        has not decayed at the chosen radius (for any component).
     """
     if int(n) != n or n < 1:
         raise DomainError(f"dimension must be a positive integer, got {n}")
@@ -288,16 +311,17 @@ def l2_norm_radial(spectrum, n: int, s: float = 0.0, zone_filter=None, *,
         total += v
         err += e
     if needs_tail:
-        tail_sample = float(np.max(integrand(np.array([r_max * 0.99, r_max]))))
-        if tail_sample * r_max > max(rel_tol * total, 1e-290):
-            raise TruncationError(
-                f"integrand has not decayed at r_max={r_max}: "
-                f"tail estimate {tail_sample * r_max:.2e} vs total {total:.2e}")
-    norm = math.sqrt(sphere_area(n) * total)
+        tail = np.max(integrand(np.array([r_max * 0.99, r_max])), axis=-1)
+        for tail_c, total_c in zip(np.ravel(tail * r_max), np.ravel(total)):
+            if tail_c > max(rel_tol * total_c, 1e-290):
+                raise TruncationError(
+                    f"integrand has not decayed at r_max={r_max}: "
+                    f"tail estimate {tail_c:.2e} vs total {total_c:.2e}")
+    norm = np.sqrt(sphere_area(n) * total)
     if full_output:
-        half_rel = 0.5 * err / max(total, 1e-300)
-        return norm, norm * half_rel
-    return norm
+        half_rel = 0.5 * err / np.maximum(total, 1e-300)
+        return _unbox(norm), _unbox(norm * half_rel)
+    return _unbox(norm)
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,6 @@ class RootSet:
     approximate: bool = False
     ambiguous_match: bool = False
 
-    def spectral_abscissa(self) -> float:
-        return float(np.max(self.roots.real))
-
 
 @dataclass
 class FrequencyGrid:

@@ -230,6 +230,17 @@ tau.points = 5
                   if not ln.startswith("#")][0]
         assert header.split(",")[:4] == ["tau", "t", "e_wtt", "e_grad_wt"]
 
+    @pytest.mark.parametrize("command",
+                             ["singular-limit-energy", "singular-limit-solution"])
+    def test_short_tau_list_is_error(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, "short.cfg", "gamma = 6.0\nn = 3\n"
+                        "data.v2 = consistent\ntau.points = 3\n")
+        rc = run_command([command, "--config", cfg])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:")
+        assert "tau_list" in err
+
     def test_profile_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "prof.cfg",
                         "gamma = 2.0\nn = 3\ndata.u1 = gaussian:1.0,1.0\n"

@@ -269,6 +269,25 @@ class TestFirstDatumDecay:
         assert res.fit_ut.slope == pytest.approx(res.predicted_ut.exponent, abs=0.07)
 
 
+class TestOneQuadraturePass:
+    def test_decay_calls_solution_norm_once_per_time(self, monkeypatch):
+        # u and u_t come out of one adaptive pass per time
+        import viscowave.experiments as ex
+
+        seen = []
+        original = ex.solution_norm
+
+        def counted(config, t, *args, **kwargs):
+            seen.append(t)
+            return original(config, t, *args, **kwargs)
+
+        monkeypatch.setattr(ex, "solution_norm", counted)
+        cfg = ExperimentConfig(params=ModelParams(2.0), n=3,
+                               t_grid=np.geomspace(100.0, 1e4, 5))
+        decay_experiment(cfg)
+        assert sorted(seen) == list(cfg.t_grid)
+
+
 class TestIndependentEnergyRoute:
     def test_oracle_grid_reproduces_energy(self):
         # recompute E_S(probe) for one tau entirely through the time-domain

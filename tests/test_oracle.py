@@ -251,8 +251,9 @@ def test_fallback_route_matches_closed_form(g):
     config = ExperimentConfig(p, u0=DataSpectrum.gaussian(1.0, 1.0),
                               u1=DataSpectrum.gaussian(0.5, 2.0))
     t_field = t[::10]
-    for name in ("u", "ut"):
-        field = np.array([_field_factory(config, tk, name)(radii) for tk in t_field])
+    rows = np.array([_field_factory(config, tk)(radii) for tk in t_field])
+    for j, name in enumerate(("u", "ut")):
+        field = rows[:, j]
         for k, r in enumerate(radii):
             r = float(r)
             d0, d1 = config.u0(np.array([r]))[0], config.u1(np.array([r]))[0]

@@ -142,6 +142,72 @@ class TestAdaptiveIntegral:
                               max_depth=4)
 
 
+def _counted(f):
+    """Wrap an integrand; the list holds the number of nodes it was given."""
+    nodes = [0]
+
+    def wrapped(r):
+        nodes[0] += r.size
+        return f(r)
+    return wrapped, nodes
+
+
+class TestVectorIntegrand:
+    def test_components_refined_together(self):
+        # sin^2(r) settles on the first panel, sin^2(40 r) needs many more;
+        # the stack shares the panels the harder component needs
+        b = 3.0
+        ks = (1.0, 40.0)
+        stacked, n_stack = _counted(
+            lambda r: np.stack([np.sin(k * r) ** 2 for k in ks]))
+        val, err = adaptive_integral(stacked, 0.0, b)
+        assert val.shape == err.shape == (2,)
+        counts = []
+        for i, k in enumerate(ks):
+            scalar, n_scalar = _counted(lambda r, k=k: np.sin(k * r) ** 2)
+            alone, _ = adaptive_integral(scalar, 0.0, b)
+            assert isinstance(alone, float)
+            counts.append(n_scalar[0])
+            exact = b / 2 - math.sin(2 * k * b) / (4 * k)
+            assert val[i] == pytest.approx(alone, rel=1e-9)
+            assert val[i] == pytest.approx(exact, rel=1e-9)
+        assert counts[0] < counts[1]
+        assert n_stack[0] == counts[1]
+
+    def test_one_depth_capped_component_reported(self):
+        # the smooth component converges everywhere; the jump alone is
+        # left capped at depth 4 and must still be reported
+        def f(r):
+            return np.stack([r * r, (r > 1.0 / 3.0).astype(float)])
+
+        with pytest.raises(TruncationError, match="max_depth=4"):
+            adaptive_integral(f, 0.0, 1.0, max_depth=4)
+        val, _ = adaptive_integral(lambda r: f(r)[:1], 0.0, 1.0, max_depth=4)
+        assert val[0] == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+    def test_radial_norm_per_component(self):
+        widths = (0.6, 2.3)
+
+        def stack(r):
+            return np.stack([np.exp(-w * r * r) for w in widths])
+
+        got = l2_norm_radial(stack, n=3, s=1, r_max=12.0)
+        assert got.shape == (2,)
+        for g, w in zip(got, widths):
+            assert g == pytest.approx(gaussian_norm_exact(1.0, w, 3, 1), rel=1e-9)
+        norms, errs = l2_norm_radial(stack, n=3, s=1, r_max=12.0,
+                                     full_output=True)
+        assert np.array_equal(norms, got) and errs.shape == (2,)
+
+    def test_radial_tail_checked_per_component(self):
+        # the second component has not decayed at r_max; the first has
+        def stack(r):
+            return np.stack([np.exp(-r * r), np.exp(-0.01 * r * r)])
+
+        with pytest.raises(TruncationError, match="not decayed"):
+            l2_norm_radial(stack, n=3, s=0, r_max=8.0)
+
+
 class TestKernelNorm:
     def test_argument_validation(self):
         p = ModelParams(2.0)

@@ -20,6 +20,7 @@ Worker threads are capped by the VISCOWAVE_THREADS environment variable.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -145,27 +146,32 @@ def parse_spectrum(text: str, key: str):
     raise ConfigError(f"{key}: unknown spectrum kind {kind!r}")
 
 
-def _get_float(opts, key, default):
-    if key not in opts:
-        return default
+def _number(key: str, text: str) -> float:
     try:
-        return float(opts[key])
+        value = float(text)
     except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {opts[key]!r}") from exc
+        raise ConfigError(f"{key}: expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+    return value
 
 
-def _get_int(opts, key, default):
+def _get_float(opts, key, default):
+    return _number(key, opts[key]) if key in opts else default
+
+
+def _get_int(opts, key, default, least=1):
+    """Integer key of at least ``least`` (counts need 1, the seed 0)."""
     value = _get_float(opts, key, default)
-    if value != int(value):
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    if value != int(value) or value < least:
+        raise ConfigError(f"{key}: expected an integer >= {least}, got {value!r}")
     return int(value)
 
 
 def build_config(opts: dict[str, str], command: str) -> ExperimentConfig:
     try:
         gamma = _get_float(opts, "gamma", 2.0)
-        tau = _get_float(opts, "tau", None) if "tau" in opts else None
-        params = ModelParams(gamma, tau)
+        params = ModelParams(gamma, _get_float(opts, "tau", None))
     except ViscowaveError as exc:
         raise ConfigError(str(exc)) from exc
     n = _get_int(opts, "n", 3)
@@ -183,7 +189,8 @@ def build_config(opts: dict[str, str], command: str) -> ExperimentConfig:
     n_cut = _get_float(opts, "r.cut", DEFAULT_N_CUT)
     tau_list = None
     if "tau.list" in opts:
-        tau_list = np.array([float(x) for x in opts["tau.list"].split(",")])
+        tau_list = np.array([_number("tau.list", x)
+                             for x in opts["tau.list"].split(",")])
     elif command.startswith("singular-limit"):
         tau_list = np.geomspace(_get_float(opts, "tau.max", 1e-1),
                                 _get_float(opts, "tau.min", 1e-3),
@@ -407,7 +414,7 @@ def _handle_sl_solution(opts, config):
 
 def _handle_oracle_check(opts, config):
     count = _get_int(opts, "modes.count", 50)
-    seed = _get_int(opts, "seed", 20240808)
+    seed = _get_int(opts, "seed", 20240808, least=0)
     from .experiments import oracle_mode_comparison
     res = oracle_mode_comparison(count=count, seed=seed)
     table = ResultTable(["kind", "gamma", "tau", "r", "t", "rel_u", "rel_ut"],

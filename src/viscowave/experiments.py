@@ -25,15 +25,17 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, InsufficientDataError,
                      InvalidParameterError, PreconditionError, RefinementError)
-from .kernels import (leading_profiles, mgt_mode_basis, mgt_mode_solution,
-                      vdw_kernel_basis, vdw_mode_solution)
+# kept for bench/tracing.py, which wraps *_mode_solution and quartic_char_roots_batch
+from .kernels import (_amplitudes, _mode_sums, leading_profiles, mgt_mode_basis,
+                      mgt_mode_solution, vdw_kernel_basis, vdw_mode_solution)
 from .oracle import (default_step, integrate_mgt_many, integrate_mgt_mode,
                      integrate_vdw_many, integrate_vdw_mode)
 from .params import ModelParams
 from .quadrature import DataSpectrum, l2_norm_radial, rate_function, \
     sphere_area
-from .spectrum import (FrequencyGrid, cubic_char_roots_batch,
-                       quartic_char_roots_batch)
+from .spectrum import (FrequencyGrid, cubic_char_roots_batch, cubic_coefficients,
+                       quartic_char_roots_batch, quartic_coefficients,
+                       solve_polynomial_batch)
 
 #: spec-pinned default fit window for time-decay experiments
 DECAY_FIT_WINDOW = (1e2, 1e4)
@@ -742,8 +744,12 @@ def oracle_mode_comparison(count: int = 50, seed: int = 20240808,
     and ``count`` relaxed modes (tau in [0.3,0.9), r in [0.01,10]) with
     complex random data, evaluates the closed-form path at one random
     sample time each, and integrates the whole batch with an
-    accuracy-targeted step.
+    accuracy-targeted step.  Every mode carries its own (gamma, tau, r), so
+    each rejection round is one batched root solve and the closed form is
+    one amplitude solve and one exp-sum per model.
     """
+    if count < 1:
+        raise DomainError(f"need at least one mode per model, got count={count}")
     rng = np.random.default_rng(seed)
     t_eval = np.linspace(0.0, t_max, 41)
     rows = []
@@ -763,19 +769,16 @@ def oracle_mode_comparison(count: int = 50, seed: int = 20240808,
             if kind == "vdw":
                 ri = rng.uniform(0.01, 20.0, need)
                 ti = np.ones(need)
-                solved = [cubic_char_roots_batch(ModelParams(a), np.array([b]))
-                          for a, b in zip(gi, ri)]
+                coeffs = cubic_coefficients(gi, ri)
             else:
                 ri = rng.uniform(0.01, 10.0, need)
                 ti = rng.uniform(0.3, 0.9, need)
-                solved = [quartic_char_roots_batch(ModelParams(a, c), np.array([b]))
-                          for a, c, b in zip(gi, ti, ri)]
-            drawn = np.concatenate([out[0] for out in solved])
-            keep = ~np.concatenate([out[3] for out in solved])
-            g = np.concatenate([g, gi[keep]])
-            r = np.concatenate([r, ri[keep]])
-            tau = np.concatenate([tau, ti[keep]])
-            roots = np.concatenate([roots, drawn[keep]])
+                coeffs = quartic_coefficients(gi, ti, ri)
+            drawn, _, _, flags = solve_polynomial_batch(coeffs)
+            g = np.concatenate([g, gi[~flags]])
+            r = np.concatenate([r, ri[~flags]])
+            tau = np.concatenate([tau, ti[~flags]])
+            roots = np.concatenate([roots, drawn[~flags]])
         u0 = rng.standard_normal(count) + 1j * rng.standard_normal(count)
         u1 = rng.standard_normal(count) + 1j * rng.standard_normal(count)
         v2 = rng.standard_normal(count) + 1j * rng.standard_normal(count)
@@ -784,22 +787,23 @@ def oracle_mode_comparison(count: int = 50, seed: int = 20240808,
             stiffness = float(np.max(np.maximum(g, r * r)))
             step = _accuracy_step(roots, stiffness, t_max)
             traj = integrate_vdw_many(g, r, t_eval, u0, u1, step)
+            # kernel amplitudes, then data, in the order vdw_kernel_basis and
+            # mode_tables use, so each row matches vdw_mode_solution exactly
+            unit = np.array([[1.0], [0.0]])
+            coef0, coef1 = _amplitudes(roots, (unit, unit[::-1], -r * r), False)
+            amp = coef0 * u0[:, None] + coef1 * u1[:, None]
         else:
             stiffness = float(np.max(np.maximum(np.maximum(g, r * r), 1.0 / tau)))
             step = _accuracy_step(roots, stiffness, t_max)
             traj = integrate_mgt_many(g, tau, r, t_eval, u0, u1, v2, step)
-        for i in range(count):
-            t = float(t_eval[t_idx[i]])
-            if kind == "vdw":
-                state = vdw_mode_solution(ModelParams(g[i]), float(r[i]), t,
-                                          u0[i], u1[i])
-            else:
-                state = mgt_mode_solution(ModelParams(g[i], tau[i]),
-                                          float(r[i]), t, u0[i], u1[i], v2[i])
-            ru = rel(state.u, traj.u[t_idx[i], i])
-            rut = rel(state.ut, traj.ut[t_idx[i], i])
+            v3 = -(v2 + r * r * (u0 + u1)) / tau    # as in mgt_mode_basis
+            amp = _amplitudes(roots, (u0, u1, v2, v3), False)
+        u, ut, _ = _mode_sums(amp, roots, t_eval)
+        # scalar abs per row: numpy's vectorised complex abs can differ from
+        # it in the last bit, which would move the rows off the scalar path
+        for i, k in enumerate(t_idx):
+            ru, rut = rel(u[k, i], traj.u[k, i]), rel(ut[k, i], traj.ut[k, i])
             worst = max(worst, ru, rut)
-            rows.append((kind, float(g[i]),
-                         float(tau[i]) if kind == "mgt" else 0.0,
-                         float(r[i]), t, ru, rut))
+            rows.append((kind, float(g[i]), float(tau[i]) if kind == "mgt" else 0.0,
+                         float(r[i]), float(t_eval[k]), ru, rut))
     return OracleComparison(rows=rows, worst=worst)

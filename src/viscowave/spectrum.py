@@ -19,8 +19,14 @@ stable (Edelman & Murakami, Math. Comp. 64, 1995).  Exact conjugate pairing
 needs no clean-up pass: LAPACK returns the eigenvalues of a real matrix in
 exactly conjugate pairs, with real eigenvalues carrying imaginary part
 ``+0.0``, and the Newton step preserves both because IEEE complex arithmetic
-commutes with conjugation.  Printed low/high-frequency truncations are
-available separately through :func:`asymptotic_roots`.
+commutes with conjugation.
+
+:func:`solve_polynomial_batch` is the one solve entry point.  The
+coefficient builders take gamma and tau values that broadcast against the
+radii, so modes that each carry their own (gamma, tau, r), as in the random
+cross-checks, are solved as one batch; the ``*_char_roots`` functions are
+thin wrappers for one shared parameter set.  Printed low/high-frequency
+truncations are available separately through :func:`asymptotic_roots`.
 """
 
 from __future__ import annotations
@@ -106,29 +112,33 @@ class FrequencyGrid:
 # polynomial coefficients
 # ---------------------------------------------------------------------------
 
-def cubic_coefficients(params: ModelParams, r) -> np.ndarray:
+def cubic_coefficients(gamma, r) -> np.ndarray:
     """Monic descending coefficients of the second-order-model cubic.
 
-    Works for scalar ``r`` (shape (4,)) or an array (shape (B, 4))."""
+    ``gamma`` and ``r`` broadcast against each other, so each row may carry
+    its own gamma; the result has shape ``broadcast(gamma, r).shape + (4,)``
+    (shape (4,) for scalars)."""
+    g = np.asarray(gamma, dtype=float)
     r = np.asarray(r, dtype=float)
-    g = params.gamma
     r2 = r * r
     coeffs = np.stack(np.broadcast_arrays(
-        np.ones_like(r2), r2 + g, (1.0 + g) * r2, (g - 1.0) * r2), axis=-1)
+        1.0, r2 + g, (1.0 + g) * r2, (g - 1.0) * r2), axis=-1)
     if not np.all(np.isfinite(coeffs)):
         raise InvalidParameterError("non-finite cubic coefficients")
     return coeffs
 
 
-def quartic_coefficients(params: ModelParams, r) -> np.ndarray:
-    """Descending coefficients of the relaxed-model quartic (leading tau)."""
-    tau = params.require_tau()
+def quartic_coefficients(gamma, tau, r) -> np.ndarray:
+    """Descending coefficients of the relaxed-model quartic (leading tau).
+
+    ``gamma``, ``tau`` and ``r`` broadcast against each other as in
+    :func:`cubic_coefficients`; the last axis has length 5."""
+    g = np.asarray(gamma, dtype=float)
+    tau = np.asarray(tau, dtype=float)
     r = np.asarray(r, dtype=float)
-    g = params.gamma
     r2 = r * r
     coeffs = np.stack(np.broadcast_arrays(
-        np.full_like(r2, tau), np.full_like(r2, 1.0 + tau * g),
-        r2 + g, (1.0 + g) * r2, (g - 1.0) * r2), axis=-1)
+        tau, 1.0 + tau * g, r2 + g, (1.0 + g) * r2, (g - 1.0) * r2), axis=-1)
     if not np.all(np.isfinite(coeffs)):
         raise InvalidParameterError("non-finite quartic coefficients")
     return coeffs
@@ -192,35 +202,6 @@ def _canonical_sort(roots: np.ndarray) -> np.ndarray:
     return np.take_along_axis(roots, order, axis=-1)
 
 
-def solve_polynomial_batch(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve many real polynomials at once.
-
-    Parameters
-    ----------
-    coeffs:
-        Array (..., deg+1) of descending real coefficients with nonzero
-        leading entries.
-
-    Returns
-    -------
-    roots, residuals, scales:
-        ``roots`` complex, sorted by (Re, Im); ``residuals`` the values
-        |p(root)|; ``scales`` the absolute-monomial sums used to normalise
-        the residual bound.
-
-    Pairing is exact (see the module docstring), so no threshold snaps
-    roots with tiny imaginary parts onto the real axis: a pair within
-    1e-12 |z| of the axis is closer than ``MULTIPLICITY_RTOL``, so
-    ``_near_multiple`` flags its row and callers route it to the oracle.
-    """
-    roots = _companion_eigvals(coeffs)
-    roots = _newton_polish(coeffs, roots)
-    roots = _canonical_sort(roots)
-    residuals = np.abs(_polyval_many(coeffs, roots))
-    scales = np.maximum(1.0, _evaluation_scale(coeffs, roots))
-    return roots, residuals, scales
-
-
 def _min_separation_rel(roots: np.ndarray) -> np.ndarray:
     """Smallest pairwise root distance relative to max(1, |root|)."""
     diff = np.abs(roots[..., :, None] - roots[..., None, :])
@@ -267,22 +248,59 @@ def _disc_terms_quartic(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
 
 
-def _near_multiple(roots: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Distance test plus scaled-discriminant test for root coalescence."""
-    close = _min_separation_rel(roots) < MULTIPLICITY_RTOL
-    if coeffs.shape[-1] == 4:
-        disc, scale = _disc_terms_cubic(coeffs)
-    else:
-        disc, scale = _disc_terms_quartic(coeffs)
-    tiny_disc = np.abs(disc) <= DISC_RTOL * scale
-    return close | tiny_disc
+def solve_polynomial_batch(coeffs: np.ndarray):
+    """Solve many real polynomials at once; the one entry point of the solver.
+
+    Parameters
+    ----------
+    coeffs:
+        Array (..., deg+1) of descending real coefficients with nonzero
+        leading entries, deg 3 or 4.  Every row is its own polynomial, so
+        rows built from per-row (gamma, tau, r) by :func:`cubic_coefficients`
+        or :func:`quartic_coefficients` are solved in one call; LAPACK
+        solves each companion matrix on its own, so a row comes out
+        bit-identical to a single-row call.
+
+    Returns
+    -------
+    roots, residuals, scales, flags:
+        ``roots`` complex, sorted by (Re, Im); ``residuals`` the values
+        |p(root)|; ``scales`` the absolute-monomial sums used to normalise
+        the residual bound; ``flags`` (...,) marks rows whose roots are
+        (near-)multiple, by a relative separation below
+        ``MULTIPLICITY_RTOL`` or a scaled discriminant below ``DISC_RTOL``.
+        Callers route flagged rows to the time-domain oracle.
+
+    Pairing is exact (see the module docstring), so no threshold snaps
+    roots with tiny imaginary parts onto the real axis: a pair within
+    1e-12 |z| of the axis is closer than ``MULTIPLICITY_RTOL``, so its row
+    is flagged.
+    """
+    roots = _canonical_sort(_newton_polish(coeffs, _companion_eigvals(coeffs)))
+    residuals = np.abs(_polyval_many(coeffs, roots))
+    scales = np.maximum(1.0, _evaluation_scale(coeffs, roots))
+    disc_terms = _disc_terms_cubic if coeffs.shape[-1] == 4 else _disc_terms_quartic
+    disc, disc_scale = disc_terms(coeffs)
+    flags = ((_min_separation_rel(roots) < MULTIPLICITY_RTOL)
+             | (np.abs(disc) <= DISC_RTOL * disc_scale))
+    return roots, residuals, scales, flags
 
 
-def _make_rootset(r: float, roots, residuals, flag,
-                  approximate=False) -> RootSet:
-    return RootSet(r=float(r), roots=np.asarray(roots),
-                   residuals=np.asarray(residuals, dtype=float),
-                   multiplicity_flag=bool(flag), approximate=approximate)
+def cubic_char_roots_batch(params: ModelParams, r: np.ndarray):
+    """Vectorised cubic solve: returns (roots (B,3), residuals, scales, flags)."""
+    return solve_polynomial_batch(cubic_coefficients(params.gamma, r))
+
+
+def quartic_char_roots_batch(params: ModelParams, r: np.ndarray):
+    """Vectorised quartic solve: returns (roots (B,4), residuals, scales, flags)."""
+    return solve_polynomial_batch(quartic_coefficients(params.gamma, params.require_tau(), r))
+
+
+def _one_row(solve, params: ModelParams, r: float) -> RootSet:
+    if r < 0:
+        raise DomainError(f"radial frequency must be >= 0, got {r}")
+    roots, residuals, _, flags = solve(params, [r])
+    return RootSet(float(r), roots[0], residuals[0], bool(flags[0]))
 
 
 def cubic_char_roots(params: ModelParams, r: float) -> RootSet:
@@ -295,36 +313,12 @@ def cubic_char_roots(params: ModelParams, r: float) -> RootSet:
     InvalidParameterError
         If the coefficients are non-finite.
     """
-    if r < 0:
-        raise DomainError(f"radial frequency must be >= 0, got {r}")
-    coeffs = cubic_coefficients(params, r)
-    roots, residuals, _ = solve_polynomial_batch(coeffs[None, :])
-    flag = _near_multiple(roots, coeffs[None, :])[0]
-    return _make_rootset(r, roots[0], residuals[0], flag)
+    return _one_row(cubic_char_roots_batch, params, r)
 
 
 def quartic_char_roots(params: ModelParams, r: float) -> RootSet:
     """Exact roots of the relaxed-model quartic at frequency ``r``."""
-    if r < 0:
-        raise DomainError(f"radial frequency must be >= 0, got {r}")
-    coeffs = quartic_coefficients(params, r)
-    roots, residuals, _ = solve_polynomial_batch(coeffs[None, :])
-    flag = _near_multiple(roots, coeffs[None, :])[0]
-    return _make_rootset(r, roots[0], residuals[0], flag)
-
-
-def cubic_char_roots_batch(params: ModelParams, r: np.ndarray):
-    """Vectorised cubic solve: returns (roots (B,3), residuals, scales, flags)."""
-    coeffs = cubic_coefficients(params, r)
-    roots, residuals, scales = solve_polynomial_batch(coeffs)
-    return roots, residuals, scales, _near_multiple(roots, coeffs)
-
-
-def quartic_char_roots_batch(params: ModelParams, r: np.ndarray):
-    """Vectorised quartic solve: returns (roots (B,4), residuals, scales, flags)."""
-    coeffs = quartic_coefficients(params, r)
-    roots, residuals, scales = solve_polynomial_batch(coeffs)
-    return roots, residuals, scales, _near_multiple(roots, coeffs)
+    return _one_row(quartic_char_roots_batch, params, r)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +332,7 @@ def cubic_discriminant(params: ModelParams, r) -> float | np.ndarray:
     Computed from the generic resultant-based formula
     18abcd - 4b^3 d + b^2 c^2 - 4ac^3 - 27 a^2 d^2.
     """
-    disc, _ = _disc_terms_cubic(cubic_coefficients(params, r))
+    disc, _ = _disc_terms_cubic(cubic_coefficients(params.gamma, r))
     return disc if np.ndim(r) else float(disc)
 
 
@@ -408,7 +402,7 @@ def asymptotic_roots(params: ModelParams, r: float, zone: str, equation: str,
             roots = [complex(-(1.0 + g + root_disc) / 2.0),
                      complex(-(1.0 + g - root_disc) / 2.0),
                      complex(-r * r + 1.0)]
-        coeffs = cubic_coefficients(params, r)
+        coeffs = cubic_coefficients(g, r)
     else:
         tau = params.require_tau()
         if zone == "small":
@@ -422,10 +416,10 @@ def asymptotic_roots(params: ModelParams, r: float, zone: str, equation: str,
             roots = [complex(-(1.0 + g + root_disc) / 2.0),
                      complex(-(1.0 + g - root_disc) / 2.0),
                      complex(pair_re, s * r), complex(pair_re, -s * r)]
-        coeffs = quartic_coefficients(params, r)
+        coeffs = quartic_coefficients(g, tau, r)
     roots = _canonical_sort(np.asarray(roots, dtype=complex)[None, :])[0]
     residuals = np.abs(_polyval_many(coeffs[None, :], roots[None, :]))[0]
-    return _make_rootset(r, roots, residuals, False, approximate=True)
+    return RootSet(float(r), roots, residuals, False, approximate=True)
 
 
 # ---------------------------------------------------------------------------

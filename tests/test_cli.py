@@ -145,6 +145,47 @@ class TestRunCommand:
         assert "VISCOWAVE_THREADS" in err
 
 
+_BASE_CFG = "gamma = 2.0\nn = 3\ndata.v2 = consistent\ntau.points = 5\n"
+
+
+class TestBadNumbers:
+    """Malformed numbers exit 2 with a config error naming the key, never a
+    traceback or a CSV of NaN cells."""
+
+    @staticmethod
+    def _run(tmp_path, command, text):
+        cfg = write_cfg(tmp_path, "bad.cfg", text)
+        return run_command([command, "--config", cfg,
+                            "--out", str(tmp_path / "bad.csv")])
+
+    @pytest.mark.parametrize("command, line", [
+        ("decay", "t.points = nan"),
+        ("decay", "n = inf"),
+        ("decay", "gamma = inf"),
+        ("singular-limit-energy", "tau.points = 1e400"),
+        ("singular-limit-energy", "probe.time = nan"),
+        ("singular-limit-energy", "tau.list = 0.1,abc,0.01"),
+        ("singular-limit-energy", "tau.list = 0.1,nan,0.01,0.001,0.05"),
+        # counts below 1 and a negative seed
+        ("roots", "sweep.points = 0"),
+        ("decay", "r.order = 0"),
+        ("singular-limit-energy", "history.points = -3"),
+        ("oracle-check", "seed = -1"),
+        ("oracle-check", "modes.count = 0"),
+    ])
+    def test_config_error_names_key(self, tmp_path, capsys, command, line):
+        rc = self._run(tmp_path, command, _BASE_CFG + line + "\n")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:")
+        assert line.split(" = ")[0] in err
+        assert not (tmp_path / "bad.csv").exists()
+
+    def test_seed_zero_is_accepted(self, tmp_path):
+        assert self._run(tmp_path, "oracle-check",
+                         "modes.count = 2\nseed = 0\n") == 0
+
+
 def strip_timestamp(raw: bytes) -> bytes:
     return b"\n".join(ln for ln in raw.split(b"\n")
                       if not ln.startswith(b"# timestamp="))

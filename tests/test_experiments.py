@@ -12,7 +12,8 @@ from viscowave import (DataSpectrum, DomainError, ExperimentConfig,
                        envelope_check, optimality_check,
                        profile_error_experiment, rate_fit,
                        singular_limit_energy, singular_limit_solution)
-from viscowave.experiments import predicted_decay, thread_map
+from viscowave.experiments import (oracle_mode_comparison, predicted_decay,
+                                   thread_map)
 from viscowave.spectrum import FrequencyGrid
 
 
@@ -351,3 +352,10 @@ class TestNonSaturatingData:
         assert pred.sharp and pred.exponent == pytest.approx(-0.75)
         pred = predicted_decay(0.0, 3, 0.0, 0.0, "u")
         assert not pred.sharp
+
+
+class TestOracleModeComparison:
+    @pytest.mark.parametrize("count", [0, -4])
+    def test_count_below_one_is_domain_error(self, count):
+        with pytest.raises(DomainError, match="count"):
+            oracle_mode_comparison(count=count)

@@ -268,7 +268,7 @@ def _quartic_coalescence_radii(p):
     """Radii in [1e-3, 1e2] where the quartic discriminant changes sign,
     bisected to the last representable step."""
     def disc(r):
-        return _disc_terms_quartic(quartic_coefficients(p, r))[0]
+        return _disc_terms_quartic(quartic_coefficients(p.gamma, p.tau, r))[0]
 
     grid = np.geomspace(1e-3, 1e2, 4001)
     signs = np.sign(disc(grid))

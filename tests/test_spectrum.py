@@ -11,7 +11,7 @@ from viscowave import (DomainError, FrequencyGrid, InvalidParameterError,
                        quartic_char_roots, track_branches)
 from viscowave.spectrum import (RESIDUAL_RTOL, cubic_char_roots_batch,
                                 cubic_coefficients, quartic_char_roots_batch,
-                                solve_polynomial_batch)
+                                quartic_coefficients, solve_polynomial_batch)
 
 
 def sorted_real(roots):
@@ -169,8 +169,8 @@ class TestExactPairing:
         # and numpy's eigvals then returns a float array
         lo, hi = discriminant_zero_radii(ModelParams(g))[:2]
         r = np.linspace(lo, hi, 12)[1:-1]
-        coeffs = cubic_coefficients(ModelParams(g), r)
-        roots, residuals, scales = solve_polynomial_batch(coeffs)
+        coeffs = cubic_coefficients(g, r)
+        roots, residuals, scales, _ = solve_polynomial_batch(coeffs)
         assert roots.dtype == np.complex128
         assert np.all(roots.imag == 0.0)
         assert np.all(residuals < RESIDUAL_RTOL * scales)
@@ -183,6 +183,43 @@ class TestExactPairing:
         assert cubic_char_roots_batch(p, radii)[3].all()
         for r in radii:
             assert cubic_char_roots(p, float(r)).multiplicity_flag
+
+
+class TestPerRowSolve:
+    """The coefficient builders take per-row (gamma, tau); one batched solve
+    must equal stacked single-row solves exactly, flags included."""
+
+    def test_batched_rows_equal_single_row_calls(self):
+        rng = np.random.default_rng(2024)
+        count = 60
+        g = rng.uniform(1.01, 10.0, count)
+        tau = rng.uniform(0.01, 0.99, count)
+        r = rng.uniform(0.0, 30.0, count)
+        # coalescence radii of each row's own gamma flag the cubic, and
+        # r = 0 (a double root at 0) flags both models
+        r[::5] = [rng.choice(discriminant_zero_radii(ModelParams(x)))
+                  for x in g[::5]]
+        r[3::17] = 0.0
+        batched = (solve_polynomial_batch(cubic_coefficients(g, r)),
+                   solve_polynomial_batch(quartic_coefficients(g, tau, r)))
+        single = ([cubic_char_roots_batch(ModelParams(a), [c]) for a, c in zip(g, r)],
+                  [quartic_char_roots_batch(ModelParams(a, b), [c])
+                   for a, b, c in zip(g, tau, r)])
+        for out, rows in zip(batched, single):
+            flags = out[3]
+            assert flags.shape == (count,) and flags.any() and not flags.all()
+            for got, parts in zip(out, zip(*rows)):
+                assert np.array_equal(got, np.concatenate(parts))
+        assert batched[0][3][::5].all() and batched[1][3][3::17].all()
+
+    def test_parameters_broadcast_against_radii(self):
+        g = np.array([[1.5], [4.0]])
+        r = np.linspace(0.1, 3.0, 5)
+        assert cubic_coefficients(g, r).shape == (2, 5, 4)
+        assert quartic_coefficients(g, 0.2, r).shape == (2, 5, 5)
+        assert cubic_coefficients(2.0, 1.0).shape == (4,)
+        np.testing.assert_array_equal(cubic_coefficients(g, r)[1],
+                                      cubic_coefficients(4.0, r))
 
 
 class TestDiscriminant:

@@ -160,6 +160,14 @@ def _get_float(opts, key, default):
     return _number(key, opts[key]) if key in opts else default
 
 
+def _get_positive(opts, key, default):
+    """A grid endpoint: geometric grids need a value above zero."""
+    value = _get_float(opts, key, default)
+    if value <= 0:
+        raise ConfigError(f"{key}: expected a number > 0, got {value!r}")
+    return value
+
+
 def _get_int(opts, key, default, least=1):
     """Integer key of at least ``least`` (counts need 1, the seed 0)."""
     value = _get_float(opts, key, default)
@@ -180,8 +188,8 @@ def build_config(opts: dict[str, str], command: str) -> ExperimentConfig:
     u1 = parse_spectrum(opts.get("data.u1", "gaussian:1.0,1.0"), "data.u1")
     v2 = parse_spectrum(opts["data.v2"], "data.v2") if "data.v2" in opts else None
     t_hi_default = 1.2e5 if command == "profile" else 1.2e4
-    t_lo = _get_float(opts, "t.min", 50.0)
-    t_hi = _get_float(opts, "t.max", t_hi_default)
+    t_lo = _get_positive(opts, "t.min", 50.0)
+    t_hi = _get_positive(opts, "t.max", t_hi_default)
     t_pts = _get_int(opts, "t.points", 30 if command == "profile" else 28)
     fit = (_get_float(opts, "fit.min", DECAY_FIT_WINDOW[0]),
            _get_float(opts, "fit.max", DECAY_FIT_WINDOW[1]))
@@ -192,8 +200,8 @@ def build_config(opts: dict[str, str], command: str) -> ExperimentConfig:
         tau_list = np.array([_number("tau.list", x)
                              for x in opts["tau.list"].split(",")])
     elif command.startswith("singular-limit"):
-        tau_list = np.geomspace(_get_float(opts, "tau.max", 1e-1),
-                                _get_float(opts, "tau.min", 1e-3),
+        tau_list = np.geomspace(_get_positive(opts, "tau.max", 1e-1),
+                                _get_positive(opts, "tau.min", 1e-3),
                                 _get_int(opts, "tau.points", 7))
     spectra = [sp for sp in (u0, u1, v2) if isinstance(sp, DataSpectrum)]
     r_max = _get_float(opts, "r.max", max(sp.tail_radius() for sp in spectra))
@@ -228,8 +236,8 @@ def _metadata(opts: dict[str, str], command: str) -> dict[str, str]:
 
 def _handle_roots(opts, config):
     equation = opts.get("equation", "mgt" if config.params.tau else "vdw")
-    sweep = np.geomspace(_get_float(opts, "sweep.rmin", 1e-3),
-                         _get_float(opts, "sweep.rmax", 2 * config.r_grid.n_cut),
+    sweep = np.geomspace(_get_positive(opts, "sweep.rmin", 1e-3),
+                         _get_positive(opts, "sweep.rmax", 2 * config.r_grid.n_cut),
                          _get_int(opts, "sweep.points", 200))
     if equation == "vdw":
         roots, resid, scales, flags = cubic_char_roots_batch(
@@ -267,8 +275,8 @@ def _handle_roots(opts, config):
 
 
 def _handle_kernels(opts, config):
-    r_vals = np.geomspace(_get_float(opts, "sweep.rmin", 0.01),
-                          _get_float(opts, "sweep.rmax", 5.0),
+    r_vals = np.geomspace(_get_positive(opts, "sweep.rmin", 0.01),
+                          _get_positive(opts, "sweep.rmax", 5.0),
                           _get_int(opts, "sweep.points", 12))
     t_vals = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0])
     basis = vdw_kernel_basis(config.params.without_tau(), r_vals)

@@ -87,6 +87,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.t_grid = np.asarray(self.t_grid, dtype=float)
+        if not np.all(np.isfinite(self.t_grid)):
+            raise InvalidParameterError("t_grid must be finite")
         if np.any(np.diff(self.t_grid) <= 0):
             raise InvalidParameterError("t_grid must be strictly increasing")
         lo, hi = self.fit_window
@@ -96,7 +98,7 @@ class ExperimentConfig:
                     "fit_window must lie inside the t_grid span")
         if self.tau_list is not None:
             self.tau_list = np.asarray(self.tau_list, dtype=float)
-            if np.any((self.tau_list <= 0) | (self.tau_list >= 1)):
+            if not np.all((self.tau_list > 0) & (self.tau_list < 1)):   # NaN fails too
                 raise InvalidParameterError("every tau must lie in (0, 1)")
         if int(self.n) != self.n or self.n < 1:
             raise InvalidParameterError(f"dimension must be >= 1, got {self.n}")
@@ -552,11 +554,11 @@ class EnergySeries:
     e_wt: np.ndarray         # tau ||w_t||^2
     e_memory: np.ndarray     # gamma int g(t-s) ||grad w(t)-grad w(s)||^2 ds
     w_l2_sq: np.ndarray      # ||w||^2
+    total: np.ndarray = field(init=False)   # sum of the five energy terms
 
-    @property
-    def total(self) -> np.ndarray:
-        return (self.e_wtt + self.e_grad_wt + self.e_grad_w
-                + self.e_wt + self.e_memory)
+    def __post_init__(self):
+        self.total = (self.e_wtt + self.e_grad_wt + self.e_grad_w
+                      + self.e_wt + self.e_memory)
 
 
 @dataclass
@@ -568,16 +570,20 @@ class SingularEnergyResult:
 
 
 def _difference_tables(config: ExperimentConfig, tau: float,
-                       t_grid: np.ndarray):
-    """(w, w_t, w_tt) tables (T, B) between relaxed and limit models."""
+                       t_grid: np.ndarray, limit):
+    """(w, w_t, w_tt) tables (T, B): the relaxed model at ``tau`` minus
+    ``limit``, the (u, u_t, u_tt) tables of the limit model on the same
+    ``t_grid`` and frequency nodes.
+
+    The limit tables do not depend on tau, so a sweep builds them once and
+    only the quartic is solved here.  The differences are new arrays: the
+    tau tasks of a sweep share ``limit`` across threads and never write it.
+    """
     r = config.r_grid.nodes
-    u0v = config.u0(r) + 0j
-    u1v = config.u1(r) + 0j
-    v2v = config.v2_values(r)
-    base = config.params.without_tau()
-    u, ut, utt = _vdw_tables(base, r, t_grid, u0v, u1v)
-    v, vt, vtt = _mgt_tables(base.with_tau(tau), r, t_grid, u0v, u1v, v2v)
-    return v - u, vt - ut, vtt - utt
+    relaxed = _mgt_tables(config.params.with_tau(tau), r, t_grid,
+                          config.u0(r) + 0j, config.u1(r) + 0j,
+                          config.v2_values(r))
+    return tuple(v - u for v, u in zip(relaxed, limit))
 
 
 def _require_tau_list(config: ExperimentConfig) -> None:
@@ -590,21 +596,28 @@ def _memory_series(t_grid: np.ndarray, gram: np.ndarray, gamma: float,
     """History term by trapezoid over the (possibly strided) time grid.
 
     ``gram[i, j]`` is the gradient inner product of w(t_i) with w(t_j).
+    The kept times s are every ``stride``-th time plus the last one (so the
+    last interval may be shorter), and the result has one entry per kept
+    time: gamma times the trapezoid integral over [s_0, s_i] of
+    ``exp(-gamma (s_i - s_j)) ||grad w(s_i) - grad w(s_j)||^2``.  Row i of
+    one lower-triangular weight matrix holds the trapezoid weights of
+    [s_0, s_i], so one weighted row sum gives every entry.
     """
     idx = np.arange(0, len(t_grid), stride)
     if idx[-1] != len(t_grid) - 1:
         idx = np.append(idx, len(t_grid) - 1)
-    diag = np.diag(gram).real
-    out = np.zeros(len(t_grid))
-    for pos, i in enumerate(idx):
-        sub = idx[:pos + 1]
-        if len(sub) < 2:
-            continue
-        s = t_grid[sub]
-        integrand = np.exp(-gamma * (t_grid[i] - s)) * (
-            diag[i] + diag[sub] - 2.0 * gram[i, sub].real)
-        out[i] = gamma * np.trapezoid(integrand, s)
-    return out[idx] if stride > 1 else out
+    s = t_grid[idx]
+    sub = gram[np.ix_(idx, idx)].real
+    diag = np.diag(sub)
+    half = 0.5 * np.diff(s)
+    # node j gets half of the interval to its left and, when j < i, half of
+    # the one to its right
+    weights = np.tril(np.broadcast_to(np.append(0.0, half), sub.shape)) \
+        + np.tril(np.broadcast_to(np.append(half, 0.0), sub.shape), -1)
+    # above the diagonal the weights are 0; the clip keeps exp finite there
+    lag = np.maximum(s[:, None] - s, 0.0)
+    integrand = np.exp(-gamma * lag) * (diag[:, None] + diag - 2.0 * sub)
+    return gamma * (weights * integrand).sum(axis=-1)
 
 
 def singular_limit_energy(config: ExperimentConfig) -> SingularEnergyResult:
@@ -628,9 +641,10 @@ def singular_limit_energy(config: ExperimentConfig) -> SingularEnergyResult:
     u0v, u1v = config.u0(r) + 0j, config.u1(r) + 0j
     w2_modes = config.v2_values(r) + r * r * (u0v + u1v)
     w2_norm_sq = float((w_s0 * np.abs(w2_modes) ** 2).sum())
+    limit = _vdw_tables(config.params.without_tau(), r, t_hist, u0v, u1v)
 
     def one_tau(tau: float) -> EnergySeries:
-        w, wt, wtt = _difference_tables(config, tau, t_hist)
+        w, wt, wtt = _difference_tables(config, tau, t_hist, limit)
         gram = (w * w_s1) @ w.conj().T
         memory = _memory_series(t_hist, gram, config.params.gamma)
         mem_coarse = _memory_series(t_hist, gram, config.params.gamma, stride=2)
@@ -687,9 +701,11 @@ def singular_limit_solution(config: ExperimentConfig,
     r = grid.nodes
     w_s0 = sphere_area(n) * grid.weights * r ** (n - 1)
     t_pair = np.array([0.0, config.probe_time])
+    limit = _vdw_tables(config.params.without_tau(), r, t_pair,
+                        config.u0(r) + 0j, config.u1(r) + 0j)
 
     def one_tau(tau: float) -> float:
-        w, _, _ = _difference_tables(config, tau, t_pair)
+        w, _, _ = _difference_tables(config, tau, t_pair, limit)
         return float((np.abs(w[-1]) ** 2 * w_s0).sum())
 
     vals = np.array(thread_map(one_tau, config.tau_list))

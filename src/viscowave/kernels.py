@@ -100,12 +100,21 @@ def _mode_sums(amp: np.ndarray, roots: np.ndarray, t):
     """(u, u_t, u_tt) = sum_j amp_j lambda_j^p exp(lambda_j t), p = 0, 1, 2.
 
     ``amp`` and ``roots`` are (B, deg) or (deg,); results have shape
-    ``t.shape + roots.shape[:-1]``.  The amplitudes weight the exponential
-    table inside each sum, so no weighted copy of it outlives one sum.
+    ``t.shape + roots.shape[:-1]``.  The sums run one root column at a
+    time: ``amp_j exp(lambda_j t)`` is one (T, B) table, added to u, then
+    scaled by lambda_j in place and added to u_t, then again for u_tt, so
+    no (T, B, deg) product is formed.
     """
-    e = np.exp(np.multiply.outer(np.asarray(t, dtype=float), roots))
-    return ((amp * e).sum(axis=-1), (amp * roots * e).sum(axis=-1),
-            (amp * roots ** 2 * e).sum(axis=-1))
+    t = np.asarray(t, dtype=float)
+    u = ut = utt = 0.0
+    for lam, a in zip(np.moveaxis(roots, -1, 0), np.moveaxis(amp, -1, 0)):
+        term = a * np.exp(np.multiply.outer(t, lam))
+        u = u + term
+        term *= lam
+        ut = ut + term
+        term *= lam
+        utt = utt + term
+    return u, ut, utt
 
 
 @dataclass

@@ -67,6 +67,10 @@ class DataSpectrum:
     def __post_init__(self):
         if self.kind not in SPECTRUM_KINDS:
             raise InvalidParameterError(f"unknown spectrum kind {self.kind!r}")
+        # a NaN passes every `<= 0` check of the factories
+        if not all(np.all(np.isfinite(p)) for p in self.params):
+            raise InvalidParameterError(
+                f"{self.kind} spectrum parameters must be finite, got {self.params!r}")
         object.__setattr__(self, "moment", float(np.real(self(0.0))))
 
     @classmethod

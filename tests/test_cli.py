@@ -172,6 +172,16 @@ class TestBadNumbers:
         ("singular-limit-energy", "history.points = -3"),
         ("oracle-check", "seed = -1"),
         ("oracle-check", "modes.count = 0"),
+        # geometric-grid endpoints: 0 made np.geomspace raise, a negative
+        # value a NaN grid
+        ("decay", "t.min = 0"),
+        ("decay", "t.max = -5"),
+        ("singular-limit-energy", "tau.max = -0.1"),
+        ("singular-limit-solution", "tau.min = 0"),
+        ("roots", "sweep.rmin = 0"),
+        ("kernels", "sweep.rmax = -1"),
+        # a NaN spectrum parameter (every command parses the data)
+        ("roots", "data.u1 = gaussian:nan,1.0"),
     ])
     def test_config_error_names_key(self, tmp_path, capsys, command, line):
         rc = self._run(tmp_path, command, _BASE_CFG + line + "\n")

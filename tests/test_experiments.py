@@ -69,6 +69,12 @@ class TestConfigValidation:
             ExperimentConfig(params=ModelParams(2.0),
                              t_grid=np.array([1.0, 1.0, 2.0]))
 
+    def test_t_grid_must_be_finite(self):
+        # np.diff of a NaN grid is NaN, which no `<= 0` check rejects
+        with pytest.raises(InvalidParameterError):
+            ExperimentConfig(params=ModelParams(2.0),
+                             t_grid=np.array([50.0, np.nan, 2e4]))
+
     def test_window_inside_span(self):
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(params=ModelParams(2.0),
@@ -79,6 +85,9 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(params=ModelParams(2.0),
                              tau_list=np.array([0.5, 1.5, 0.1]))
+        with pytest.raises(InvalidParameterError):
+            ExperimentConfig(params=ModelParams(2.0),
+                             tau_list=np.array([0.5, np.nan, 0.1]))
 
     def test_consistent_token_resolution(self):
         cfg = ExperimentConfig(params=ModelParams(2.0), v2="consistent",
@@ -359,3 +368,75 @@ class TestOracleModeComparison:
     def test_count_below_one_is_domain_error(self, count):
         with pytest.raises(DomainError, match="count"):
             oracle_mode_comparison(count=count)
+
+
+def trapezoid_history(t_grid, gram, gamma, stride=1):
+    """Reference for the memory history: one np.trapezoid per kept time."""
+    idx = np.arange(0, len(t_grid), stride)
+    if idx[-1] != len(t_grid) - 1:
+        idx = np.append(idx, len(t_grid) - 1)
+    diag = np.diag(gram).real
+    out = np.zeros(len(idx))
+    for pos, i in enumerate(idx[1:], 1):
+        sub = idx[:pos + 1]
+        integrand = np.exp(-gamma * (t_grid[i] - t_grid[sub])) * (
+            diag[i] + diag[sub] - 2.0 * gram[i, sub].real)
+        out[pos] = gamma * np.trapezoid(integrand, t_grid[sub])
+    return out
+
+
+class TestMemorySeries:
+    @pytest.mark.parametrize("points, stride", [
+        (201, 1), (201, 2),
+        (6, 2),            # stride 2 appends the last index: a short last interval
+        (6, 1), (2, 2), (1, 1),
+    ])
+    def test_matches_per_row_trapezoid(self, points, stride):
+        from viscowave.experiments import _memory_series
+
+        rng = np.random.default_rng(points + stride)
+        t = np.sort(rng.uniform(0.0, 10.0, points))
+        t[0] = 0.0
+        modes = rng.standard_normal((points, 30)) + 1j * rng.standard_normal((points, 30))
+        gram = modes @ modes.conj().T
+        got = _memory_series(t, gram, 2.0, stride=stride)
+        ref = trapezoid_history(t, gram, 2.0, stride)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+    def test_large_gamma_stays_finite(self):
+        # exp(-gamma (t_i - s_j)) above the diagonal would overflow
+        from viscowave.experiments import _memory_series
+
+        t = np.linspace(0.0, 10.0, 11)
+        gram = np.diag(np.linspace(1.0, 2.0, 11)).astype(complex)
+        got = _memory_series(t, gram, 500.0)
+        ref = trapezoid_history(t, gram, 500.0)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+class TestLimitTablesOnce:
+    """The tau-independent limit tables are built once per sweep, not once
+    per tau."""
+
+    @pytest.mark.parametrize("run, gamma", [(singular_limit_energy, 2.0),
+                                            (singular_limit_solution, 6.0)])
+    def test_one_limit_solve_per_run(self, monkeypatch, run, gamma):
+        import viscowave.experiments as ex
+
+        calls = []
+        original = ex._vdw_tables
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "_vdw_tables", counted)
+        cfg = ExperimentConfig(params=ModelParams(gamma), n=3,
+                               u0=DataSpectrum.gaussian(1.0, 1.0),
+                               u1=DataSpectrum.gaussian(1.0, 1.0),
+                               v2="consistent",
+                               tau_list=np.geomspace(1e-1, 1e-3, 7))
+        run(cfg)
+        assert len(calls) == 1

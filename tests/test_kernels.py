@@ -249,3 +249,39 @@ class TestKernelIdentityProperties:
         state = vdw_mode_solution(p, r, 0.0, 0.7, -1.1)
         assert state.utt == pytest.approx(-r * r * (0.7 - 1.1),
                                           rel=1e-9, abs=1e-9)
+
+
+class TestModeSums:
+    """The per-root accumulation against the (T, B, deg) broadcast product."""
+
+    @staticmethod
+    def broadcast_sums(amp, roots, t):
+        e = np.exp(np.multiply.outer(np.asarray(t, dtype=float), roots))
+        terms = [amp * roots ** p * e for p in range(3)]
+        return ([x.sum(axis=-1) for x in terms],
+                [np.abs(x).sum(axis=-1) for x in terms])
+
+    @pytest.mark.parametrize("deg", [3, 4])
+    @pytest.mark.parametrize("t", [3.7, np.array([5.0]), np.linspace(0.0, 10.0, 201)])
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_matches_broadcast_product(self, deg, t, batched):
+        from viscowave.kernels import _mode_sums
+        from viscowave.spectrum import (cubic_char_roots_batch,
+                                        quartic_char_roots_batch)
+
+        r = np.geomspace(1e-3, 20.0, 64)
+        if deg == 3:
+            roots = cubic_char_roots_batch(ModelParams(2.0), r)[0]
+        else:
+            roots = quartic_char_roots_batch(ModelParams(2.0, 1e-2), r)[0]
+        rng = np.random.default_rng(deg)
+        amp = rng.standard_normal(roots.shape) + 1j * rng.standard_normal(roots.shape)
+        if not batched:
+            roots, amp = roots[40], amp[40]
+        got = _mode_sums(amp, roots, t)
+        ref, scale = self.broadcast_sums(amp, roots, t)
+        for g, f, s in zip(got, ref, scale):
+            assert np.shape(g) == np.shape(f) == np.shape(t) + roots.shape[:-1]
+            # relative to the sum of the term moduli, the scale of a sum's
+            # rounding: a single cell may cancel far below its terms
+            assert np.all(np.abs(g - f) <= 1e-15 * s)

@@ -45,6 +45,20 @@ class TestDataSpectrum:
         with pytest.raises(InvalidParameterError):
             DataSpectrum("mystery", (1.0,))
 
+    @pytest.mark.parametrize("make", [
+        lambda: DataSpectrum.gaussian(math.nan, 1.0),
+        lambda: DataSpectrum.gaussian(1.0, math.inf),
+        lambda: DataSpectrum.gaussian_diff(1.0, 1.0, math.nan),
+        lambda: DataSpectrum.linear_gaussian(-math.inf, 1.0),
+        lambda: DataSpectrum.tabulated([0.0, math.nan, 2.0], [1.0, 0.5, 0.0]),
+        lambda: DataSpectrum.tabulated([0.0, 1.0, 2.0], [1.0, math.nan, 0.0]),
+    ])
+    def test_non_finite_parameter_rejected(self, make):
+        # NaN passes a `width <= 0` check; left through, it makes a decay
+        # run spin to the panel cap instead of failing at once
+        with pytest.raises(InvalidParameterError):
+            make()
+
 
 class TestRadialNorm:
     def test_zero_spectrum(self):

@@ -8,9 +8,10 @@ with commands roots | kernels | decay | profile | optimality | envelope |
 singular-limit-energy | singular-limit-solution | oracle-check.
 
 Configs are flat ``key = value`` text files; an optional ``[command]``
-section overrides top-level keys for that command only.  Results are
-written as CSV (full 17-digit precision, LF endings) preceded by
-``# key=value`` metadata lines echoing the configuration; one PASS/FAIL
+section overrides top-level keys for that command only.  Each handler
+returns its result as named columns (arrays of one dtype each), and one
+writer streams them as CSV (full 17-digit precision, LF endings) preceded
+by ``# key=value`` metadata lines echoing the configuration; one PASS/FAIL
 line per built-in assertion goes to stdout.  Exit code: 0 all pass,
 1 any fail, 2 configuration or usage error.
 
@@ -45,32 +46,38 @@ COMMANDS = ("roots", "kernels", "decay", "profile", "optimality", "envelope",
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return str(x)
+    """A fitted slope at full precision, for the metadata lines."""
+    return f"{float(x):.17g}"
+
+
+#: cell format by numpy dtype kind; bools are written as 1/0
+_CELL = {"f": "{:.17g}", "b": "{:d}", "i": "{:d}", "u": "{:d}"}
 
 
 @dataclass
 class ResultTable:
-    headers: list[str]
-    rows: list[list]
+    """A CSV result: named columns of equal length, plus metadata.
+
+    Each column is converted once to an array, and its dtype picks the
+    format of all its cells: floats ``{:.17g}``, bools 1/0, integers
+    ``{:d}``, anything else ``{}``.
+    """
+
+    columns: dict
     metadata: dict = field(default_factory=dict)
 
-    def add(self, *row):
-        if len(row) != len(self.headers):
-            raise ValueError("row width does not match headers")
-        self.rows.append(list(row))
+    def __post_init__(self):
+        self.columns = {k: np.asarray(v) for k, v in self.columns.items()}
+        if len({len(c) for c in self.columns.values()}) > 1:
+            raise ValueError("columns differ in length")
 
     def write(self, fh):
         for key in sorted(self.metadata):
             fh.write(f"# {key}={self.metadata[key]}\n")
-        fh.write(",".join(self.headers) + "\n")
-        for row in self.rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.write(",".join(self.columns) + "\n")
+        cols = self.columns.values()
+        line = ",".join(_CELL.get(c.dtype.kind, "{}") for c in cols) + "\n"
+        fh.writelines(line.format(*row) for row in zip(*(c.tolist() for c in cols)))
 
 
 @dataclass
@@ -246,18 +253,13 @@ def _handle_roots(opts, config):
         roots, resid, scales, flags = quartic_char_roots_batch(config.params, sweep)
     else:
         raise ConfigError(f"equation must be vdw or mgt, got {equation!r}")
-    deg = roots.shape[1]
-    headers = ["r"]
-    for j in range(deg):
-        headers += [f"re_l{j + 1}", f"im_l{j + 1}"]
-    headers += ["residual_max", "mult_flag"]
-    table = ResultTable(headers, [])
-    for i, r in enumerate(sweep):
-        row = [r]
-        for j in range(deg):
-            row += [roots[i, j].real, roots[i, j].imag]
-        row += [float(resid[i].max()), bool(flags[i])]
-        table.add(*row)
+    columns = {"r": sweep}
+    for j in range(roots.shape[1]):
+        columns[f"re_l{j + 1}"] = roots[:, j].real
+        columns[f"im_l{j + 1}"] = roots[:, j].imag
+    columns["residual_max"] = resid.max(axis=1)
+    columns["mult_flag"] = flags
+    table = ResultTable(columns)
     checks = []
     bound = RESIDUAL_RTOL * scales
     checks.append(Check(
@@ -281,20 +283,19 @@ def _handle_kernels(opts, config):
     t_vals = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0])
     basis = vdw_kernel_basis(config.params.without_tau(), r_vals)
     keep = ~basis.flags
-    table = ResultTable(["r", "t", "k0_re", "k0_im", "k1_re", "k1_im",
-                         "dk0_re", "dk0_im", "dk1_re", "dk1_im"], [])
-    worst = 0.0
-    for t in t_vals:
-        pair = basis.eval(float(t))
-        for i in np.where(keep)[0]:
-            table.add(r_vals[i], t, pair.k0[i].real, pair.k0[i].imag,
-                      pair.k1[i].real, pair.k1[i].imag, pair.dk0[i].real,
-                      pair.dk0[i].imag, pair.dk1[i].real, pair.dk1[i].imag)
-        if t == 0.0:
-            worst = max(float(np.abs(pair.k0[keep] - 1).max()),
-                        float(np.abs(pair.k1[keep]).max()),
-                        float(np.abs(pair.dk0[keep]).max()),
-                        float(np.abs(pair.dk1[keep] - 1).max()))
+    if not keep.any():
+        raise ViscowaveError("no sweep radius has distinct roots; "
+                             "every one is flagged near-degenerate")
+    pair = basis.eval(t_vals)                    # (T, B); t_vals[0] = 0
+    k0, k1, dk0, dk1 = (k[:, keep] for k in (pair.k0, pair.k1, pair.dk0, pair.dk1))
+    columns = {"r": np.tile(r_vals[keep], len(t_vals)),
+               "t": np.repeat(t_vals, keep.sum())}
+    for name, k in (("k0", k0), ("k1", k1), ("dk0", dk0), ("dk1", dk1)):
+        columns[f"{name}_re"] = k.real.ravel()
+        columns[f"{name}_im"] = k.imag.ravel()
+    table = ResultTable(columns)
+    worst = max(float(np.abs(k0[0] - 1).max()), float(np.abs(k1[0]).max()),
+                float(np.abs(dk0[0]).max()), float(np.abs(dk1[0] - 1).max()))
     checks = [Check("kernels.interpolation_at_0", worst <= 1e-12,
                     f"max |identity defect| = {worst:.3e} (<= 1e-12)")]
     return table, checks
@@ -302,11 +303,9 @@ def _handle_kernels(opts, config):
 
 def _handle_decay(opts, config):
     res = decay_experiment(config)
-    table = ResultTable(["t", "norm_u", "norm_ut"], [])
-    for t, a, b in zip(res.t, res.u_norms, res.ut_norms):
-        table.add(t, a, b)
-    table.metadata["fit.u.slope"] = _fmt(res.fit_u.slope)
-    table.metadata["fit.ut.slope"] = _fmt(res.fit_ut.slope)
+    table = ResultTable({"t": res.t, "norm_u": res.u_norms, "norm_ut": res.ut_norms},
+                        {"fit.u.slope": _fmt(res.fit_u.slope),
+                         "fit.ut.slope": _fmt(res.fit_ut.slope)})
     checks = []
     if res.predicted_u.log_half:
         checks.append(Check(
@@ -334,11 +333,10 @@ def _slope_check(name, slope, prediction, tol):
 
 def _handle_profile(opts, config):
     res = profile_error_experiment(config)
-    table = ResultTable(["t", "norm_solution", "norm_error", "ratio"], [])
-    for t, a, b, q in zip(res.t, res.solution_norms, res.error_norms, res.ratios):
-        table.add(t, a, b, q)
-    table.metadata["fit.solution.slope"] = _fmt(res.fit_solution.slope)
-    table.metadata["fit.error.slope"] = _fmt(res.fit_error.slope)
+    table = ResultTable({"t": res.t, "norm_solution": res.solution_norms,
+                         "norm_error": res.error_norms, "ratio": res.ratios},
+                        {"fit.solution.slope": _fmt(res.fit_solution.slope),
+                         "fit.error.slope": _fmt(res.fit_error.slope)})
     checks = []
     if config.u0.moment == 0.0 and config.u1.moment == 0.0:
         checks.append(Check(
@@ -358,9 +356,8 @@ def _handle_profile(opts, config):
 
 def _handle_optimality(opts, config):
     res = optimality_check(config)
-    table = ResultTable(["t", "norm_u", "rate_h", "ratio"], [])
-    for t, a, h in zip(res.t, res.norms, res.rate_values):
-        table.add(t, a, h, a / h)
+    table = ResultTable({"t": res.t, "norm_u": res.norms, "rate_h": res.rate_values,
+                         "ratio": res.norms / res.rate_values})
     checks = [Check("optimality.two_sided", res.spread < 20.0,
                     f"ratio in [{res.ratio_min:.4f}, {res.ratio_max:.4f}], "
                     f"spread {res.spread:.3f} (< 20)")]
@@ -369,9 +366,9 @@ def _handle_optimality(opts, config):
 
 def _handle_envelope(opts, config):
     rep = envelope_check(config)
-    table = ResultTable(["zone", "c_fit", "constant_u", "constant_ut"], [])
-    for z in (rep.small, rep.bounded, rep.large):
-        table.add(z.zone, z.c_fit, z.constant_u, z.constant_ut)
+    zones = (rep.small, rep.bounded, rep.large)
+    table = ResultTable({name: [getattr(z, name) for z in zones]
+                         for name in ("zone", "c_fit", "constant_u", "constant_ut")})
     checks = [
         Check("envelope.finite", rep.all_finite(),
               f"C_small={rep.small.constant_u:.3f} C_bdd={rep.bounded.constant_u:.3f} "
@@ -384,13 +381,18 @@ def _handle_envelope(opts, config):
 
 def _handle_sl_energy(opts, config):
     res = singular_limit_energy(config)
-    table = ResultTable(["tau", "t", "e_wtt", "e_grad_wt", "e_grad_w", "e_wt",
-                         "e_memory", "e_total", "w_l2_sq"], [])
-    for s in res.series:
-        for i, t in enumerate(s.t):
-            table.add(s.tau, t, s.e_wtt[i], s.e_grad_wt[i], s.e_grad_w[i],
-                      s.e_wt[i], s.e_memory[i], s.total[i], s.w_l2_sq[i])
-    table.metadata["fit.sup.slope"] = _fmt(res.fit_sup.slope)
+    series = res.series
+
+    def stacked(name):
+        return np.concatenate([getattr(s, name) for s in series])
+
+    table = ResultTable(
+        {"tau": np.repeat([s.tau for s in series], [s.t.size for s in series]),
+         "t": stacked("t"), "e_wtt": stacked("e_wtt"),
+         "e_grad_wt": stacked("e_grad_wt"), "e_grad_w": stacked("e_grad_w"),
+         "e_wt": stacked("e_wt"), "e_memory": stacked("e_memory"),
+         "e_total": stacked("total"), "w_l2_sq": stacked("w_l2_sq")},
+        {"fit.sup.slope": _fmt(res.fit_sup.slope)})
     predicted = 2.0 if config.v2 == "consistent" else 1.0
     es0_pred = np.asarray(config.tau_list) * res.w2_norm_sq
     if res.w2_norm_sq > 0:
@@ -409,10 +411,8 @@ def _handle_sl_energy(opts, config):
 def _handle_sl_solution(opts, config):
     res = singular_limit_solution(
         config, allow_outside=opts.get("allow_outside", "") == "true")
-    table = ResultTable(["tau", "w_l2_sq"], [])
-    for tau, v in zip(res.tau, res.w_l2_sq):
-        table.add(tau, v)
-    table.metadata["fit.slope"] = _fmt(res.fit.slope)
+    table = ResultTable({"tau": res.tau, "w_l2_sq": res.w_l2_sq},
+                        {"fit.slope": _fmt(res.fit.slope)})
     checks = [Check(
         "sl_solution.slope", res.meets_prediction,
         f"slope={res.fit.slope:.4f} (>= {res.predicted_exponent - 0.1:.1f}, "
@@ -425,8 +425,8 @@ def _handle_oracle_check(opts, config):
     seed = _get_int(opts, "seed", 20240808, least=0)
     from .experiments import oracle_mode_comparison
     res = oracle_mode_comparison(count=count, seed=seed)
-    table = ResultTable(["kind", "gamma", "tau", "r", "t", "rel_u", "rel_ut"],
-                        [list(row) for row in res.rows])
+    headers = ("kind", "gamma", "tau", "r", "t", "rel_u", "rel_ut")
+    table = ResultTable(dict(zip(headers, zip(*res.rows))))
     checks = [Check("oracle.agreement", res.worst <= 1e-6,
                     f"max relative gap = {res.worst:.3e} (<= 1e-6)")]
     return table, checks

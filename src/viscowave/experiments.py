@@ -31,8 +31,8 @@ from .kernels import (_amplitudes, _mode_sums, leading_profiles, mgt_mode_basis,
 from .oracle import (default_step, integrate_mgt_many, integrate_mgt_mode,
                      integrate_vdw_many, integrate_vdw_mode)
 from .params import ModelParams
-from .quadrature import DataSpectrum, l2_norm_radial, rate_function, \
-    sphere_area
+from .quadrature import (DataSpectrum, g_exponent, l2_norm_radial,
+                         rate_function, sphere_area)
 from .spectrum import (FrequencyGrid, cubic_char_roots_batch, cubic_coefficients,
                        quartic_char_roots_batch, quartic_coefficients,
                        solve_polynomial_batch)
@@ -195,15 +195,9 @@ def predicted_decay(s: float, n: int, moment0: float, moment1: float,
         if u1_present:
             terms.append(RatePrediction(-s / 2 - n / 4, sharp=u1_linear))
             if moment1 != 0.0:
-                q = 2 * s + n
-                if q < 2.0 - 1e-12:
-                    terms.append(RatePrediction(1 - s - n / 2))
-                elif abs(q - 2.0) <= 1e-12:
-                    terms.append(RatePrediction(0.0, log_half=True))
-                elif q < 3.0 - 1e-12:
-                    terms.append(RatePrediction(1 - 5 * s / 6 - 5 * n / 12))
-                else:
-                    terms.append(RatePrediction(0.5 - s / 2 - n / 4))
+                p = g_exponent(s, n)
+                terms.append(RatePrediction(0.0, log_half=True) if p is None
+                             else RatePrediction(p))
     elif which == "ut":
         if u0_present:
             terms.append(RatePrediction(-(s + 2) / 2 - n / 4, sharp=u0_linear))
@@ -341,18 +335,13 @@ def decay_experiment(config: ExperimentConfig) -> DecayResult:
             lambda t: solution_norm(config, t), config.t_grid)).T
     else:
         u_norms, ut_norms = _grid_norm_series(config)
-    pred_u = predicted_decay(config.s, config.n, config.u0.moment,
-                             config.u1.moment, "u",
-                             u0_present=not config.u0.is_zero,
-                             u1_present=not config.u1.is_zero,
-                             u0_linear=config.u0.kind == "linear_gaussian",
-                             u1_linear=config.u1.kind == "linear_gaussian")
-    pred_ut = predicted_decay(config.s, config.n, config.u0.moment,
-                              config.u1.moment, "ut",
-                              u0_present=not config.u0.is_zero,
-                              u1_present=not config.u1.is_zero,
-                              u0_linear=config.u0.kind == "linear_gaussian",
-                              u1_linear=config.u1.kind == "linear_gaussian")
+    data = dict(s=config.s, n=config.n, moment0=config.u0.moment,
+                moment1=config.u1.moment, u0_present=not config.u0.is_zero,
+                u1_present=not config.u1.is_zero,
+                u0_linear=config.u0.kind == "linear_gaussian",
+                u1_linear=config.u1.kind == "linear_gaussian")
+    pred_u = predicted_decay(which="u", **data)
+    pred_ut = predicted_decay(which="ut", **data)
     fit_u = rate_fit(config.t_grid, u_norms, config.fit_window)
     fit_ut = rate_fit(config.t_grid, ut_norms, config.fit_window)
     fit_defl = None
@@ -485,27 +474,35 @@ def envelope_check(config: ExperimentConfig) -> EnvelopeReport:
 
     The kernels are tested directly (unit data values), once with datum
     (1, 0) and once with (0, 1), so each data channel meets its own bound.
+    Both go through the mode tables, so near-degenerate nodes take the
+    oracle fallback instead of the unit-gap amplitudes of a flagged row.
     """
     params = config.params.without_tau()
     g, gt, pd = params.gamma, params.gamma_tilde, params.parabolic_decay
     eps, n_cut = config.r_grid.eps_cut, config.r_grid.n_cut
 
+    def unit_tables(r, t):
+        """(k0, dk0, k1, dk1) tables (T, B): data (1, 0), then (0, 1)."""
+        one, zero = np.ones(r.shape, complex), np.zeros(r.shape, complex)
+        k0, dk0, _ = _vdw_tables(params, r, t, one, zero)
+        k1, dk1, _ = _vdw_tables(params, r, t, zero, one)
+        return k0, dk0, k1, dk1
+
     # small zone ----------------------------------------------------------
     r_s = np.geomspace(1e-3, eps * 0.999, 28)
     t_s = np.concatenate([[0.0], np.geomspace(0.1, 1e3, 25)])
-    basis = vdw_kernel_basis(params, r_s)
-    pair = basis.eval(t_s)                       # (T, B)
+    k0, dk0, k1, dk1 = unit_tables(r_s, t_s)
     tt, rr = t_s[:, None], r_s[None, :]
     osc = np.exp(-pd * rr ** 2 * tt)
     cosv, sinv = np.abs(np.cos(gt * rr * tt)), np.abs(np.sin(gt * rr * tt))
     bound0 = (cosv + rr * sinv) * osc + rr ** 2 * np.exp(-g * tt)
     bound1 = (rr ** 2 * cosv + sinv / rr) * osc + rr ** 2 * np.exp(-g * tt)
-    c_u_small = max(float((np.abs(pair.k0) / bound0).max()),
-                    float((np.abs(pair.k1) / bound1).max()))
+    c_u_small = max(float((np.abs(k0) / bound0).max()),
+                    float((np.abs(k1) / bound1).max()))
     dbound0 = (rr ** 2 * cosv + rr * sinv) * osc + rr ** 2 * np.exp(-g * tt)
     dbound1 = (cosv + rr ** 3 * sinv) * osc + rr ** 2 * np.exp(-g * tt)
-    c_ut_small = max(float((np.abs(pair.dk0) / dbound0).max()),
-                     float((np.abs(pair.dk1) / dbound1).max()))
+    c_ut_small = max(float((np.abs(dk0) / dbound0).max()),
+                     float((np.abs(dk1) / dbound1).max()))
     small = ZoneEnvelope("small", 0.0, c_u_small, c_ut_small)
 
     # bounded zone --------------------------------------------------------
@@ -526,14 +523,13 @@ def envelope_check(config: ExperimentConfig) -> EnvelopeReport:
                     roots_l.real, -np.inf)
     c_large = 0.9 * float(-slow.max())
     t_l = np.linspace(0.05, 5.0, 21)
-    basis_l = vdw_kernel_basis(params, r_l)
-    pair_l = basis_l.eval(t_l)
+    k0, _, k1, _ = unit_tables(r_l, t_l)
     tt, rr = t_l[:, None], r_l[None, :]
     with np.errstate(under="ignore"):
         b0 = np.exp(-c_large * tt) + np.exp(-rr ** 2 * tt) / rr ** 2
         b1 = (np.exp(-c_large * tt) + np.exp(-rr ** 2 * tt)) / rr ** 2
-    c_u_large = max(float((np.abs(pair_l.k0) / b0).max()),
-                    float((np.abs(pair_l.k1) / b1).max()))
+    c_u_large = max(float((np.abs(k0) / b0).max()),
+                    float((np.abs(k1) / b1).max()))
     large = ZoneEnvelope("large", c_large, c_u_large, 0.0)
     return EnvelopeReport(small=small, bounded=bounded, large=large)
 

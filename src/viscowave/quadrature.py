@@ -380,6 +380,19 @@ def kernel_norm(t: float, s: float, n: int, part: str, params: ModelParams, *,
 _CASE_TOL = 1e-12
 
 
+def g_exponent(s: float, n: int) -> float | None:
+    """Power of (1 + t) in G(t; s, n), or None on the q = 2s + n = 2
+    branch, where G = (ln(e + t))^(1/2)."""
+    q = 2.0 * s + n
+    if q < 2.0 - _CASE_TOL:
+        return 1.0 - s - n / 2.0
+    if abs(q - 2.0) <= _CASE_TOL:
+        return None
+    if q < 3.0 - _CASE_TOL:
+        return 1.0 - 5.0 * s / 6.0 - 5.0 * n / 12.0
+    return 0.5 - s / 2.0 - n / 4.0
+
+
 def rate_function(kind: str, t, s: float | None = None, n: int = 1):
     """The piecewise time-dependent coefficients G, H and kappa.
 
@@ -396,15 +409,8 @@ def rate_function(kind: str, t, s: float | None = None, n: int = 1):
     if kind == "G":
         if s is None or s < 0:
             raise DomainError("G needs a Sobolev order s >= 0")
-        q = 2.0 * s + n
-        if q < 2.0 - _CASE_TOL:
-            out = (1.0 + t) ** (1.0 - s - n / 2.0)
-        elif abs(q - 2.0) <= _CASE_TOL:
-            out = np.sqrt(np.log(math.e + t))
-        elif q < 3.0 - _CASE_TOL:
-            out = (1.0 + t) ** (1.0 - 5.0 * s / 6.0 - 5.0 * n / 12.0)
-        else:
-            out = (1.0 + t) ** (0.5 - s / 2.0 - n / 4.0)
+        p = g_exponent(s, n)
+        out = np.sqrt(np.log(math.e + t)) if p is None else (1.0 + t) ** p
     elif kind == "H":
         if n == 1:
             out = np.sqrt(t)

@@ -336,33 +336,31 @@ def cubic_discriminant(params: ModelParams, r) -> float | np.ndarray:
     return disc if np.ndim(r) else float(disc)
 
 
+def _discriminant_cubic_in_x(g: float) -> tuple[float, float, float, float]:
+    """Coefficients, highest first, of the cubic discriminant over r^2 as
+    a polynomial in x = r^2."""
+    return (g * g - 2.0 * g + 5.0,
+            -2.0 * (g ** 3 + g ** 2 - g + 11.0),
+            g ** 4 + 8.0 * g ** 3 - 14.0 * g ** 2 + 36.0 * g - 27.0,
+            -4.0 * g ** 3 * (g - 1.0))
+
+
 def cubic_discriminant_expanded(params: ModelParams, r) -> float | np.ndarray:
     """Discriminant written as r^2 times a cubic polynomial in r^2.
 
     Independent cross-check for :func:`cubic_discriminant`; also the form
     used to locate coalescence radii.
     """
-    g = params.gamma
+    a, b, c, d = _discriminant_cubic_in_x(params.gamma)
     r = np.asarray(r, dtype=float)
     x = r * r
-    poly = ((g * g - 2.0 * g + 5.0) * x ** 3
-            - 2.0 * (g ** 3 + g ** 2 - g + 11.0) * x ** 2
-            + (g ** 4 + 8.0 * g ** 3 - 14.0 * g ** 2 + 36.0 * g - 27.0) * x
-            - 4.0 * g ** 3 * (g - 1.0))
-    out = x * poly
+    out = x * (a * x ** 3 + b * x ** 2 + c * x + d)
     return out if out.ndim else float(out)
 
 
 def discriminant_zero_radii(params: ModelParams) -> np.ndarray:
     """Positive radii where the cubic discriminant vanishes (sorted)."""
-    g = params.gamma
-    coeffs = np.array([
-        g * g - 2.0 * g + 5.0,
-        -2.0 * (g ** 3 + g ** 2 - g + 11.0),
-        g ** 4 + 8.0 * g ** 3 - 14.0 * g ** 2 + 36.0 * g - 27.0,
-        -4.0 * g ** 3 * (g - 1.0),
-    ])
-    x = np.roots(coeffs)
+    x = np.roots(_discriminant_cubic_in_x(params.gamma))
     x = x[np.abs(x.imag) < 1e-9 * np.maximum(1.0, np.abs(x.real))].real
     x = x[x > 0]
     return np.sort(np.sqrt(x))

@@ -1,5 +1,8 @@
 """Command-line front end: parsing, dispatch, CSV format, exit codes."""
 
+import io
+
+import numpy as np
 import pytest
 
 from viscowave.cli import (Check, ResultTable, _HANDLERS, parse_config_file,
@@ -48,10 +51,20 @@ n = 2
             parse_spectrum("gaussian:a,b", "data.u1")
 
 
+def _reference_cell(x) -> str:
+    """The per-cell formatting rules, one type test per value."""
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (float, np.floating)):
+        return f"{float(x):.17g}"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return str(x)
+
+
 class TestResultTable:
     def test_full_precision_and_line_endings(self, tmp_path):
-        table = ResultTable(["a", "b"], [], metadata={"k": "v"})
-        table.add(1 / 3, True)
+        table = ResultTable({"a": [1 / 3], "b": [True]}, metadata={"k": "v"})
         out = tmp_path / "t.csv"
         with open(out, "w", newline="\n") as fh:
             table.write(fh)
@@ -60,10 +73,21 @@ class TestResultTable:
         assert b"0.33333333333333331" in raw
         assert raw.startswith(b"# k=v\na,b\n")
 
-    def test_row_width_checked(self):
-        table = ResultTable(["a"], [])
-        with pytest.raises(ValueError):
-            table.add(1.0, 2.0)
+    def test_column_length_checked(self):
+        with pytest.raises(ValueError, match="length"):
+            ResultTable({"a": [1.0, 2.0], "b": [1.0]})
+
+    def test_mixed_dtypes_match_per_cell_rules(self):
+        rows = [("vdw", True, np.int64(7), 1 / 3, float("nan")),
+                ("mgt", False, np.int64(-2), -0.0, 1e-300),
+                ("x", np.bool_(True), np.int64(0), np.float64(2.5), -1e300)]
+        headers = ("kind", "flag", "count", "a", "b")
+        fh = io.StringIO()
+        ResultTable(dict(zip(headers, zip(*rows)))).write(fh)
+        expected = ["kind,flag,count,a,b"] + [
+            ",".join(_reference_cell(x) for x in row) for row in rows]
+        assert fh.getvalue() == "\n".join(expected) + "\n"
+        assert "nan" in expected[1] and "-0" in expected[2]
 
 
 class TestRunCommand:
@@ -102,11 +126,23 @@ class TestRunCommand:
         assert rc == 0
         assert "kernels.interpolation_at_0" in capsys.readouterr().out
 
+    def test_all_flagged_sweep_is_error(self, tmp_path, capsys):
+        # r = 1 is a root-coalescence radius of the cubic at gamma = 2
+        cfg = write_cfg(tmp_path, "kf.cfg", "gamma = 2.0\nsweep.rmin = 1\n"
+                        "sweep.rmax = 1\nsweep.points = 1\n")
+        rc = run_command(["kernels", "--config", cfg,
+                          "--out", str(tmp_path / "kf.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:")
+        assert "distinct roots" in err
+        assert not (tmp_path / "kf.csv").exists()
+
     def test_failing_check_maps_to_exit_one(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, "f.cfg", "gamma = 2.0\n")
 
         def broken(opts, config):
-            return ResultTable(["x"], [[1.0]]), [Check("fake", False, "nope")]
+            return ResultTable({"x": [1.0]}), [Check("fake", False, "nope")]
 
         monkeypatch.setitem(_HANDLERS, "kernels", broken)
         rc = run_command(["kernels", "--config", cfg,

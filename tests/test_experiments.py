@@ -14,7 +14,9 @@ from viscowave import (DataSpectrum, DomainError, ExperimentConfig,
                        singular_limit_energy, singular_limit_solution)
 from viscowave.experiments import (oracle_mode_comparison, predicted_decay,
                                    thread_map)
-from viscowave.spectrum import FrequencyGrid
+from viscowave.spectrum import (DEFAULT_N_CUT, FrequencyGrid,
+                                cubic_char_roots_batch,
+                                cubic_discriminant_expanded)
 
 
 class TestRateFit:
@@ -212,6 +214,26 @@ class TestEnvelope:
         assert rep.all_finite()
         assert rep.bounded.c_fit > 0
         assert rep.large.c_fit > 0
+
+    def test_flagged_node_takes_the_fallback(self):
+        # bisect gamma so that the first large-zone node, r = n_cut * 1.001,
+        # is a root-coalescence radius; the unit-gap amplitudes of its
+        # flagged row gave C_large ~ 1e4 against ~ 1.007 one step away
+        r = DEFAULT_N_CUT * 1.001
+        lo, hi = 100.0, 102.0
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            if (cubic_discriminant_expanded(ModelParams(mid), r) > 0) == \
+                    (cubic_discriminant_expanded(ModelParams(lo), r) > 0):
+                lo = mid
+            else:
+                hi = mid
+        _, _, _, flags = cubic_char_roots_batch(ModelParams(lo), np.array([r]))
+        assert flags[0]
+        rep = envelope_check(ExperimentConfig(params=ModelParams(lo), n=3))
+        near = envelope_check(ExperimentConfig(params=ModelParams(lo * (1 + 1e-6)),
+                                               n=3))
+        assert rep.all_finite()
+        assert rep.large.constant_u == pytest.approx(near.large.constant_u, rel=0.01)
 
 
 class TestThreadMap:

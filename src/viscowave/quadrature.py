@@ -6,11 +6,13 @@ one-dimensional radial integrals
     || |D|^s f ||_{L2}^2 = omega_n * int_0^inf r^(2s+n-1) |f_hat(r)|^2 dr,
 
 with ``omega_n = 2 pi^(n/2) / Gamma(n/2)`` the unit-sphere area.  The
-integrator below subdivides panels adaptively around a fixed 15-point
-Gauss-Legendre rule; callers integrating oscillatory kernels pass explicit
-cap segments so that no panel ever spans more than a prescribed fraction
-of the oscillation period (otherwise a coarse panel and its two halves
-can alias to the same wrong answer and stop the refinement early).
+integrator below subdivides panels adaptively with the embedded
+Gauss-Kronrod pair G10-K21 (QUADPACK ``qk21``): each panel costs its 21
+Kronrod nodes once, the 10-point Gauss rule reuses ten of them, K21 is the
+value and |K21 - G10| the error estimate.  Callers integrating oscillatory
+kernels pass explicit cap segments so that no panel ever spans more than a
+prescribed fraction of the oscillation period (otherwise K21 and G10 can
+alias together to the same wrong answer and stop the refinement early).
 
 An integrand may return a (k, P) stack of k components sampled on the
 same P nodes, as the u and u_t modes of one time are.  A panel is then
@@ -35,7 +37,34 @@ from .errors import DomainError, InvalidParameterError, TruncationError
 from .params import ModelParams
 from .spectrum import DEFAULT_EPS_CUT, DEFAULT_N_CUT
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
+# QUADPACK qk21 (Piessens et al., 1983): the Kronrod abscissae in [0, 1]
+# from the outside in, their K21 weights, and the G10 weights of the
+# Gauss abscissae among them, which are the odd entries 1, 3, ..., 9
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077600525573593, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+
+# the 21 nodes on [-1, 1] in increasing order, with both weight sets; G10
+# weighs the odd-indexed nodes and gives the Kronrod-only ones weight 0
+_KR_X = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_KR_W = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_G10_W = np.zeros(21)
+_G10_W[1::2] = np.concatenate([_WG, _WG[::-1]])
 
 SPECTRUM_KINDS = ("gaussian", "gaussian_diff", "linear_gaussian", "tabulated")
 
@@ -167,32 +196,31 @@ def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
 
     ``f`` maps P nodes to P values, or to a (k, P) stack of k components.
     Returns (value, error_estimate) with the integrand's leading shape:
-    floats for a 1-d integrand, (k,) arrays for a stack.  A panel is
-    accepted once, for every component, the 15-point estimate and its
-    two-half refinement agree locally; accepted contributions are summed
-    left to right for reproducibility.
+    floats for a 1-d integrand, (k,) arrays for a stack.  Each round
+    evaluates the 21 Kronrod nodes of every open panel in one call of
+    ``f``; a panel is accepted once, for every component, its K21 value
+    and the G10 value on the same nodes agree locally, and otherwise it is
+    halved.  Accepted K21 contributions are summed left to right for
+    reproducibility.  The error estimate sums |K21 - G10| over the panels:
+    it bounds the error of the G10 values and is pessimistic for the K21
+    value returned.
 
     ``cap_segments`` is an iterable of (lo, hi, width) triples bounding
     the initial panel width on oscillatory subintervals.  Raises
-    :class:`TruncationError` past ``max_panels`` panels, or when the panels
-    accepted only at ``max_depth`` leave some component an error above
-    ``rel_tol`` times its own value.
+    :class:`DomainError` unless ``a < b`` are finite, and
+    :class:`TruncationError` as soon as ``f`` returns a non-finite value,
+    past ``max_panels`` panels, or when the panels accepted only at
+    ``max_depth`` leave some component an error above ``rel_tol`` times
+    its own value.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"integration bounds must be finite, got [{a}, {b}]")
     if not b > a:
         raise DomainError(f"empty integration range [{a}, {b}]")
     edges = _initial_edges(a, b, cap_segments)
     lefts = edges[:-1]
     rights = edges[1:]
     depths = np.zeros(lefts.shape, dtype=int)
-
-    def gl_rows(lo, hi):
-        """Per-row Gauss-Legendre estimates, shape (..., rows); one
-        integrand call for all rows."""
-        half = 0.5 * (hi - lo)
-        nodes = 0.5 * (lo + hi)[:, None] + half[:, None] * _GL_X[None, :]
-        vals = np.asarray(f(nodes.ravel()), dtype=float)
-        vals = vals.reshape(vals.shape[:-1] + nodes.shape)
-        return (vals * _GL_W).sum(axis=-1) * half
 
     accepted_left: list[np.ndarray] = []
     accepted_val: list[np.ndarray] = []
@@ -206,21 +234,27 @@ def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
             raise TruncationError(
                 f"adaptive quadrature exceeded {max_panels} panels")
         mids = 0.5 * (lefts + rights)
-        chunks = gl_rows(np.concatenate([lefts, lefts, mids]),
-                         np.concatenate([rights, mids, rights]))
+        half = 0.5 * (rights - lefts)
+        nodes = mids[:, None] + half[:, None] * _KR_X
+        vals = np.asarray(f(nodes.ravel()), dtype=float)
+        if not np.isfinite(vals).all():
+            bad = ~np.isfinite(vals).reshape(-1, nodes.size).all(axis=0)
+            raise TruncationError(
+                f"integrand returned non-finite values at {bad.sum()} of "
+                f"{bad.size} nodes, the lowest {nodes.ravel()[bad].min():.6g}")
+        vals = vals.reshape(vals.shape[:-1] + nodes.shape)
+        kronrod = (vals * _KR_W).sum(axis=-1) * half
+        err = np.abs(kronrod - (vals * _G10_W).sum(axis=-1) * half)
         p = lefts.size
-        coarse = chunks[..., :p]
-        fine = chunks[..., p:2 * p] + chunks[..., 2 * p:]
-        err = np.abs(fine - coarse)
-        total_ref = np.maximum(total_ref, np.abs(fine).sum(axis=-1))
+        total_ref = np.maximum(total_ref, np.abs(kronrod).sum(axis=-1))
         frac = (rights - lefts) / span
         tol_local = rel_tol * np.maximum(
-            np.abs(fine), np.multiply.outer(total_ref, frac)) + 1e-300
+            np.abs(kronrod), np.multiply.outer(total_ref, frac)) + 1e-300
         ok = err <= tol_local
         done = ok.reshape(-1, p).all(axis=0) | (depths >= max_depth)
         capped_err = capped_err + np.where(done & ~ok, err, 0.0).sum(axis=-1)
         accepted_left.append(lefts[done])
-        accepted_val.append(fine[..., done])
+        accepted_val.append(kronrod[..., done])
         accepted_err.append(err[..., done])
         split = ~done
         lefts = np.concatenate([lefts[split], mids[split]])
@@ -278,12 +312,17 @@ def l2_norm_radial(spectrum, n: int, s: float = 0.0, zone_filter=None, *,
     r_max:
         Upper integration radius for unbounded zones; defaults to the
         spectrum's ``tail_radius`` when available.
+    full_output:
+        Also return an error estimate of the norm, propagated from the
+        summed |K21 - G10| of :func:`adaptive_integral`; like that one it
+        bounds the G10 estimate and is pessimistic for the value returned.
 
     Raises
     ------
     TruncationError
-        If no tail radius is known and none is supplied, or the integrand
-        has not decayed at the chosen radius (for any component).
+        If no tail radius is known and none is supplied, the integrand
+        has not decayed at the chosen radius (for any component), or the
+        quadrature fails (see :func:`adaptive_integral`).
     """
     if int(n) != n or n < 1:
         raise DomainError(f"dimension must be a positive integer, got {n}")

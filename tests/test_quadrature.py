@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from viscowave import (DataSpectrum, DomainError, InvalidParameterError,
                        ModelParams, TruncationError, kernel_norm,
                        l2_norm_radial, rate_function, sphere_area)
+from viscowave import quadrature
+from viscowave.experiments import ExperimentConfig, solution_norm
 from viscowave.quadrature import adaptive_integral
 
 
@@ -148,6 +150,24 @@ class TestAdaptiveIntegral:
         with pytest.raises(DomainError):
             adaptive_integral(lambda r: r, 1.0, 1.0)
 
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0)])
+    def test_non_finite_bound_rejected(self, a, b):
+        # an infinite bound passes `b > a`; left through, its nodes are NaN
+        with pytest.raises(DomainError, match="finite"):
+            adaptive_integral(lambda r: np.exp(-r * r), a, b)
+
+    def test_nan_integrand_reported(self):
+        # not a convergence failure: the panel cap must not be what stops it
+        with pytest.raises(TruncationError, match="non-finite"):
+            adaptive_integral(lambda r: np.full_like(r, math.nan), 0.0, 1.0)
+
+    def test_infinite_node_value_reported(self):
+        # the midpoint of [0, 1] is a node of the first round; an infinite
+        # value there must not be dropped by refining around it
+        with pytest.raises(TruncationError, match="non-finite"):
+            adaptive_integral(lambda r: np.where(r == 0.5, math.inf, 1.0),
+                              0.0, 1.0)
+
     def test_depth_capped_panels_reported(self):
         # a jump off the dyadic points never converges; at depth 4 the
         # panel holding it still carries an error far above rel_tol
@@ -156,12 +176,51 @@ class TestAdaptiveIntegral:
                               max_depth=4)
 
 
+@pytest.fixture
+def qk21():
+    """The QUADPACK qk21 constants: 21 Kronrod nodes on [-1, 1], the K21
+    weights and the G10 weights (zero on the Kronrod-only nodes)."""
+    return quadrature._KR_X, quadrature._KR_W, quadrature._G10_W
+
+
+class TestKronrodTable:
+    def test_shapes_and_symmetry(self, qk21):
+        x, wk, wg = qk21
+        assert x.shape == wk.shape == wg.shape == (21,)
+        assert np.all(np.diff(x) > 0)
+        assert np.array_equal(x, -x[::-1])
+        assert np.array_equal(wk, wk[::-1])
+        assert np.array_equal(wg, wg[::-1])
+
+    def test_weights_sum_to_two(self, qk21):
+        _, wk, wg = qk21
+        assert wk.sum() == pytest.approx(2.0, abs=1e-15)
+        assert wg.sum() == pytest.approx(2.0, abs=1e-15)
+
+    @pytest.mark.parametrize("rule, degree", [(1, 31), (2, 19)], ids=["K21", "G10"])
+    def test_polynomial_exactness(self, qk21, rule, degree):
+        x, w = qk21[0], qk21[rule]
+        for d in range(degree + 1):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert (w * x ** d).sum() == pytest.approx(exact, abs=1e-15)
+        # and not one degree more (x^(degree + 1) is even)
+        d = degree + 1
+        assert abs((w * x ** d).sum() - 2.0 / (d + 1)) > 1e-13
+
+    def test_gauss_nodes_are_the_odd_kronrod_nodes(self, qk21):
+        x, _, wg = qk21
+        assert np.all(wg[0::2] == 0.0)
+        gx, gw = np.polynomial.legendre.leggauss(10)
+        np.testing.assert_allclose(x[1::2], gx, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(wg[1::2], gw, rtol=0, atol=1e-15)
+
+
 def _counted(f):
-    """Wrap an integrand; the list holds the number of nodes it was given."""
-    nodes = [0]
+    """Wrap an integrand; the list holds the node count of each call."""
+    nodes = []
 
     def wrapped(r):
-        nodes[0] += r.size
+        nodes.append(r.size)
         return f(r)
     return wrapped, nodes
 
@@ -181,12 +240,12 @@ class TestVectorIntegrand:
             scalar, n_scalar = _counted(lambda r, k=k: np.sin(k * r) ** 2)
             alone, _ = adaptive_integral(scalar, 0.0, b)
             assert isinstance(alone, float)
-            counts.append(n_scalar[0])
+            counts.append(sum(n_scalar))
             exact = b / 2 - math.sin(2 * k * b) / (4 * k)
             assert val[i] == pytest.approx(alone, rel=1e-9)
             assert val[i] == pytest.approx(exact, rel=1e-9)
         assert counts[0] < counts[1]
-        assert n_stack[0] == counts[1]
+        assert sum(n_stack) == counts[1]
 
     def test_one_depth_capped_component_reported(self):
         # the smooth component converges everywhere; the jump alone is
@@ -220,6 +279,30 @@ class TestVectorIntegrand:
 
         with pytest.raises(TruncationError, match="not decayed"):
             l2_norm_radial(stack, n=3, s=0, r_max=8.0)
+
+
+class TestNodeBudget:
+    def test_decay_norms_use_one_kronrod_pass_per_panel(self, monkeypatch):
+        # the bench decay config (C05, n = 3) at its five fit-window times;
+        # one 21-node evaluation per panel and round gives 8,127 nodes; a
+        # rule that evaluates panels again (45 nodes a panel: 16,425) fails
+        inner = quadrature.adaptive_integral
+        sizes = []
+
+        def counting(f, *args, **kwargs):
+            counted, nodes = _counted(f)
+            out = inner(counted, *args, **kwargs)
+            sizes.extend(nodes)
+            return out
+
+        monkeypatch.setattr(quadrature, "adaptive_integral", counting)
+        cfg = ExperimentConfig(params=ModelParams(2.0), n=3,
+                               t_grid=np.geomspace(100.0, 1e4, 5))
+        for t in cfg.t_grid:
+            norms = solution_norm(cfg, t)
+            assert norms.shape == (2,) and np.all(norms > 0)
+        assert sizes and all(k % 21 == 0 for k in sizes)
+        assert sum(sizes) <= 9000
 
 
 class TestKernelNorm:

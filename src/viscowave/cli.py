@@ -168,7 +168,8 @@ def _get_float(opts, key, default):
 
 
 def _get_positive(opts, key, default):
-    """A grid endpoint: geometric grids need a value above zero."""
+    """A key that must be above zero: geometric-grid endpoints and the
+    probe time."""
     value = _get_float(opts, key, default)
     if value <= 0:
         raise ConfigError(f"{key}: expected a number > 0, got {value!r}")
@@ -222,7 +223,7 @@ def build_config(opts: dict[str, str], command: str) -> ExperimentConfig:
             tau_list=tau_list, fit_window=fit,
             error_fit_window=(_get_float(opts, "errfit.min", 1e3),
                               _get_float(opts, "errfit.max", 1e5)),
-            probe_time=_get_float(opts, "probe.time", 10.0),
+            probe_time=_get_positive(opts, "probe.time", 10.0),
             history_points=_get_int(opts, "history.points", 200),
             solver=opts.get("solver", "kernel"))
     except ViscowaveError as exc:
@@ -393,7 +394,7 @@ def _handle_sl_energy(opts, config):
          "e_wt": stacked("e_wt"), "e_memory": stacked("e_memory"),
          "e_total": stacked("total"), "w_l2_sq": stacked("w_l2_sq")},
         {"fit.sup.slope": _fmt(res.fit_sup.slope)})
-    predicted = 2.0 if config.v2 == "consistent" else 1.0
+    predicted = res.predicted_exponent
     es0_pred = np.asarray(config.tau_list) * res.w2_norm_sq
     if res.w2_norm_sq > 0:
         rel = float(np.max(np.abs(res.es0_values - es0_pred) / es0_pred))

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (ConfigError, DomainError, InsufficientDataError,
                      InvalidParameterError, PreconditionError, RefinementError)
 # kept for bench/tracing.py, which wraps *_mode_solution and quartic_char_roots_batch
-from .kernels import (_amplitudes, _mode_sums, leading_profiles, mgt_mode_basis,
+from .kernels import (_mgt_basis, _vdw_basis, leading_profiles, mgt_mode_basis,
                       mgt_mode_solution, vdw_kernel_basis, vdw_mode_solution)
 from .oracle import (default_step, integrate_mgt_many, integrate_mgt_mode,
                      integrate_vdw_many, integrate_vdw_mode)
@@ -102,6 +102,11 @@ class ExperimentConfig:
                 raise InvalidParameterError("every tau must lie in (0, 1)")
         if int(self.n) != self.n or self.n < 1:
             raise InvalidParameterError(f"dimension must be >= 1, got {self.n}")
+        if not self.s >= 0:
+            raise InvalidParameterError(f"Sobolev order must be >= 0, got {self.s}")
+        if not (0 < self.probe_time < math.inf):
+            raise InvalidParameterError(
+                f"probe_time must be finite and > 0, got {self.probe_time}")
         if self.solver not in ("kernel", "kernel-grid", "oracle"):
             raise InvalidParameterError(f"unknown solver {self.solver!r}")
         if self.r_grid is None:
@@ -176,74 +181,72 @@ class RatePrediction:
 
 
 def predicted_decay(s: float, n: int, moment0: float, moment1: float,
-                    which: str, u0_present: bool = True,
-                    u1_present: bool = True, u0_linear: bool = False,
-                    u1_linear: bool = False) -> RatePrediction:
-    """Slowest-decaying term of the norm estimate for ``u`` or ``ut``.
+                    u0_present: bool = True, u1_present: bool = True,
+                    u0_linear: bool = False, u1_linear: bool = False) -> RatePrediction:
+    """Slowest-decaying term of the norm estimate for ``|D|^s u``.
 
-    Bulk-norm terms enter only for data that is actually nonzero; moment
-    terms additionally require a nonvanishing spectrum at the origin.
-    ``u*_linear`` marks spectra vanishing exactly linearly at the origin,
-    which saturate their bulk terms when the moments vanish.
+    The estimate for ``u_t`` at order s >= 0 is this one at order s + 1
+    (there 2(s + 1) + n >= 3 puts the sin-kernel moment term on its
+    ``-s/2 - n/4`` branch).  Bulk-norm terms enter only for data that is
+    actually nonzero; moment terms additionally require a nonvanishing
+    spectrum at the origin.  ``u*_linear`` marks spectra vanishing exactly
+    linearly at the origin, which saturate their bulk terms when the
+    moments vanish.
     """
     terms: list[RatePrediction] = []
-    if which == "u":
-        if u0_present:
-            terms.append(RatePrediction(-(s + 1) / 2 - n / 4, sharp=u0_linear))
-            if moment0 != 0.0:
-                terms.append(RatePrediction(-s / 2 - n / 4))
-        if u1_present:
-            terms.append(RatePrediction(-s / 2 - n / 4, sharp=u1_linear))
-            if moment1 != 0.0:
-                p = g_exponent(s, n)
-                terms.append(RatePrediction(0.0, log_half=True) if p is None
-                             else RatePrediction(p))
-    elif which == "ut":
-        if u0_present:
-            terms.append(RatePrediction(-(s + 2) / 2 - n / 4, sharp=u0_linear))
-            if moment0 != 0.0:
-                terms.append(RatePrediction(-(s + 1) / 2 - n / 4))
-        if u1_present:
-            terms.append(RatePrediction(-(s + 1) / 2 - n / 4, sharp=u1_linear))
-            if moment1 != 0.0:
-                terms.append(RatePrediction(-s / 2 - n / 4))
-    else:
-        raise DomainError(f"which must be 'u' or 'ut', got {which!r}")
+    if u0_present:
+        terms.append(RatePrediction(-(s + 1) / 2 - n / 4, sharp=u0_linear))
+        if moment0 != 0.0:
+            terms.append(RatePrediction(-s / 2 - n / 4))
+    if u1_present:
+        terms.append(RatePrediction(-s / 2 - n / 4, sharp=u1_linear))
+        if moment1 != 0.0:
+            p = g_exponent(s, n)
+            terms.append(RatePrediction(0.0, log_half=True) if p is None
+                         else RatePrediction(p))
     if not terms:
         return RatePrediction(-math.inf)
     return max(terms, key=lambda p: (p.exponent, p.log_half, p.sharp))
 
 
 # ---------------------------------------------------------------------------
-# mode tables with degenerate-node fallback
-# (a quarter of the default oracle step keeps coalescence-radius modes within
-# 1e-6 of the closed form to t = 1e4; the full step is off by up to 2.2e-6)
+# mode tables: closed form, with the oracle at flagged nodes
 # ---------------------------------------------------------------------------
+
+def _oracle_fallback(tables, flags, integrate, params: ModelParams, r: np.ndarray,
+                     t_grid: np.ndarray, data):
+    """Overwrite the flagged columns of the (u, ut, utt) ``tables`` with
+    ``integrate(params, r_k, None, *data_k)`` on ``t_grid``; returns ``tables``.
+
+    The step is a quarter of the default oracle step: that keeps
+    coalescence-radius modes within 1e-6 of the closed form to t = 1e4,
+    where the full step is off by up to 2.2e-6.  Callers pass the
+    ``integrate_*_mode`` they look up as a module global on each call, so a
+    wrapper bound to that name sees every fallback.
+    """
+    for k in np.where(flags)[0]:
+        traj = integrate(params, float(r[k]), None, *(d[k] for d in data),
+                         step=default_step(params, r[k]) / 4, t_eval=t_grid)
+        for table, column in zip(tables, (traj.u, traj.ut, traj.utt)):
+            table[..., k] = column
+    return tables
+
 
 def _vdw_tables(params: ModelParams, r: np.ndarray, t_grid: np.ndarray,
                 u0v: np.ndarray, u1v: np.ndarray):
-    """(u, ut, utt) tables of shape (T, B); flagged nodes go through the
-    time-domain oracle."""
+    """(u, ut, utt) tables of shape (T, B) of the memory-only model."""
     params = params.without_tau()
     basis = vdw_kernel_basis(params, r)
-    u, ut, utt = basis.mode_tables(t_grid, u0v, u1v)
-    for k in np.where(basis.flags)[0]:
-        traj = integrate_vdw_mode(params, float(r[k]), t_eval=t_grid, u0hat=u0v[k],
-                                  u1hat=u1v[k], step=default_step(params, r[k]) / 4)
-        u[..., k], ut[..., k], utt[..., k] = traj.u, traj.ut, traj.utt
-    return u, ut, utt
+    return _oracle_fallback(basis.mode_tables(t_grid, u0v, u1v), basis.flags,
+                            integrate_vdw_mode, params, r, t_grid, (u0v, u1v))
 
 
 def _mgt_tables(params: ModelParams, r: np.ndarray, t_grid: np.ndarray,
                 u0v: np.ndarray, u1v: np.ndarray, v2v: np.ndarray):
+    """(v, vt, vtt) tables of shape (T, B) of the relaxed model."""
     basis = mgt_mode_basis(params, r, u0v, u1v, v2v)
-    v, vt, vtt = basis.eval(t_grid)
-    for k in np.where(basis.flags)[0]:
-        traj = integrate_mgt_mode(params, float(r[k]), t_eval=t_grid,
-                                  u0hat=u0v[k], u1hat=u1v[k], v2hat=v2v[k],
-                                  step=default_step(params, r[k]) / 4)
-        v[..., k], vt[..., k], vtt[..., k] = traj.u, traj.ut, traj.utt
-    return v, vt, vtt
+    return _oracle_fallback(basis.eval(t_grid), basis.flags, integrate_mgt_mode,
+                            params, r, t_grid, (u0v, u1v, v2v))
 
 
 def _field_factory(config: ExperimentConfig, t: float):
@@ -291,11 +294,17 @@ def solution_norm(config: ExperimentConfig, t: float) -> np.ndarray:
         cap_segments=_osc_segments(config, t))
 
 
+def _radial_weights(config: ExperimentConfig, power) -> np.ndarray:
+    """Plancherel weights of the frequency grid for r^power |mode|^2:
+    |S^(n-1)| times the grid weights times r^(power + n - 1)."""
+    grid = config.r_grid
+    return sphere_area(config.n) * grid.weights * grid.nodes ** (power + config.n - 1)
+
+
 def _grid_norm_series(config: ExperimentConfig) -> np.ndarray:
     """(u, ut) norm series, shape (2, T), on the fixed frequency grid from
     one kernel table or one oracle batch."""
-    grid = config.r_grid
-    r = grid.nodes
+    r = config.r_grid.nodes
     u0v, u1v = config.u0(r) + 0j, config.u1(r) + 0j
     params = config.params.without_tau()
     if config.solver == "oracle":
@@ -305,7 +314,7 @@ def _grid_norm_series(config: ExperimentConfig) -> np.ndarray:
         tables = np.stack((traj.u, traj.ut))
     else:
         tables = np.stack(_vdw_tables(params, r, config.t_grid, u0v, u1v)[:2])
-    w = sphere_area(config.n) * grid.weights * r ** (2 * config.s + config.n - 1)
+    w = _radial_weights(config, 2 * config.s)
     return np.sqrt((np.abs(tables) ** 2 * w).sum(axis=-1))
 
 
@@ -335,13 +344,13 @@ def decay_experiment(config: ExperimentConfig) -> DecayResult:
             lambda t: solution_norm(config, t), config.t_grid)).T
     else:
         u_norms, ut_norms = _grid_norm_series(config)
-    data = dict(s=config.s, n=config.n, moment0=config.u0.moment,
+    data = dict(n=config.n, moment0=config.u0.moment,
                 moment1=config.u1.moment, u0_present=not config.u0.is_zero,
                 u1_present=not config.u1.is_zero,
                 u0_linear=config.u0.kind == "linear_gaussian",
                 u1_linear=config.u1.kind == "linear_gaussian")
-    pred_u = predicted_decay(which="u", **data)
-    pred_ut = predicted_decay(which="ut", **data)
+    pred_u = predicted_decay(config.s, **data)
+    pred_ut = predicted_decay(config.s + 1, **data)
     fit_u = rate_fit(config.t_grid, u_norms, config.fit_window)
     fit_ut = rate_fit(config.t_grid, ut_norms, config.fit_window)
     fit_defl = None
@@ -563,28 +572,51 @@ class SingularEnergyResult:
     fit_sup: RateFit          # sup_t E_S against tau
     es0_values: np.ndarray    # E_S at t = 0 per tau
     w2_norm_sq: float         # ||v2 - (Delta u0 + Delta u1)||^2
-
-
-def _difference_tables(config: ExperimentConfig, tau: float,
-                       t_grid: np.ndarray, limit):
-    """(w, w_t, w_tt) tables (T, B): the relaxed model at ``tau`` minus
-    ``limit``, the (u, u_t, u_tt) tables of the limit model on the same
-    ``t_grid`` and frequency nodes.
-
-    The limit tables do not depend on tau, so a sweep builds them once and
-    only the quartic is solved here.  The differences are new arrays: the
-    tau tasks of a sweep share ``limit`` across threads and never write it.
-    """
-    r = config.r_grid.nodes
-    relaxed = _mgt_tables(config.params.with_tau(tau), r, t_grid,
-                          config.u0(r) + 0j, config.u1(r) + 0j,
-                          config.v2_values(r))
-    return tuple(v - u for v, u in zip(relaxed, limit))
+    predicted_exponent: float  # power of tau the sup energy should follow
 
 
 def _require_tau_list(config: ExperimentConfig) -> None:
     if config.tau_list is None or len(config.tau_list) < 5:
         raise PreconditionError("singular-limit runs need a tau_list (>= 5 values)")
+
+
+def _tau_sweep(config: ExperimentConfig, t_grid: np.ndarray, one_tau) -> list:
+    """``one_tau(tau, w, w_t, w_tt)`` for every tau of the list, in order.
+
+    (w, w_t, w_tt) are the (T, B) tables on ``t_grid`` and the frequency
+    nodes of the relaxed model at tau minus the limit model.  The limit
+    tables do not depend on tau, so they are built once and only the
+    quartic is solved per tau.  Each task subtracts into the relaxed tables
+    it has just built: the tau tasks share the limit tables across threads
+    and never write them.
+    """
+    r = config.r_grid.nodes
+    u0v, u1v = config.u0(r) + 0j, config.u1(r) + 0j
+    v2v = config.v2_values(r)
+    limit = _vdw_tables(config.params.without_tau(), r, t_grid, u0v, u1v)
+
+    def task(tau):
+        diff = _mgt_tables(config.params.with_tau(tau), r, t_grid, u0v, u1v, v2v)
+        for v, u in zip(diff, limit):
+            v -= u
+        return one_tau(tau, *diff)
+
+    return thread_map(task, config.tau_list)
+
+
+def _tau_exponent(config: ExperimentConfig) -> float:
+    """Predicted power of tau in the model difference: 2 for consistent
+    data (no initial layer, w2 = 0), 1 otherwise."""
+    return 2.0 if config.v2 == "consistent" else 1.0
+
+
+def _tau_fit(config: ExperimentConfig, values: np.ndarray) -> RateFit:
+    """Log-log fit of ``values`` against tau over the whole list; flat for
+    an identically zero difference (trivial data)."""
+    window = (config.tau_list.min(), config.tau_list.max())
+    if values.max() == 0.0:
+        return RateFit(0.0, -math.inf, 1.0, window)
+    return rate_fit(config.tau_list, values, window)
 
 
 def _memory_series(t_grid: np.ndarray, gram: np.ndarray, gamma: float,
@@ -627,20 +659,13 @@ def singular_limit_energy(config: ExperimentConfig) -> SingularEnergyResult:
     span = math.log10(config.tau_list.max() / config.tau_list.min())
     if span < 2.0 - 1e-9:
         raise PreconditionError("tau_list must span at least two decades")
-    n = config.n
-    grid = config.r_grid
-    r = grid.nodes
+    r = config.r_grid.nodes
     t_hist = np.linspace(0.0, config.probe_time, config.history_points + 1)
-    w_s0 = sphere_area(n) * grid.weights * r ** (n - 1)
-    w_s1 = sphere_area(n) * grid.weights * r ** (n + 1)
-
-    u0v, u1v = config.u0(r) + 0j, config.u1(r) + 0j
-    w2_modes = config.v2_values(r) + r * r * (u0v + u1v)
+    w_s0, w_s1 = _radial_weights(config, 0), _radial_weights(config, 2)
+    w2_modes = config.v2_values(r) + r * r * (config.u0(r) + config.u1(r))
     w2_norm_sq = float((w_s0 * np.abs(w2_modes) ** 2).sum())
-    limit = _vdw_tables(config.params.without_tau(), r, t_hist, u0v, u1v)
 
-    def one_tau(tau: float) -> EnergySeries:
-        w, wt, wtt = _difference_tables(config, tau, t_hist, limit)
+    def one_tau(tau: float, w, wt, wtt) -> EnergySeries:
         gram = (w * w_s1) @ w.conj().T
         memory = _memory_series(t_hist, gram, config.params.gamma)
         mem_coarse = _memory_series(t_hist, gram, config.params.gamma, stride=2)
@@ -658,16 +683,12 @@ def singular_limit_energy(config: ExperimentConfig) -> SingularEnergyResult:
             w_l2_sq=(np.abs(w) ** 2 * w_s0).sum(axis=-1),
         )
 
-    series = thread_map(one_tau, config.tau_list)
+    series = _tau_sweep(config, t_hist, one_tau)
     sup_vals = np.array([s.total.max() for s in series])
-    es0_vals = np.array([s.total[0] for s in series])
-    window = (config.tau_list.min(), config.tau_list.max())
-    if sup_vals.max() == 0.0:      # identically zero difference (trivial data)
-        fit = RateFit(0.0, -math.inf, 1.0, window)
-    else:
-        fit = rate_fit(config.tau_list, sup_vals, window)
-    return SingularEnergyResult(series=series, fit_sup=fit, es0_values=es0_vals,
-                                w2_norm_sq=w2_norm_sq)
+    return SingularEnergyResult(series=series, fit_sup=_tau_fit(config, sup_vals),
+                                es0_values=np.array([s.total[0] for s in series]),
+                                w2_norm_sq=w2_norm_sq,
+                                predicted_exponent=_tau_exponent(config))
 
 
 @dataclass
@@ -692,32 +713,16 @@ def singular_limit_solution(config: ExperimentConfig,
         raise PreconditionError(
             "the solution-limit estimate requires gamma > 5 and n >= 3 "
             "(pass allow_outside=True to explore regardless)")
-    n = config.n
-    grid = config.r_grid
-    r = grid.nodes
-    w_s0 = sphere_area(n) * grid.weights * r ** (n - 1)
-    t_pair = np.array([0.0, config.probe_time])
-    limit = _vdw_tables(config.params.without_tau(), r, t_pair,
-                        config.u0(r) + 0j, config.u1(r) + 0j)
-
-    def one_tau(tau: float) -> float:
-        w, _, _ = _difference_tables(config, tau, t_pair, limit)
-        return float((np.abs(w[-1]) ** 2 * w_s0).sum())
-
-    vals = np.array(thread_map(one_tau, config.tau_list))
-    consistent = config.v2 == "consistent"
-    predicted = 2.0 if consistent else 1.0
-    window = (config.tau_list.min(), config.tau_list.max())
-    if vals.max() == 0.0:          # identically zero difference (trivial data)
-        return SingularSolutionResult(tau=config.tau_list, w_l2_sq=vals,
-                                      fit=RateFit(0.0, -math.inf, 1.0, window),
-                                      predicted_exponent=predicted,
-                                      meets_prediction=True)
-    fit = rate_fit(config.tau_list, vals, window)
+    w_s0 = _radial_weights(config, 0)
+    vals = np.array(_tau_sweep(
+        config, np.array([0.0, config.probe_time]),
+        lambda tau, w, wt, wtt: float((np.abs(w[-1]) ** 2 * w_s0).sum())))
+    fit = _tau_fit(config, vals)
+    predicted = _tau_exponent(config)
     return SingularSolutionResult(
-        tau=config.tau_list, w_l2_sq=vals, fit=fit,
-        predicted_exponent=predicted,
-        meets_prediction=bool(fit.slope >= predicted - 0.1))
+        tau=config.tau_list, w_l2_sq=vals, fit=fit, predicted_exponent=predicted,
+        # an identically zero difference (trivial data) meets any prediction
+        meets_prediction=bool(vals.max() == 0.0 or fit.slope >= predicted - 0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -795,22 +800,19 @@ def oracle_mode_comparison(count: int = 50, seed: int = 20240808,
         u1 = rng.standard_normal(count) + 1j * rng.standard_normal(count)
         v2 = rng.standard_normal(count) + 1j * rng.standard_normal(count)
         t_idx = rng.integers(1, len(t_eval), count)
+        distinct = np.zeros(count, dtype=bool)
+        # the basis builders of the scalar path, so each row matches
+        # vdw_mode_solution / mgt_mode_solution exactly
         if kind == "vdw":
             stiffness = float(np.max(np.maximum(g, r * r)))
             step = _accuracy_step(roots, stiffness, t_max)
             traj = integrate_vdw_many(g, r, t_eval, u0, u1, step)
-            # kernel amplitudes, then data, in the order vdw_kernel_basis and
-            # mode_tables use, so each row matches vdw_mode_solution exactly
-            unit = np.array([[1.0], [0.0]])
-            coef0, coef1 = _amplitudes(roots, (unit, unit[::-1], -r * r), False)
-            amp = coef0 * u0[:, None] + coef1 * u1[:, None]
+            u, ut, _ = _vdw_basis(r, roots, distinct).mode_tables(t_eval, u0, u1)
         else:
             stiffness = float(np.max(np.maximum(np.maximum(g, r * r), 1.0 / tau)))
             step = _accuracy_step(roots, stiffness, t_max)
             traj = integrate_mgt_many(g, tau, r, t_eval, u0, u1, v2, step)
-            v3 = -(v2 + r * r * (u0 + u1)) / tau    # as in mgt_mode_basis
-            amp = _amplitudes(roots, (u0, u1, v2, v3), False)
-        u, ut, _ = _mode_sums(amp, roots, t_eval)
+            u, ut, _ = _mgt_basis(tau, r, roots, distinct, u0, u1, v2).eval(t_eval)
         # scalar abs per row: numpy's vectorised complex abs can differ from
         # it in the last bit, which would move the rows off the scalar path
         for i, k in enumerate(t_idx):

@@ -140,13 +140,18 @@ class VdwKernelBasis:
         return _mode_sums(amp, self.roots, t)
 
 
+def _vdw_basis(r: np.ndarray, roots: np.ndarray, flags: np.ndarray) -> VdwKernelBasis:
+    """Kernel amplitudes from solved cubic roots (B, 3) on the nodes ``r``."""
+    unit = np.array([[1.0], [0.0]])         # data (1, 0, -r^2) and (0, 1, -r^2)
+    coef0, coef1 = _amplitudes(roots, (unit, unit[::-1], -r * r), flags)
+    return VdwKernelBasis(r=r, roots=roots, coef0=coef0, coef1=coef1, flags=flags)
+
+
 def vdw_kernel_basis(params: ModelParams, r) -> VdwKernelBasis:
     """Solve the cubic on a node batch and form kernel amplitudes."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     roots, _, _, flags = cubic_char_roots_batch(params, r)
-    unit = np.array([[1.0], [0.0]])         # data (1, 0, -r^2) and (0, 1, -r^2)
-    coef0, coef1 = _amplitudes(roots, (unit, unit[::-1], -r * r), flags)
-    return VdwKernelBasis(r=r, roots=roots, coef0=coef0, coef1=coef1, flags=flags)
+    return _vdw_basis(r, roots, flags)
 
 
 @dataclass
@@ -163,17 +168,23 @@ class MgtModeBasis:
         return _mode_sums(self.amp, self.roots, t)
 
 
+def _mgt_basis(tau, r: np.ndarray, roots: np.ndarray, flags: np.ndarray,
+               u0vals, u1vals, v2vals) -> MgtModeBasis:
+    """Mode amplitudes from solved quartic roots (B, 4) on the nodes ``r``;
+    ``tau`` is a scalar or one value per node."""
+    u0vals, u1vals, v2vals = (np.broadcast_to(np.asarray(d, dtype=complex), r.shape)
+                              for d in (u0vals, u1vals, v2vals))
+    v3vals = -(v2vals + r * r * (u0vals + u1vals)) / tau
+    amp = _amplitudes(roots, (u0vals, u1vals, v2vals, v3vals), flags)
+    return MgtModeBasis(r=r, roots=roots, amp=amp, flags=flags)
+
+
 def mgt_mode_basis(params: ModelParams, r, u0vals, u1vals, v2vals) -> MgtModeBasis:
     """Quartic solve plus closed-form Vandermonde amplitudes for given data."""
     tau = params.require_tau()
     r = np.atleast_1d(np.asarray(r, dtype=float))
     roots, _, _, flags = quartic_char_roots_batch(params, r)
-    u0vals = np.broadcast_to(np.asarray(u0vals, dtype=complex), r.shape)
-    u1vals = np.broadcast_to(np.asarray(u1vals, dtype=complex), r.shape)
-    v2vals = np.broadcast_to(np.asarray(v2vals, dtype=complex), r.shape)
-    v3vals = -(v2vals + r * r * (u0vals + u1vals)) / tau
-    amp = _amplitudes(roots, (u0vals, u1vals, v2vals, v3vals), flags)
-    return MgtModeBasis(r=r, roots=roots, amp=amp, flags=flags)
+    return _mgt_basis(tau, r, roots, flags, u0vals, u1vals, v2vals)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,12 @@ class TestBadNumbers:
         ("decay", "gamma = inf"),
         ("singular-limit-energy", "tau.points = 1e400"),
         ("singular-limit-energy", "probe.time = nan"),
+        # a probe time <= 0 wrote rows at t <= 0 (overflowing ones before it)
+        ("singular-limit-energy", "probe.time = 0"),
+        ("singular-limit-energy", "probe.time = -5"),
+        # the solution run needs gamma > 5; the later key wins
+        ("singular-limit-solution", "probe.time = 0\ngamma = 6.0"),
+        ("singular-limit-solution", "probe.time = -5\ngamma = 6.0"),
         ("singular-limit-energy", "tau.list = 0.1,abc,0.01"),
         ("singular-limit-energy", "tau.list = 0.1,nan,0.01,0.001,0.05"),
         # counts below 1 and a negative seed

@@ -48,21 +48,22 @@ class TestRateFit:
 
 class TestPredictedDecay:
     def test_moment_carrying_first_datum(self):
-        pred = predicted_decay(0.0, 3, 0.0, 1.0, "u")
+        pred = predicted_decay(0.0, 3, 0.0, 1.0)
         assert pred.exponent == pytest.approx(-0.25)
-        pred = predicted_decay(0.0, 1, 0.0, 1.0, "u")
+        pred = predicted_decay(0.0, 1, 0.0, 1.0)
         assert pred.exponent == pytest.approx(0.5)
-        pred = predicted_decay(0.0, 2, 0.0, 1.0, "u")
+        pred = predicted_decay(0.0, 2, 0.0, 1.0)
         assert pred.log_half
 
     def test_moment_free(self):
-        pred = predicted_decay(0.0, 3, 0.0, 0.0, "u")
+        pred = predicted_decay(0.0, 3, 0.0, 0.0)
         assert pred.exponent == pytest.approx(-0.75)
         assert not pred.log_half
 
     def test_velocity_norm(self):
-        assert predicted_decay(0.0, 3, 0.0, 1.0, "ut").exponent == pytest.approx(-0.75)
-        assert predicted_decay(1.0, 3, 1.0, 0.0, "ut").exponent == pytest.approx(-1.75)
+        # the u_t estimate at order s is the u estimate at order s + 1
+        assert predicted_decay(1.0, 3, 0.0, 1.0).exponent == pytest.approx(-0.75)
+        assert predicted_decay(2.0, 3, 1.0, 0.0).exponent == pytest.approx(-1.75)
 
 
 class TestConfigValidation:
@@ -90,6 +91,18 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(params=ModelParams(2.0),
                              tau_list=np.array([0.5, np.nan, 0.1]))
+
+    @pytest.mark.parametrize("probe", [0.0, -5.0, np.nan, np.inf])
+    def test_probe_time_positive(self, probe):
+        # a probe time <= 0 put the history grid at t <= 0, where the
+        # decaying modes overflow
+        with pytest.raises(InvalidParameterError):
+            ExperimentConfig(params=ModelParams(6.0), probe_time=probe,
+                             tau_list=np.geomspace(0.1, 0.001, 5))
+
+    def test_sobolev_order_nonnegative(self):
+        with pytest.raises(InvalidParameterError):
+            ExperimentConfig(params=ModelParams(2.0), s=-0.5)
 
     def test_consistent_token_resolution(self):
         cfg = ExperimentConfig(params=ModelParams(2.0), v2="consistent",
@@ -282,9 +295,9 @@ class TestPredictedDecayPresence:
     def test_absent_data_drops_terms(self):
         # only the first datum, with vanishing moment: the slow u1 terms
         # must not pollute the prediction
-        pred = predicted_decay(0.0, 3, 0.0, 0.0, "u", u1_present=False)
+        pred = predicted_decay(0.0, 3, 0.0, 0.0, u1_present=False)
         assert pred.exponent == pytest.approx(-1.25)
-        pred = predicted_decay(0.0, 3, 1.0, 0.0, "u", u1_present=False)
+        pred = predicted_decay(0.0, 3, 1.0, 0.0, u1_present=False)
         assert pred.exponent == pytest.approx(-0.75)
 
 
@@ -379,9 +392,9 @@ class TestNonSaturatingData:
         assert res.fit_u.slope == pytest.approx(-1.25, abs=0.07)
 
     def test_linear_vanishing_is_sharp(self):
-        pred = predicted_decay(0.0, 3, 0.0, 0.0, "u", u1_linear=True)
+        pred = predicted_decay(0.0, 3, 0.0, 0.0, u1_linear=True)
         assert pred.sharp and pred.exponent == pytest.approx(-0.75)
-        pred = predicted_decay(0.0, 3, 0.0, 0.0, "u")
+        pred = predicted_decay(0.0, 3, 0.0, 0.0)
         assert not pred.sharp
 
 

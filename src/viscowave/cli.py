@@ -8,12 +8,13 @@ with commands roots | kernels | decay | profile | optimality | envelope |
 singular-limit-energy | singular-limit-solution | oracle-check.
 
 Configs are flat ``key = value`` text files; an optional ``[command]``
-section overrides top-level keys for that command only.  Each handler
-returns its result as named columns (arrays of one dtype each), and one
-writer streams them as CSV (full 17-digit precision, LF endings) preceded
-by ``# key=value`` metadata lines echoing the configuration; one PASS/FAIL
-line per built-in assertion goes to stdout.  Exit code: 0 all pass,
-1 any fail, 2 configuration or usage error.
+section overrides top-level keys for that command only.  A key outside
+``KEYS``, or a section that names no command, is a configuration error.
+Each handler returns its result as named columns (arrays of one dtype
+each), and one writer streams them as CSV (full 17-digit precision, LF
+endings) preceded by ``# key=value`` metadata lines echoing the
+configuration; one PASS/FAIL line per built-in assertion goes to stdout.
+Exit code: 0 all pass, 1 any fail, 2 configuration or usage error.
 
 Worker threads are capped by the VISCOWAVE_THREADS environment variable.
 """
@@ -43,6 +44,15 @@ from .spectrum import (DEFAULT_EPS_CUT, DEFAULT_N_CUT, FrequencyGrid,
 
 COMMANDS = ("roots", "kernels", "decay", "profile", "optimality", "envelope",
             "singular-limit-energy", "singular-limit-solution", "oracle-check")
+
+#: every config key some command reads
+KEYS = frozenset((
+    "gamma", "tau", "n", "s", "data.u0", "data.u1", "data.v2",
+    "t.min", "t.max", "t.points", "fit.min", "fit.max", "errfit.min", "errfit.max",
+    "tau.list", "tau.min", "tau.max", "tau.points", "probe.time", "history.points",
+    "r.eps", "r.cut", "r.max", "r.panels", "r.order", "solver", "equation",
+    "sweep.rmin", "sweep.rmax", "sweep.points", "modes.count", "seed",
+    "allow_outside"))
 
 
 def _fmt(x) -> str:
@@ -119,6 +129,15 @@ def parse_config_file(path: str) -> dict[str, dict[str, str]]:
 
 
 def merged_options(sections: dict, command: str) -> dict[str, str]:
+    """Top-level keys, overridden by the ``[command]`` section.  Raises
+    ConfigError naming every section that is not a command and every key
+    outside ``KEYS``, in any section."""
+    unknown = [f"section [{name}]" for name in sections
+               if name and name not in COMMANDS]
+    keys = set().union(*sections.values())
+    unknown += [f"key {key!r}" for key in sorted(keys - KEYS)]
+    if unknown:
+        raise ConfigError("no command reads " + ", ".join(unknown))
     opts = dict(sections.get("", {}))
     opts.update(sections.get(command, {}))
     return opts

@@ -43,6 +43,8 @@ DECAY_FIT_WINDOW = (1e2, 1e4)
 KERNEL_NORM_FIT_WINDOW = (1e4, 1e6)
 #: default window for profile-error fits (delayed onset, same reason)
 PROFILE_ERROR_FIT_WINDOW = (1e3, 1e5)
+#: sample-time horizon of oracle_mode_comparison
+ORACLE_HORIZON = 20.0
 
 
 def thread_map(fn, items):
@@ -83,7 +85,6 @@ class ExperimentConfig:
     probe_time: float = 10.0
     history_points: int = 200
     solver: str = "kernel"                      # kernel | kernel-grid | oracle
-    rel_tol: float = 1e-9
 
     def __post_init__(self):
         self.t_grid = np.asarray(self.t_grid, dtype=float)
@@ -107,6 +108,9 @@ class ExperimentConfig:
         if not (0 < self.probe_time < math.inf):
             raise InvalidParameterError(
                 f"probe_time must be finite and > 0, got {self.probe_time}")
+        if not (float(self.history_points).is_integer() and self.history_points >= 1):
+            raise InvalidParameterError(
+                f"history_points must be an integer >= 1, got {self.history_points}")
         if self.solver not in ("kernel", "kernel-grid", "oracle"):
             raise InvalidParameterError(f"unknown solver {self.solver!r}")
         if self.r_grid is None:
@@ -216,7 +220,7 @@ def predicted_decay(s: float, n: int, moment0: float, moment1: float,
 def _oracle_fallback(tables, flags, integrate, params: ModelParams, r: np.ndarray,
                      t_grid: np.ndarray, data):
     """Overwrite the flagged columns of the (u, ut, utt) ``tables`` with
-    ``integrate(params, r_k, None, *data_k)`` on ``t_grid``; returns ``tables``.
+    ``integrate(params, r_k, t_grid, *data_k)``; returns ``tables``.
 
     The step is a quarter of the default oracle step: that keeps
     coalescence-radius modes within 1e-6 of the closed form to t = 1e4,
@@ -225,8 +229,8 @@ def _oracle_fallback(tables, flags, integrate, params: ModelParams, r: np.ndarra
     wrapper bound to that name sees every fallback.
     """
     for k in np.where(flags)[0]:
-        traj = integrate(params, float(r[k]), None, *(d[k] for d in data),
-                         step=default_step(params, r[k]) / 4, t_eval=t_grid)
+        traj = integrate(params, float(r[k]), t_grid, *(d[k] for d in data),
+                         step=default_step(params, r[k]) / 4)
         for table, column in zip(tables, (traj.u, traj.ut, traj.utt)):
             table[..., k] = column
     return tables
@@ -290,8 +294,7 @@ def solution_norm(config: ExperimentConfig, t: float) -> np.ndarray:
     return l2_norm_radial(
         f, n=config.n, s=config.s, zone_filter="all",
         eps_cut=config.r_grid.eps_cut, n_cut=config.r_grid.n_cut,
-        r_max=r_max, rel_tol=config.rel_tol,
-        cap_segments=_osc_segments(config, t))
+        r_max=r_max, cap_segments=_osc_segments(config, t))
 
 
 def _radial_weights(config: ExperimentConfig, power) -> np.ndarray:
@@ -301,9 +304,14 @@ def _radial_weights(config: ExperimentConfig, power) -> np.ndarray:
     return sphere_area(config.n) * grid.weights * grid.nodes ** (power + config.n - 1)
 
 
-def _grid_norm_series(config: ExperimentConfig) -> np.ndarray:
-    """(u, ut) norm series, shape (2, T), on the fixed frequency grid from
-    one kernel table or one oracle batch."""
+def _norm_series(config: ExperimentConfig) -> np.ndarray:
+    """(u, ut) norm series, shape (2, T), by the route ``config.solver``
+    names: adaptive quadrature of the mode tables at each time ("kernel"),
+    or sums over the fixed frequency grid of one kernel table
+    ("kernel-grid") or one oracle batch ("oracle")."""
+    if config.solver == "kernel":
+        return np.array(thread_map(lambda t: solution_norm(config, t),
+                                   config.t_grid)).T
     r = config.r_grid.nodes
     u0v, u1v = config.u0(r) + 0j, config.u1(r) + 0j
     params = config.params.without_tau()
@@ -339,11 +347,7 @@ class DecayResult:
 
 def decay_experiment(config: ExperimentConfig) -> DecayResult:
     """Time-decay slopes of the solution and velocity norms."""
-    if config.solver == "kernel":
-        u_norms, ut_norms = np.array(thread_map(
-            lambda t: solution_norm(config, t), config.t_grid)).T
-    else:
-        u_norms, ut_norms = _grid_norm_series(config)
+    u_norms, ut_norms = _norm_series(config)
     data = dict(n=config.n, moment0=config.u0.moment,
                 moment1=config.u1.moment, u0_present=not config.u0.is_zero,
                 u1_present=not config.u1.is_zero,
@@ -392,8 +396,12 @@ def profile_error_experiment(config: ExperimentConfig) -> ProfileResult:
     The profiles multiply the spectrum values at the origin (the moment
     carriers in this normalisation); data with vanishing spectrum at 0
     therefore subtract nothing and the error equals the zone-restricted
-    solution norm.
+    solution norm.  The error norm is an adaptive quadrature, so the run
+    needs the "kernel" solver and raises PreconditionError for any other.
     """
+    if config.solver != "kernel":
+        raise PreconditionError(
+            f"profile needs solver 'kernel', got {config.solver!r}")
     params = config.params.without_tau()
     m0, m1 = config.u0.moment, config.u1.moment
     eps = config.r_grid.eps_cut
@@ -406,8 +414,7 @@ def profile_error_experiment(config: ExperimentConfig) -> ProfileResult:
             return field(r)[0] - prof.j0 * m0 - prof.j1 * m1
 
         return l2_norm_radial(f, n=config.n, s=config.s, zone_filter="small",
-                              eps_cut=eps, rel_tol=config.rel_tol,
-                              cap_segments=_osc_segments(config, t))
+                              eps_cut=eps, cap_segments=_osc_segments(config, t))
 
     if config.u0.is_zero and config.u1.is_zero:
         zeros = np.zeros_like(config.t_grid)
@@ -415,8 +422,7 @@ def profile_error_experiment(config: ExperimentConfig) -> ProfileResult:
         return ProfileResult(config.t_grid, zeros, zeros, fit0, fit0, 0.0, zeros)
 
     err = np.array(thread_map(error_norm, config.t_grid))
-    sol = np.array(thread_map(lambda t: solution_norm(config, t)[0],
-                              config.t_grid))
+    sol = _norm_series(config)[0]
     err_window = (max(config.error_fit_window[0], config.t_grid[0]),
                   min(config.error_fit_window[1], config.t_grid[-1]))
     fit_err = rate_fit(config.t_grid, err, err_window)
@@ -443,8 +449,7 @@ def optimality_check(config: ExperimentConfig) -> OptimalityReport:
         raise PreconditionError(
             "optimality needs a nonzero first-datum moment (spectrum(0) != 0)")
     hvals = rate_function("H", config.t_grid, n=config.n)
-    sol = np.array(thread_map(lambda t: solution_norm(config, t)[0],
-                              config.t_grid))
+    sol = _norm_series(config)[0]
     lo, hi = config.fit_window
     mask = (config.t_grid >= lo) & (config.t_grid <= hi)
     ratio = sol[mask] / hvals[mask]
@@ -737,8 +742,9 @@ class OracleComparison:
     worst: float
 
 
-def _accuracy_step(roots: np.ndarray, stiffness: float, t_max: float) -> float:
-    """Step for ~1e-8 relative accuracy on the oscillatory components.
+def _accuracy_step(roots: np.ndarray, stiffness: float) -> float:
+    """Step for ~1e-8 relative accuracy on the oscillatory components up
+    to t = ORACLE_HORIZON.
 
     The per-eigencomponent relative error of the classical fourth-order
     scheme grows like (t/h) (h|mu|)^5 / 120; real components with large
@@ -749,12 +755,11 @@ def _accuracy_step(roots: np.ndarray, stiffness: float, t_max: float) -> float:
     h = min(0.01, 0.2 / stiffness)
     if osc.size:
         mu = float(osc.max())
-        h = min(h, (120.0 * 1e-8 / (t_max * mu ** 5)) ** 0.25)
+        h = min(h, (120.0 * 1e-8 / (ORACLE_HORIZON * mu ** 5)) ** 0.25)
     return h
 
 
-def oracle_mode_comparison(count: int = 50, seed: int = 20240808,
-                           t_max: float = 20.0) -> OracleComparison:
+def oracle_mode_comparison(count: int = 50, seed: int = 20240808) -> OracleComparison:
     """Compare both solution routes on random non-degenerate modes.
 
     Draws ``count`` second-order modes (gamma in (1,10], r in [0.01,20])
@@ -768,7 +773,7 @@ def oracle_mode_comparison(count: int = 50, seed: int = 20240808,
     if count < 1:
         raise DomainError(f"need at least one mode per model, got count={count}")
     rng = np.random.default_rng(seed)
-    t_eval = np.linspace(0.0, t_max, 41)
+    t_eval = np.linspace(0.0, ORACLE_HORIZON, 41)
     rows = []
     worst = 0.0
 
@@ -805,12 +810,12 @@ def oracle_mode_comparison(count: int = 50, seed: int = 20240808,
         # vdw_mode_solution / mgt_mode_solution exactly
         if kind == "vdw":
             stiffness = float(np.max(np.maximum(g, r * r)))
-            step = _accuracy_step(roots, stiffness, t_max)
+            step = _accuracy_step(roots, stiffness)
             traj = integrate_vdw_many(g, r, t_eval, u0, u1, step)
             u, ut, _ = _vdw_basis(r, roots, distinct).mode_tables(t_eval, u0, u1)
         else:
             stiffness = float(np.max(np.maximum(np.maximum(g, r * r), 1.0 / tau)))
-            step = _accuracy_step(roots, stiffness, t_max)
+            step = _accuracy_step(roots, stiffness)
             traj = integrate_mgt_many(g, tau, r, t_eval, u0, u1, v2, step)
             u, ut, _ = _mgt_basis(tau, r, roots, distinct, u0, u1, v2).eval(t_eval)
         # scalar abs per row: numpy's vectorised complex abs can differ from

@@ -103,11 +103,7 @@ def _rk4_path(a: np.ndarray, y0: np.ndarray, t_eval: np.ndarray,
     return out
 
 
-def _prepare_times(t_end, t_eval):
-    if t_eval is None:
-        if t_end is None or t_end <= 0:
-            raise InvalidParameterError("need t_end > 0 or explicit t_eval")
-        t_eval = np.linspace(0.0, float(t_end), 65)
+def _prepare_times(t_eval):
     t_eval = np.asarray(t_eval, dtype=float)
     if t_eval.ndim != 1 or np.any(np.diff(t_eval) < 0) or t_eval[0] < 0:
         raise InvalidParameterError("t_eval must be sorted and nonnegative")
@@ -158,26 +154,25 @@ def _mgt_path(gamma, tau, r, t_eval, u0hat, u1hat, v2hat, step) -> ModeTrajector
                           utt=path[..., 2], z=path[..., 3])
 
 
-def integrate_vdw_mode(params: ModelParams, r: float, t_end: float | None = None,
-                       u0hat=1.0, u1hat=0.0, step: float | None = None,
-                       t_eval=None) -> ModeTrajectory:
-    """Integrate one second-order mode; returns the sampled trajectory.
+def integrate_vdw_mode(params: ModelParams, r: float, t_eval, u0hat=1.0,
+                       u1hat=0.0, step: float | None = None) -> ModeTrajectory:
+    """Integrate one second-order mode; returns the trajectory sampled at
+    the sorted nonnegative times ``t_eval``.
 
     ``u''`` is reconstructed from the mode equation so the trajectory
     carries the full state used by comparisons.
     """
-    t_eval = _prepare_times(t_end, t_eval)
+    t_eval = _prepare_times(t_eval)
     if step is None:
         step = default_step(params.without_tau(), r)
     return _vdw_path(params.gamma, r, t_eval, u0hat, u1hat, step)
 
 
-def integrate_mgt_mode(params: ModelParams, r: float, t_end: float | None = None,
-                       u0hat=1.0, u1hat=0.0, v2hat=0.0, step: float | None = None,
-                       t_eval=None) -> ModeTrajectory:
-    """Integrate one relaxed third-order mode."""
+def integrate_mgt_mode(params: ModelParams, r: float, t_eval, u0hat=1.0, u1hat=0.0,
+                       v2hat=0.0, step: float | None = None) -> ModeTrajectory:
+    """Integrate one relaxed third-order mode at the times ``t_eval``."""
     tau = params.require_tau()
-    t_eval = _prepare_times(t_end, t_eval)
+    t_eval = _prepare_times(t_eval)
     if step is None:
         step = default_step(params, r)
     return _mgt_path(params.gamma, tau, r, t_eval, u0hat, u1hat, v2hat, step)
@@ -190,11 +185,11 @@ def integrate_vdw_many(gamma: np.ndarray, r: np.ndarray, t_eval,
     All modes share the output grid and the step, which must satisfy the
     strictest stability bound in the batch.
     """
-    return _vdw_path(gamma, r, _prepare_times(None, t_eval), u0hat, u1hat, step)
+    return _vdw_path(gamma, r, _prepare_times(t_eval), u0hat, u1hat, step)
 
 
 def integrate_mgt_many(gamma: np.ndarray, tau: np.ndarray, r: np.ndarray, t_eval,
                        u0hat, u1hat, v2hat, step: float) -> ModeTrajectory:
     """Vectorised relaxed-model integration over a batch of modes."""
-    return _mgt_path(gamma, tau, r, _prepare_times(None, t_eval),
+    return _mgt_path(gamma, tau, r, _prepare_times(t_eval),
                      u0hat, u1hat, v2hat, step)

@@ -67,6 +67,8 @@ _G10_W = np.zeros(21)
 _G10_W[1::2] = np.concatenate([_WG, _WG[::-1]])
 
 SPECTRUM_KINDS = ("gaussian", "gaussian_diff", "linear_gaussian", "tabulated")
+#: panel budget of one adaptive_integral call
+MAX_PANELS = 60000
 
 
 def sphere_area(n: int) -> float:
@@ -190,8 +192,7 @@ def _unbox(x):
 
 
 def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
-                      cap_segments=None, max_depth: int = 30,
-                      max_panels: int = 60000):
+                      cap_segments=None, max_depth: int = 30):
     """Globally adaptive panel quadrature of a vectorised integrand.
 
     ``f`` maps P nodes to P values, or to a (k, P) stack of k components.
@@ -209,7 +210,7 @@ def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
     the initial panel width on oscillatory subintervals.  Raises
     :class:`DomainError` unless ``a < b`` are finite, and
     :class:`TruncationError` as soon as ``f`` returns a non-finite value,
-    past ``max_panels`` panels, or when the panels accepted only at
+    past ``MAX_PANELS`` panels, or when the panels accepted only at
     ``max_depth`` leave some component an error above ``rel_tol`` times
     its own value.
     """
@@ -230,9 +231,9 @@ def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
     span = b - a
     n_panels = lefts.size
     while lefts.size:
-        if n_panels > max_panels:
+        if n_panels > MAX_PANELS:
             raise TruncationError(
-                f"adaptive quadrature exceeded {max_panels} panels")
+                f"adaptive quadrature exceeded {MAX_PANELS} panels")
         mids = 0.5 * (lefts + rights)
         half = 0.5 * (rights - lefts)
         nodes = mids[:, None] + half[:, None] * _KR_X
@@ -372,7 +373,7 @@ def l2_norm_radial(spectrum, n: int, s: float = 0.0, zone_filter=None, *,
 # ---------------------------------------------------------------------------
 
 def kernel_norm(t: float, s: float, n: int, part: str, params: ModelParams, *,
-                eps_cut: float = DEFAULT_EPS_CUT, rel_tol: float = 1e-9) -> float:
+                eps_cut: float = DEFAULT_EPS_CUT) -> float:
     """Low-frequency weighted norm of the oscillatory kernel envelopes.
 
     ``part="cos_part"`` integrates |r^s cos(gt r t) e^(-c r^2 t)|^2 and
@@ -407,8 +408,7 @@ def kernel_norm(t: float, s: float, n: int, part: str, params: ModelParams, *,
             return np.sin(phase * r) ** 2 * np.exp(-decay * r * r) * r ** exponent
 
     cap = [(0.0, eps_cut, math.pi / max(phase, math.pi / eps_cut))]
-    value, _ = adaptive_integral(integrand, 0.0, eps_cut, rel_tol=rel_tol,
-                                 cap_segments=cap)
+    value, _ = adaptive_integral(integrand, 0.0, eps_cut, cap_segments=cap)
     return math.sqrt(sphere_area(n) * value)
 
 

@@ -1,11 +1,14 @@
 """Command-line front end: parsing, dispatch, CSV format, exit codes."""
 
 import io
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from viscowave.cli import (Check, ResultTable, _HANDLERS, parse_config_file,
+from viscowave import cli
+from viscowave.cli import (KEYS, Check, ResultTable, _HANDLERS, parse_config_file,
                            parse_spectrum, run_command)
 from viscowave.errors import ConfigError
 
@@ -184,6 +187,38 @@ class TestRunCommand:
 _BASE_CFG = "gamma = 2.0\nn = 3\ndata.v2 = consistent\ntau.points = 5\n"
 
 
+class TestUnknownOptions:
+    def test_unknown_keys_and_sections_are_config_errors(self, tmp_path, capsys):
+        # a misspelt key must not run silently on its default
+        cfg = write_cfg(tmp_path, "typo.cfg", "gamma = 2.0\nt.point = 10\n"
+                        "[histroy]\npoints = 5\n[decay]\nhistroy.points = 5\n")
+        rc = run_command(["decay", "--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("config error:")
+        for name in ("'t.point'", "[histroy]", "'histroy.points'", "'points'"):
+            assert name in captured.err
+        assert captured.out == ""
+
+    def test_keys_cover_every_key_read(self):
+        # a key read but missing from KEYS would fail every config setting it
+        src = Path(cli.__file__).read_text(encoding="utf-8")
+        read = set(re.findall(r'opts(?:\.get\(|, |\[)"([\w.]+)"', src))
+        read |= set(re.findall(r'"([\w.]+)" in opts', src))
+        assert read == KEYS
+
+    def test_readme_names_every_key(self):
+        # README lists keys as `prefix.a|b|c`; expand that shorthand
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        named = set()
+        for span in re.findall(r"`([^`\n]+)`", readme.read_text(encoding="utf-8")):
+            first, *rest = span.split()[0].split("|")
+            prefix = first.rpartition(".")[0]
+            named.add(first)
+            named.update(f"{prefix}.{x}" if prefix else x for x in rest)
+        assert KEYS <= named, sorted(KEYS - named)
+
+
 class TestBadNumbers:
     """Malformed numbers exit 2 with a config error naming the key, never a
     traceback or a CSV of NaN cells."""
@@ -243,21 +278,28 @@ def strip_timestamp(raw: bytes) -> bytes:
                       if not ln.startswith(b"# timestamp="))
 
 
+#: one small config per pool-using command family: times of a decay run,
+#: times of both profile norms, tau values sharing the limit tables
+DETERMINISM_CONFIGS = {
+    "decay": "gamma = 2.0\nn = 3\nt.points = 10\nt.min = 60\nt.max = 1.5e4\n"
+             "data.u1 = gaussian:1.0,1.0\n",
+    "profile": "gamma = 2.0\nn = 3\ndata.u1 = gaussian:1.0,1.0\nt.points = 14\n",
+    "singular-limit-energy": "gamma = 2.0\nn = 3\ndata.u0 = gaussian:1.0,1.0\n"
+                             "data.u1 = gaussian:1.0,1.0\ndata.v2 = consistent\n"
+                             "tau.points = 5\n",
+}
+
+
 class TestDeterminism:
-    def test_byte_identical_across_worker_counts(self, tmp_path, monkeypatch):
-        cfg = write_cfg(tmp_path, "d.cfg", """
-gamma = 2.0
-n = 3
-t.points = 10
-t.min = 60
-t.max = 1.5e4
-data.u1 = gaussian:1.0,1.0
-""")
+    @pytest.mark.parametrize("command", sorted(DETERMINISM_CONFIGS))
+    def test_byte_identical_across_worker_counts(self, tmp_path, monkeypatch,
+                                                 command):
+        cfg = write_cfg(tmp_path, "d.cfg", DETERMINISM_CONFIGS[command])
         outputs = []
         for workers in ("1", "8"):
             monkeypatch.setenv("VISCOWAVE_THREADS", workers)
             out = tmp_path / f"d{workers}.csv"
-            rc = run_command(["decay", "--config", cfg, "--out", str(out)])
+            rc = run_command([command, "--config", cfg, "--out", str(out)])
             assert rc == 0
             outputs.append(strip_timestamp(out.read_bytes()))
         assert outputs[0] == outputs[1]
@@ -333,6 +375,15 @@ tau.points = 5
         assert rc == 2
         assert err.startswith("error:")
         assert "tau_list" in err
+
+    def test_profile_needs_kernel_solver(self, tmp_path, capsys):
+        # the profile error norm exists only on the adaptive kernel route
+        cfg = write_cfg(tmp_path, "prof.cfg", "gamma = 2.0\nsolver = oracle\n")
+        rc = run_command(["profile", "--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "solver" in captured.err
+        assert captured.out == ""
 
     def test_profile_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "prof.cfg",

@@ -100,6 +100,14 @@ class TestConfigValidation:
             ExperimentConfig(params=ModelParams(6.0), probe_time=probe,
                              tau_list=np.geomspace(0.1, 0.001, 5))
 
+    @pytest.mark.parametrize("points", [0, -3, 2.5, np.nan, np.inf])
+    def test_history_points_positive_integer(self, points):
+        # history_points = 0 gave a one-point history grid t = [0] and a
+        # meaningless tau fit with no error
+        with pytest.raises(InvalidParameterError):
+            ExperimentConfig(params=ModelParams(2.0), history_points=points,
+                             tau_list=np.geomspace(0.1, 0.001, 5))
+
     def test_sobolev_order_nonnegative(self):
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(params=ModelParams(2.0), s=-0.5)
@@ -115,24 +123,38 @@ class TestConfigValidation:
         assert np.allclose(vals, expected)
 
 
+def _cross_solver_config(solver: str) -> ExperimentConfig:
+    """Reduced-scale decay config on an oscillation-resolving fixed grid."""
+    t_grid = np.geomspace(15.0, 200.0, 10)
+    cap = math.pi / (0.75 * t_grid[-1])
+    panels = int(np.ceil(1.0 / cap)) + 8
+    fine = FrequencyGrid.composite_gauss(0.0, 1.0, panels=panels, order=6)
+    tail = FrequencyGrid.composite_gauss(1.0, 5.0, panels=16, order=6)
+    grid = FrequencyGrid(np.concatenate([fine.nodes, tail.nodes]),
+                         np.concatenate([fine.weights, tail.weights]))
+    return ExperimentConfig(params=ModelParams(2.0), n=3, t_grid=t_grid,
+                            r_grid=grid, fit_window=(20.0, 200.0), solver=solver)
+
+
 class TestCrossSolverEquivalence:
     def test_slopes_agree_between_kernel_and_oracle(self):
-        # reduced-scale decay run on a shared oscillation-resolving grid:
         # swapping the mode solver moves the fitted slope by < 0.01
-        t_grid = np.geomspace(15.0, 200.0, 10)
-        cap = math.pi / (0.75 * t_grid[-1])
-        panels = int(np.ceil(1.0 / cap)) + 8
-        fine = FrequencyGrid.composite_gauss(0.0, 1.0, panels=panels, order=6)
-        tail = FrequencyGrid.composite_gauss(1.0, 5.0, panels=16, order=6)
-        grid = FrequencyGrid(np.concatenate([fine.nodes, tail.nodes]),
-                             np.concatenate([fine.weights, tail.weights]))
-        slopes = {}
-        for solver in ("kernel-grid", "oracle"):
-            cfg = ExperimentConfig(params=ModelParams(2.0), n=3,
-                                   t_grid=t_grid, r_grid=grid,
-                                   fit_window=(20.0, 200.0), solver=solver)
-            slopes[solver] = decay_experiment(cfg).fit_u.slope
+        slopes = {solver: decay_experiment(_cross_solver_config(solver)).fit_u.slope
+                  for solver in ("kernel-grid", "oracle")}
         assert abs(slopes["kernel-grid"] - slopes["oracle"]) < 0.01
+
+    @pytest.mark.parametrize("solver", ["kernel-grid", "oracle"])
+    def test_optimality_uses_the_chosen_route(self, solver):
+        # optimality takes its norms from the same route as decay
+        cfg = _cross_solver_config(solver)
+        assert np.array_equal(optimality_check(cfg).norms,
+                              decay_experiment(cfg).u_norms)
+
+    @pytest.mark.parametrize("solver", ["kernel-grid", "oracle"])
+    def test_profile_refuses_grid_routes(self, solver):
+        # the profile error norm is an adaptive quadrature of the kernel route
+        with pytest.raises(PreconditionError, match="solver"):
+            profile_error_experiment(_cross_solver_config(solver))
 
 
 class TestProfileExperiment:

@@ -175,6 +175,12 @@ class TestAdaptiveIntegral:
             adaptive_integral(lambda r: (r > 1.0 / 3.0).astype(float), 0.0, 1.0,
                               max_depth=4)
 
+    def test_panel_budget_enforced(self, monkeypatch):
+        # the same jump at the default depth cap splits past a small budget
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 20)
+        with pytest.raises(TruncationError, match="exceeded 20 panels"):
+            adaptive_integral(lambda r: (r > 1.0 / 3.0).astype(float), 0.0, 1.0)
+
 
 @pytest.fixture
 def qk21():

@@ -497,3 +497,80 @@ class TestLimitTablesOnce:
                                tau_list=np.geomspace(1e-1, 1e-3, 7))
         run(cfg)
         assert len(calls) == 1
+
+
+def _sweep_difference(config: ExperimentConfig):
+    """History grid and (w, w_t, w_tt) tables of the one tau of ``config``,
+    through the tau sweep the singular-limit runs use."""
+    from viscowave.experiments import _tau_sweep
+
+    t = np.linspace(0.0, config.probe_time, config.history_points + 1)
+    (tables,) = _tau_sweep(config, t, lambda tau, *tables: tables)
+    return t, tables
+
+
+def _mp_differences(gamma, tau, r, data, t, dps=60):
+    """(w, w_t, w_tt) at times ``t`` of the relaxed minus the limit mode at
+    one frequency, one (3, T) array per (u0, u1, v2) triple of ``data``, to
+    ``dps`` digits: roots by ``polyroots``, amplitudes by a Vandermonde
+    solve, every float input taken exactly."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        g, tau, r = (mpmath.mpf(float(x)) for x in (gamma, tau, r))
+        r2 = r * r
+        cubic = [1, r2 + g, (1 + g) * r2, (g - 1) * r2]
+        quartic = [tau, 1 + tau * g] + cubic[1:]
+        times = [mpmath.mpf(float(tk)) for tk in t]
+        models = []
+        for coeffs in (quartic, cubic):
+            lam = mpmath.polyroots(coeffs, maxsteps=500, extraprec=4 * dps)
+            vander = mpmath.matrix([[x ** m for x in lam] for m in range(len(lam))])
+            models.append((lam, vander, [[mpmath.exp(x * tk) for x in lam]
+                                         for tk in times]))
+        outs = []
+        for triple in data:
+            u0, u1, v2 = (mpmath.mpc(complex(d)) for d in triple)
+            u2 = -r2 * (u0 + u1)
+            out = np.zeros((3, len(t)), dtype=complex)
+            for (lam, vander, powers), d, sign in zip(
+                    models, ([u0, u1, v2, -(v2 - u2) / tau], [u0, u1, u2]), (1, -1)):
+                amp = mpmath.lu_solve(vander, mpmath.matrix(d))
+                for p in range(3):
+                    coef = [amp[j] * x ** p for j, x in enumerate(lam)]
+                    out[p] += sign * np.array([complex(mpmath.fdot(coef, e))
+                                               for e in powers])
+            outs.append(out)
+        return outs
+
+
+class TestTauDifferenceAccuracy:
+    """The sweep's w = v - u tables against a 60-digit reference.
+
+    Subtracting the limit mode from the relaxed one cancels down to the
+    O(tau) difference, so the error relative to max_t |w| grows like
+    eps/tau; the bound pins that growth at 1e3 eps/tau."""
+
+    R = np.array([0.05, 0.3, 1.1, 2.5, 6.0])
+
+    @pytest.mark.parametrize("gamma", [2.0, 6.0])
+    @pytest.mark.parametrize("tau", [1e-1, 1e-3])
+    def test_difference_tables_near_reference(self, gamma, tau):
+        runs = []
+        for v2 in (DataSpectrum.zero(), "consistent"):
+            cfg = ExperimentConfig(params=ModelParams(gamma), n=3,
+                                   u0=DataSpectrum.gaussian(1.0, 1.0),
+                                   u1=DataSpectrum.gaussian(1.0, 1.0), v2=v2,
+                                   r_grid=FrequencyGrid(self.R, np.ones_like(self.R)),
+                                   tau_list=np.array([tau]), probe_time=10.0,
+                                   history_points=200)
+            t, tables = _sweep_difference(cfg)
+            data = zip(cfg.u0(self.R), cfg.u1(self.R), cfg.v2_values(self.R))
+            runs.append((tables, list(data)))
+        assert t.size == 201
+        bound = 1e3 * np.finfo(float).eps / tau
+        for k, r in enumerate(self.R):
+            refs = _mp_differences(gamma, tau, r, [data[k] for _, data in runs], t)
+            for (tables, _), ref, v2 in zip(runs, refs, ("zero", "consistent")):
+                for name, got, want in zip(("w", "w_t", "w_tt"), tables, ref):
+                    err = np.abs(got[:, k] - want).max() / np.abs(want).max()
+                    assert err <= bound, (v2, name, r, err / bound)

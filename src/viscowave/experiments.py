@@ -66,6 +66,13 @@ def thread_map(fn, items):
 # configuration
 # ---------------------------------------------------------------------------
 
+def _count(name: str, value) -> int:
+    """``value`` as an int, if it is an integer >= 1 (NaN and inf are not)."""
+    if not (float(value).is_integer() and value >= 1):
+        raise InvalidParameterError(f"{name} must be an integer >= 1, got {value}")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     params: ModelParams
@@ -101,16 +108,13 @@ class ExperimentConfig:
             self.tau_list = np.asarray(self.tau_list, dtype=float)
             if not np.all((self.tau_list > 0) & (self.tau_list < 1)):   # NaN fails too
                 raise InvalidParameterError("every tau must lie in (0, 1)")
-        if int(self.n) != self.n or self.n < 1:
-            raise InvalidParameterError(f"dimension must be >= 1, got {self.n}")
+        self.n = _count("dimension", self.n)
         if not self.s >= 0:
             raise InvalidParameterError(f"Sobolev order must be >= 0, got {self.s}")
         if not (0 < self.probe_time < math.inf):
             raise InvalidParameterError(
                 f"probe_time must be finite and > 0, got {self.probe_time}")
-        if not (float(self.history_points).is_integer() and self.history_points >= 1):
-            raise InvalidParameterError(
-                f"history_points must be an integer >= 1, got {self.history_points}")
+        self.history_points = _count("history_points", self.history_points)
         if self.solver not in ("kernel", "kernel-grid", "oracle"):
             raise InvalidParameterError(f"unknown solver {self.solver!r}")
         if self.r_grid is None:
@@ -237,19 +241,21 @@ def _oracle_fallback(tables, flags, integrate, params: ModelParams, r: np.ndarra
 
 
 def _vdw_tables(params: ModelParams, r: np.ndarray, t_grid: np.ndarray,
-                u0v: np.ndarray, u1v: np.ndarray):
-    """(u, ut, utt) tables of shape (T, B) of the memory-only model."""
+                u0v: np.ndarray, u1v: np.ndarray, step=None):
+    """(u, ut, utt) tables of shape (T, B) of the memory-only model; pass
+    ``step`` when ``t_grid`` is the uniform grid ``k * step``."""
     params = params.without_tau()
     basis = vdw_kernel_basis(params, r)
-    return _oracle_fallback(basis.mode_tables(t_grid, u0v, u1v), basis.flags,
+    return _oracle_fallback(basis.mode_tables(t_grid, u0v, u1v, step), basis.flags,
                             integrate_vdw_mode, params, r, t_grid, (u0v, u1v))
 
 
 def _mgt_tables(params: ModelParams, r: np.ndarray, t_grid: np.ndarray,
-                u0v: np.ndarray, u1v: np.ndarray, v2v: np.ndarray):
-    """(v, vt, vtt) tables of shape (T, B) of the relaxed model."""
+                u0v: np.ndarray, u1v: np.ndarray, v2v: np.ndarray, step=None):
+    """(v, vt, vtt) tables of shape (T, B) of the relaxed model; ``step``
+    as in :func:`_vdw_tables`."""
     basis = mgt_mode_basis(params, r, u0v, u1v, v2v)
-    return _oracle_fallback(basis.eval(t_grid), basis.flags, integrate_mgt_mode,
+    return _oracle_fallback(basis.eval(t_grid, step), basis.flags, integrate_mgt_mode,
                             params, r, t_grid, (u0v, u1v, v2v))
 
 
@@ -585,26 +591,29 @@ def _require_tau_list(config: ExperimentConfig) -> None:
         raise PreconditionError("singular-limit runs need a tau_list (>= 5 values)")
 
 
-def _tau_sweep(config: ExperimentConfig, t_grid: np.ndarray, one_tau) -> list:
-    """``one_tau(tau, w, w_t, w_tt)`` for every tau of the list, in order.
+def _tau_sweep(config: ExperimentConfig, steps: int, one_tau) -> list:
+    """``one_tau(tau, t, w, w_t, w_tt)`` for every tau of the list, in order.
 
-    (w, w_t, w_tt) are the (T, B) tables on ``t_grid`` and the frequency
-    nodes of the relaxed model at tau minus the limit model.  The limit
-    tables do not depend on tau, so they are built once and only the
-    quartic is solved per tau.  Each task subtracts into the relaxed tables
-    it has just built: the tau tasks share the limit tables across threads
-    and never write them.
+    ``t`` is the uniform grid of ``steps`` steps on [0, probe_time], and
+    (w, w_t, w_tt) are the (T, B) tables on ``t`` and the frequency nodes of
+    the relaxed model at tau minus the limit model, evaluated in blocks of
+    the step (see :func:`kernels._mode_sums`).  The limit tables do not
+    depend on tau, so they are built once and only the quartic is solved
+    per tau.  Each task subtracts into the relaxed tables it has just built:
+    the tau tasks share the limit tables across threads and never write them.
     """
+    t_grid, step = np.linspace(0.0, config.probe_time, steps + 1, retstep=True)
     r = config.r_grid.nodes
     u0v, u1v = config.u0(r) + 0j, config.u1(r) + 0j
     v2v = config.v2_values(r)
-    limit = _vdw_tables(config.params.without_tau(), r, t_grid, u0v, u1v)
+    limit = _vdw_tables(config.params.without_tau(), r, t_grid, u0v, u1v, step)
 
     def task(tau):
-        diff = _mgt_tables(config.params.with_tau(tau), r, t_grid, u0v, u1v, v2v)
+        diff = _mgt_tables(config.params.with_tau(tau), r, t_grid, u0v, u1v, v2v,
+                           step)
         for v, u in zip(diff, limit):
             v -= u
-        return one_tau(tau, *diff)
+        return one_tau(tau, t_grid, *diff)
 
     return thread_map(task, config.tau_list)
 
@@ -628,7 +637,8 @@ def _memory_series(t_grid: np.ndarray, gram: np.ndarray, gamma: float,
                    stride: int = 1) -> np.ndarray:
     """History term by trapezoid over the (possibly strided) time grid.
 
-    ``gram[i, j]`` is the gradient inner product of w(t_i) with w(t_j).
+    ``gram[i, j]`` is the gradient inner product of w(t_i) with w(t_j), or
+    its real part, the only part used.
     The kept times s are every ``stride``-th time plus the last one (so the
     last interval may be shorter), and the result has one entry per kept
     time: gamma times the trapezoid integral over [s_0, s_i] of
@@ -665,30 +675,33 @@ def singular_limit_energy(config: ExperimentConfig) -> SingularEnergyResult:
     if span < 2.0 - 1e-9:
         raise PreconditionError("tau_list must span at least two decades")
     r = config.r_grid.nodes
-    t_hist = np.linspace(0.0, config.probe_time, config.history_points + 1)
     w_s0, w_s1 = _radial_weights(config, 0), _radial_weights(config, 2)
     w2_modes = config.v2_values(r) + r * r * (config.u0(r) + config.u1(r))
     w2_norm_sq = float((w_s0 * np.abs(w2_modes) ** 2).sum())
 
-    def one_tau(tau: float, w, wt, wtt) -> EnergySeries:
-        gram = (w * w_s1) @ w.conj().T
-        memory = _memory_series(t_hist, gram, config.params.gamma)
-        mem_coarse = _memory_series(t_hist, gram, config.params.gamma, stride=2)
+    def one_tau(tau: float, t, w, wt, wtt) -> EnergySeries:
+        # a real product over [Re w, Im w] would halve the flops, but it
+        # reorders the sum, and e_memory (a small difference of Gram
+        # entries) is at its rounding floor here
+        gram = ((w * w_s1) @ w.conj().T).real
+        memory = _memory_series(t, gram, config.params.gamma)
+        mem_coarse = _memory_series(t, gram, config.params.gamma, stride=2)
         scale = max(float(memory[-1]), 1e-300)
         if abs(mem_coarse[-1] - memory[-1]) > 0.01 * scale + 1e-30:
             raise RefinementError(
                 "memory-history trapezoid not converged; raise history_points")
+        wt_sq = np.abs(wt) ** 2
         return EnergySeries(
-            tau=tau, t=t_hist,
+            tau=tau, t=t,
             e_wtt=tau * (np.abs(wtt) ** 2 * w_s0).sum(axis=-1),
-            e_grad_wt=(np.abs(wt) ** 2 * w_s1).sum(axis=-1),
-            e_grad_w=np.diag(gram).real.copy(),
-            e_wt=tau * (np.abs(wt) ** 2 * w_s0).sum(axis=-1),
+            e_grad_wt=(wt_sq * w_s1).sum(axis=-1),
+            e_grad_w=np.diag(gram).copy(),
+            e_wt=tau * (wt_sq * w_s0).sum(axis=-1),
             e_memory=memory,
             w_l2_sq=(np.abs(w) ** 2 * w_s0).sum(axis=-1),
         )
 
-    series = _tau_sweep(config, t_hist, one_tau)
+    series = _tau_sweep(config, config.history_points, one_tau)
     sup_vals = np.array([s.total.max() for s in series])
     return SingularEnergyResult(series=series, fit_sup=_tau_fit(config, sup_vals),
                                 es0_values=np.array([s.total[0] for s in series]),
@@ -720,8 +733,7 @@ def singular_limit_solution(config: ExperimentConfig,
             "(pass allow_outside=True to explore regardless)")
     w_s0 = _radial_weights(config, 0)
     vals = np.array(_tau_sweep(
-        config, np.array([0.0, config.probe_time]),
-        lambda tau, w, wt, wtt: float((np.abs(w[-1]) ** 2 * w_s0).sum())))
+        config, 1, lambda tau, t, w, wt, wtt: float((np.abs(w[-1]) ** 2 * w_s0).sum())))
     fit = _tau_fit(config, vals)
     predicted = _tau_exponent(config)
     return SingularSolutionResult(

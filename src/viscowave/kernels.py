@@ -19,6 +19,13 @@ yet the formula stays accurate to rounding there; only small gaps hurt it.
 Rows the root solver flags as (near-)multiple raise
 :class:`~viscowave.errors.NearDegenerateError`, and callers fall back to
 :mod:`viscowave.oracle` (no confluent formulas here).
+
+Mode tables on a uniform grid ``k h`` are evaluated in blocks: each cell is
+``exp(lambda i h)`` at its block start times ``exp(lambda k h)`` for its
+offset, both taken directly, so a table costs T/16 + 16 exponentials per
+node and root instead of T.  The product of two rounded exponentials
+carries about twice the rounding of one; there is no running product
+whose error would grow along the grid.
 """
 
 from __future__ import annotations
@@ -31,6 +38,9 @@ from .errors import DomainError, NearDegenerateError
 from .params import ModelParams
 from .spectrum import (DEFAULT_EPS_CUT, cubic_char_roots_batch,
                        quartic_char_roots_batch)
+
+#: times per block of the stepped table route of :func:`_mode_sums`
+BLOCK = 16
 
 
 @dataclass
@@ -96,7 +106,7 @@ def _amplitudes(roots: np.ndarray, data: tuple, flags: np.ndarray) -> np.ndarray
     return np.ascontiguousarray(np.swapaxes(amp, -1, -2))
 
 
-def _mode_sums(amp: np.ndarray, roots: np.ndarray, t):
+def _mode_sums(amp: np.ndarray, roots: np.ndarray, t, step=None):
     """(u, u_t, u_tt) = sum_j amp_j lambda_j^p exp(lambda_j t), p = 0, 1, 2.
 
     ``amp`` and ``roots`` are (B, deg) or (deg,); results have shape
@@ -104,8 +114,21 @@ def _mode_sums(amp: np.ndarray, roots: np.ndarray, t):
     time: ``amp_j exp(lambda_j t)`` is one (T, B) table, added to u, then
     scaled by lambda_j in place and added to u_t, then again for u_tt, so
     no (T, B, deg) product is formed.
+
+    A caller whose 1-d ``t`` is the uniform grid ``k * step`` (k < T) passes
+    ``step``, and the tables are evaluated in blocks of ``BLOCK`` times:
+    ``amp_j lambda_j^p exp(lambda_j i h)`` at the block starts i = 0, BLOCK,
+    2 BLOCK, ... times the powers ``exp(lambda_j k h)``, k < BLOCK, summed
+    over the roots in one contraction.  That takes (T/BLOCK + BLOCK)
+    exponentials per node and root instead of T.  Each cell is the product
+    of two correctly rounded exponentials, where the direct route has one,
+    so its rounding is about twice as large; no cell carries a running
+    product, so the error does not grow along the grid.  The tables are
+    C-contiguous, writable views of one (3, blocks * BLOCK, B) array.
     """
     t = np.asarray(t, dtype=float)
+    if step is not None:
+        return _blocked_mode_sums(amp, roots, t.size, step)
     u = ut = utt = 0.0
     for lam, a in zip(np.moveaxis(roots, -1, 0), np.moveaxis(amp, -1, 0)):
         term = a * np.exp(np.multiply.outer(t, lam))
@@ -115,6 +138,21 @@ def _mode_sums(amp: np.ndarray, roots: np.ndarray, t):
         term *= lam
         utt = utt + term
     return u, ut, utt
+
+
+def _blocked_mode_sums(amp: np.ndarray, roots: np.ndarray, count: int, step: float):
+    """The stepped route of :func:`_mode_sums` on the grid ``k * step``,
+    k < ``count``; the block shrinks to ``count`` on a shorter grid."""
+    size = min(BLOCK, count)
+    blocks = -(-count // size)
+    coarse = np.empty((3, blocks) + roots.shape, dtype=complex)
+    starts = np.arange(0, blocks * size, size) * step
+    np.multiply(amp, np.exp(np.multiply.outer(starts, roots)), out=coarse[0])
+    np.multiply(coarse[0], roots, out=coarse[1])
+    np.multiply(coarse[1], roots, out=coarse[2])
+    fine = np.exp(np.multiply.outer(np.arange(size) * step, roots))
+    tables = np.einsum("pj...d,k...d->pjk...", coarse, fine)
+    return tuple(tables.reshape((3, blocks * size) + roots.shape[:-1])[:, :count])
 
 
 @dataclass
@@ -133,11 +171,12 @@ class VdwKernelBasis:
         k1, dk1, _ = _mode_sums(self.coef1, self.roots, t)
         return KernelPair(k0=k0, k1=k1, dk0=dk0, dk1=dk1)
 
-    def mode_tables(self, t, u0vals, u1vals):
-        """(u, ut, utt) tables for data values on the node batch."""
+    def mode_tables(self, t, u0vals, u1vals, step=None):
+        """(u, ut, utt) tables for data values on the node batch; ``step``
+        as in :func:`_mode_sums`."""
         amp = self.coef0 * np.asarray(u0vals, dtype=complex)[:, None] \
             + self.coef1 * np.asarray(u1vals, dtype=complex)[:, None]
-        return _mode_sums(amp, self.roots, t)
+        return _mode_sums(amp, self.roots, t, step)
 
 
 def _vdw_basis(r: np.ndarray, roots: np.ndarray, flags: np.ndarray) -> VdwKernelBasis:
@@ -163,9 +202,10 @@ class MgtModeBasis:
     amp: np.ndarray     # (B, 4)
     flags: np.ndarray   # (B,)
 
-    def eval(self, t):
-        """(v, vt, vtt) at time(s) ``t``; shape (B,) or (T, B)."""
-        return _mode_sums(self.amp, self.roots, t)
+    def eval(self, t, step=None):
+        """(v, vt, vtt) at time(s) ``t``; shape (B,) or (T, B); ``step`` as
+        in :func:`_mode_sums`."""
+        return _mode_sums(self.amp, self.roots, t, step)
 
 
 def _mgt_basis(tau, r: np.ndarray, roots: np.ndarray, flags: np.ndarray,

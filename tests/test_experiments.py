@@ -108,6 +108,21 @@ class TestConfigValidation:
             ExperimentConfig(params=ModelParams(2.0), history_points=points,
                              tau_list=np.geomspace(0.1, 0.001, 5))
 
+    @pytest.mark.parametrize("n", [0, 2.5, np.nan, np.inf])
+    def test_dimension_positive_integer(self, n):
+        # NaN and inf reached int(n) unchecked: ValueError, OverflowError
+        with pytest.raises(InvalidParameterError):
+            ExperimentConfig(params=ModelParams(2.0), n=n)
+
+    def test_integral_floats_stored_as_int(self):
+        # history_points = 200.0 passed validation, then np.linspace
+        # rejected it as a point count
+        cfg = ExperimentConfig(params=ModelParams(2.0), n=3.0, history_points=200.0,
+                               u1=DataSpectrum.gaussian(1.0, 1.0),
+                               tau_list=np.geomspace(1e-1, 1e-3, 5))
+        assert type(cfg.n) is int and type(cfg.history_points) is int
+        assert singular_limit_energy(cfg).series[0].t.size == 201
+
     def test_sobolev_order_nonnegative(self):
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(params=ModelParams(2.0), s=-0.5)
@@ -504,8 +519,8 @@ def _sweep_difference(config: ExperimentConfig):
     through the tau sweep the singular-limit runs use."""
     from viscowave.experiments import _tau_sweep
 
-    t = np.linspace(0.0, config.probe_time, config.history_points + 1)
-    (tables,) = _tau_sweep(config, t, lambda tau, *tables: tables)
+    ((t, tables),) = _tau_sweep(config, config.history_points,
+                                lambda tau, t, *tables: (t, tables))
     return t, tables
 
 

@@ -285,3 +285,40 @@ class TestModeSums:
             # relative to the sum of the term moduli, the scale of a sum's
             # rounding: a single cell may cancel far below its terms
             assert np.all(np.abs(g - f) <= 1e-15 * s)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
+                    reason="needs an extended-precision long double")
+class TestBlockedModeSums:
+    """The stepped route of _mode_sums against an extended-precision sum."""
+
+    @pytest.mark.parametrize("deg", [3, 4])
+    @pytest.mark.parametrize("count", [201, 2])
+    def test_matches_long_double_reference(self, deg, count):
+        from viscowave.kernels import BLOCK, _mode_sums
+        from viscowave.spectrum import (cubic_char_roots_batch,
+                                        quartic_char_roots_batch)
+
+        r = np.geomspace(1e-3, 20.0, 64)
+        if deg == 3:
+            roots = cubic_char_roots_batch(ModelParams(2.0), r)[0]
+        else:                                   # one root near -1/tau = -1e3
+            roots = quartic_char_roots_batch(ModelParams(2.0, 1e-3), r)[0]
+            assert roots.real.min() < -999.0
+        rng = np.random.default_rng(deg)
+        amp = rng.standard_normal(roots.shape) + 1j * rng.standard_normal(roots.shape)
+        t, step = np.linspace(0.0, 10.0, count, retstep=True)
+        assert count == 2 or count % BLOCK
+        got = _mode_sums(amp, roots, t, step)
+        # the grid k * step is exact in long double (a 53-bit step times k < 2^11)
+        k = np.arange(count, dtype=np.longdouble)
+        lam = roots.astype(np.clongdouble)
+        terms = amp * np.exp(np.multiply.outer(k * np.longdouble(step), lam))
+        assert np.any(np.abs(terms.astype(complex)) == 0.0)     # tables underflow
+        for p, g in enumerate(got):
+            assert g.shape == (count, r.size)
+            assert g.flags.c_contiguous and g.flags.writeable
+            ref = (terms * lam ** p).sum(axis=-1)
+            scale = np.abs(terms * lam ** p).sum(axis=-1)
+            # below the normal range a double holds no relative precision
+            assert np.all(np.abs(g - ref) <= 4e-15 * scale + np.finfo(float).tiny)

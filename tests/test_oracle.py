@@ -301,6 +301,24 @@ def test_relaxed_fallback_route_matches_closed_form(g, tau):
             assert gap <= 1e-6, (name, r, gap)
 
 
+def test_stepped_tables_keep_the_fallback_columns():
+    # the stepped table route hands the fallback writable tables, and the
+    # oracle columns it writes do not depend on the route
+    p = ModelParams(2.0, 0.05)
+    flagged = _quartic_coalescence_radii(p)
+    r = np.concatenate([[0.3, 2.5], flagged])
+    flags = quartic_char_roots_batch(p, r)[3]
+    assert flags[2:].all() and not flags[:2].any()
+    t, step = np.linspace(0.0, 10.0, 41, retstep=True)
+    data = [np.full(r.shape, d) for d in (1.0 - 0.5j, 0.3 + 1.0j, -0.7 + 0.2j)]
+    plain = _mgt_tables(p, r, t, *data)
+    stepped = _mgt_tables(p, r, t, *data, step)
+    for a, b in zip(plain, stepped):
+        assert b.flags.c_contiguous and b.flags.writeable
+        assert np.array_equal(a[:, flags], b[:, flags])
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(a).max()
+
+
 def test_fallback_integrators_resolved_at_call_time(monkeypatch):
     # both table routes reach the oracle through the experiments module's
     # integrator names, looked up per call, so a wrapper installed there

@@ -678,12 +678,13 @@ def singular_limit_energy(config: ExperimentConfig) -> SingularEnergyResult:
     w_s0, w_s1 = _radial_weights(config, 0), _radial_weights(config, 2)
     w2_modes = config.v2_values(r) + r * r * (config.u0(r) + config.u1(r))
     w2_norm_sq = float((w_s0 * np.abs(w2_modes) ** 2).sum())
+    w_s1_pairs = np.repeat(w_s1, 2)
 
     def one_tau(tau: float, t, w, wt, wtt) -> EnergySeries:
-        # a real product over [Re w, Im w] would halve the flops, but it
-        # reorders the sum, and e_memory (a small difference of Gram
-        # entries) is at its rounding floor here
-        gram = ((w * w_s1) @ w.conj().T).real
+        # Re <grad w(t_i), grad w(t_j)>, the only part used: one real
+        # product over the interleaved (Re, Im) columns of the (T, B) table
+        pairs = w.view(float)
+        gram = (pairs * w_s1_pairs) @ pairs.T
         memory = _memory_series(t, gram, config.params.gamma)
         mem_coarse = _memory_series(t, gram, config.params.gamma, stride=2)
         scale = max(float(memory[-1]), 1e-300)

@@ -579,8 +579,8 @@ class TestTauDifferenceAccuracy:
                                    tau_list=np.array([tau]), probe_time=10.0,
                                    history_points=200)
             t, tables = _sweep_difference(cfg)
-            data = zip(cfg.u0(self.R), cfg.u1(self.R), cfg.v2_values(self.R))
-            runs.append((tables, list(data)))
+            runs.append((tables, list(zip(cfg.u0(self.R), cfg.u1(self.R),
+                                          cfg.v2_values(self.R)))))
         assert t.size == 201
         bound = 1e3 * np.finfo(float).eps / tau
         for k, r in enumerate(self.R):

@@ -145,9 +145,11 @@ def _blocked_mode_sums(amp: np.ndarray, roots: np.ndarray, count: int, step: flo
     k < ``count``; the block shrinks to ``count`` on a shorter grid."""
     size = min(BLOCK, count)
     blocks = -(-count // size)
+    coarse = np.empty((3, blocks) + roots.shape, dtype=complex)
     starts = np.arange(0, blocks * size, size) * step
-    head = amp * np.exp(np.multiply.outer(starts, roots))
-    coarse = np.stack((head, head * roots, head * roots * roots))
+    np.multiply(amp, np.exp(np.multiply.outer(starts, roots)), out=coarse[0])
+    np.multiply(coarse[0], roots, out=coarse[1])
+    np.multiply(coarse[1], roots, out=coarse[2])
     fine = np.exp(np.multiply.outer(np.arange(size) * step, roots))
     tables = np.einsum("pj...d,k...d->pjk...", coarse, fine)
     return tuple(tables.reshape((3, blocks * size) + roots.shape[:-1])[:, :count])

@@ -12,14 +12,18 @@ and the thermally relaxed model into a fourth-order ODE with quartic
     tau mu^4 + (1 + tau gamma) mu^3 + (r^2 + gamma) mu^2
         + (1 + gamma) r^2 mu + (gamma - 1) r^2 = 0.
 
-Roots are computed as the eigenvalues of the real companion matrix followed
-by a single Newton polish, which keeps a uniform residual bound across
-frequency zones without case analysis; the companion route is backward
-stable (Edelman & Murakami, Math. Comp. 64, 1995).  Exact conjugate pairing
-needs no clean-up pass: LAPACK returns the eigenvalues of a real matrix in
-exactly conjugate pairs, with real eigenvalues carrying imaginary part
-``+0.0``, and the Newton step preserves both because IEEE complex arithmetic
-commutes with conjugation.
+Cubic roots come in closed form: one real root from the trigonometric or
+Cardano formula (Press et al., *Numerical Recipes*, §5.6), refined by a
+real Newton step, and the other two from the quadratic left after dividing
+it out, divided from whichever end of the cubic is stable.  Quartic roots
+are the eigenvalues of the real companion matrix, a backward-stable route
+(Edelman & Murakami, Math. Comp. 64, 1995).  One guarded Newton polish
+follows either, which keeps a uniform residual bound across frequency
+zones without case analysis.  Exact conjugate pairing needs no clean-up
+pass: the cubic seed writes a complex pair as ``re +- i im`` and LAPACK
+returns the eigenvalues of a real matrix in exactly conjugate pairs, both
+with real roots carrying imaginary part ``+0.0``, and the Newton step
+preserves this because IEEE complex arithmetic commutes with conjugation.
 
 :func:`solve_polynomial_batch` is the one solve entry point.  The
 coefficient builders take gamma and tau values that broadcast against the
@@ -160,6 +164,70 @@ def _companion_eigvals(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(comp).astype(complex)
 
 
+def _cubic_seed(coeffs: np.ndarray) -> np.ndarray:
+    """Closed-form roots of real cubics x^3 + a x^2 + b x + c.
+
+    One real root x comes from the trigonometric form when all three roots
+    are real (the larger in modulus of the lowest and the highest) and from
+    Cardano's form otherwise (Press et al., *Numerical Recipes*, §5.6),
+    refined by one guarded real Newton step.  Dividing it out leaves
+    x^2 + s1 x + s0, solved by the cancellation-free quadratic formula.
+    The division runs from the constant end (s0 = -c/x, s1 = (s0 - b)/x)
+    when x is the largest root in modulus, |x|^3 > |c|, and from the
+    leading end (s1 = a + x, s0 = b + x s1) otherwise: the stable order for
+    each (Wilkinson, *Rounding Errors in Algebraic Processes*, 1963).  The
+    leading end alone would lose the small pair next to a dominant root,
+    as at r -> 0 and r >> 1 in the mode cubic.  A complex pair is written
+    re +- i im, so it is exactly conjugate and real roots have imaginary
+    part exactly zero; the double root at 0 of r = 0 comes out exactly.
+    Rows are scaled by a power of two, which is exact, so that a^3, R^2
+    and Q^3 stay in range.
+    """
+    lead = coeffs[..., 0]
+    a, b, c = (coeffs[..., k] / lead for k in (1, 2, 3))
+    k = np.frexp(np.maximum(np.maximum(np.abs(a), np.sqrt(np.abs(b))),
+                            np.cbrt(np.abs(c))))[1]
+    a, b, c = np.ldexp(a, -k), np.ldexp(b, -2 * k), np.ldexp(c, -3 * k)
+    q = (a * a - 3.0 * b) / 9.0
+    rr = (a * (2.0 * a * a - 9.0 * b) + 27.0 * c) / 54.0
+    q3 = q * q * q
+    trig = rr * rr < q3
+    sq = np.sqrt(np.where(trig, q, 0.0))
+    theta = np.arccos(np.clip(rr / np.where(trig, sq * q, 1.0), -1.0, 1.0))
+    lowest = -2.0 * sq * np.cos(theta / 3.0) - a / 3.0
+    highest = -2.0 * sq * np.cos((theta + 2.0 * np.pi) / 3.0) - a / 3.0
+    root_term = np.sqrt(np.maximum(rr * rr - q3, 0.0))
+    ca = -np.copysign(np.cbrt(np.abs(rr) + root_term), rr)
+    x = np.where(trig, np.where(np.abs(lowest) >= np.abs(highest), lowest, highest),
+                 ca + q / np.where(ca == 0.0, np.inf, ca) - a / 3.0)
+    f = ((x + a) * x + b) * x + c
+    fp = (3.0 * x + 2.0 * a) * x + b
+    # every root of the scaled cubic lies within 2 of the origin, so a
+    # longer step is no use (and could overflow)
+    ok = np.abs(f) < 4.0 * np.abs(fp)
+    stepped = x - np.where(ok, f, 0.0) / np.where(ok, fp, 1.0)
+    x = np.where(np.abs(((stepped + a) * stepped + b) * stepped + c) < np.abs(f),
+                 stepped, x)
+    back = np.abs(x) ** 3 > np.abs(c)
+    x_back = np.where(back, x, 1.0)
+    s0_back = -c / x_back
+    s1 = np.where(back, (s0_back - b) / x_back, a + x)
+    s0 = np.where(back, s0_back, b + x * s1)
+    disc = s1 * s1 - 4.0 * s0
+    root_disc = np.sqrt(np.abs(disc))
+    real = disc >= 0.0
+    big = -0.5 * (s1 + np.copysign(root_disc, s1))
+    small = s0 / np.where(big == 0.0, np.inf, big)
+    scale = np.ldexp(1.0, k)
+    roots = np.zeros(x.shape + (3,), dtype=complex)
+    roots.real[..., 0] = x * scale
+    roots.real[..., 1] = np.where(real, big, -0.5 * s1) * scale
+    roots.real[..., 2] = np.where(real, small, -0.5 * s1) * scale
+    roots.imag[..., 1] = np.where(real, 0.0, 0.5 * root_disc * scale)
+    roots.imag[..., 2] = np.where(real, 0.0, -0.5 * root_disc * scale)
+    return roots
+
+
 def _polyval_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Horner evaluation of per-row polynomials at per-row points."""
     acc = np.zeros_like(z)
@@ -184,22 +252,26 @@ def _evaluation_scale(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _newton_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
+def _newton_polish(coeffs: np.ndarray,
+                   roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One guarded Newton step per root; keeps the step only if the residual
-    shrinks and the derivative is not collapsing (near-multiple roots)."""
+    does not grow and the derivative is not collapsing (near-multiple
+    roots).  Returns the kept roots and the polynomial's values at them."""
     p = _polyval_many(coeffs, roots)
-    dp = _polyval_many(_polyder(coeffs), roots)
-    dscale = _evaluation_scale(_polyder(coeffs), roots)
+    deriv = _polyder(coeffs)
+    dp = _polyval_many(deriv, roots)
+    dscale = _evaluation_scale(deriv, roots)
     safe = np.abs(dp) > 1e-8 * np.maximum(dscale, 1e-300)
     step = np.where(safe, p / np.where(safe, dp, 1.0), 0.0)
     polished = roots - step
-    better = np.abs(_polyval_many(coeffs, polished)) <= np.abs(p)
-    return np.where(better, polished, roots)
+    p_polished = _polyval_many(coeffs, polished)
+    better = np.abs(p_polished) <= np.abs(p)
+    return np.where(better, polished, roots), np.where(better, p_polished, p)
 
 
-def _canonical_sort(roots: np.ndarray) -> np.ndarray:
-    order = np.lexsort((roots.imag, roots.real), axis=-1)
-    return np.take_along_axis(roots, order, axis=-1)
+def _canonical_order(roots: np.ndarray) -> np.ndarray:
+    """Indices that sort each row of roots by (real, imag)."""
+    return np.lexsort((roots.imag, roots.real), axis=-1)
 
 
 def _min_separation_rel(roots: np.ndarray) -> np.ndarray:
@@ -257,9 +329,11 @@ def solve_polynomial_batch(coeffs: np.ndarray):
         Array (..., deg+1) of descending real coefficients with nonzero
         leading entries, deg 3 or 4.  Every row is its own polynomial, so
         rows built from per-row (gamma, tau, r) by :func:`cubic_coefficients`
-        or :func:`quartic_coefficients` are solved in one call; LAPACK
-        solves each companion matrix on its own, so a row comes out
-        bit-identical to a single-row call.
+        or :func:`quartic_coefficients` are solved in one call.  Cubic rows
+        take the closed-form seed, quartic rows the LAPACK companion
+        eigenvalues, each followed by one Newton polish; every step works
+        on each row alone, so a row comes out bit-identical to a
+        single-row call.
 
     Returns
     -------
@@ -276,10 +350,14 @@ def solve_polynomial_batch(coeffs: np.ndarray):
     1e-12 |z| of the axis is closer than ``MULTIPLICITY_RTOL``, so its row
     is flagged.
     """
-    roots = _canonical_sort(_newton_polish(coeffs, _companion_eigvals(coeffs)))
-    residuals = np.abs(_polyval_many(coeffs, roots))
+    cubic = coeffs.shape[-1] == 4
+    roots, p = _newton_polish(
+        coeffs, _cubic_seed(coeffs) if cubic else _companion_eigvals(coeffs))
+    order = _canonical_order(roots)
+    roots = np.take_along_axis(roots, order, axis=-1)
+    residuals = np.abs(np.take_along_axis(p, order, axis=-1))
     scales = np.maximum(1.0, _evaluation_scale(coeffs, roots))
-    disc_terms = _disc_terms_cubic if coeffs.shape[-1] == 4 else _disc_terms_quartic
+    disc_terms = _disc_terms_cubic if cubic else _disc_terms_quartic
     disc, disc_scale = disc_terms(coeffs)
     flags = ((_min_separation_rel(roots) < MULTIPLICITY_RTOL)
              | (np.abs(disc) <= DISC_RTOL * disc_scale))
@@ -415,7 +493,8 @@ def asymptotic_roots(params: ModelParams, r: float, zone: str, equation: str,
                      complex(-(1.0 + g - root_disc) / 2.0),
                      complex(pair_re, s * r), complex(pair_re, -s * r)]
         coeffs = quartic_coefficients(g, tau, r)
-    roots = _canonical_sort(np.asarray(roots, dtype=complex)[None, :])[0]
+    roots = np.asarray(roots, dtype=complex)
+    roots = roots[_canonical_order(roots)]
     residuals = np.abs(_polyval_many(coeffs[None, :], roots[None, :]))[0]
     return RootSet(float(r), roots, residuals, False, approximate=True)
 

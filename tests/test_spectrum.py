@@ -81,6 +81,18 @@ class TestCubicRoots:
         gap = np.abs(np.sort_complex(roots[0]) - np.sort_complex(np.conj(roots[0])))
         assert gap.max() <= 1e-12
 
+    def test_far_high_frequency(self):
+        # R^2 of the closed form reaches r^12, out of range at r = 1e30
+        # unless the cubic is rescaled; the slow roots tend to those of
+        # l^2 + (1 + g) l + (g - 1)
+        roots, resid, scales, flags = cubic_char_roots_batch(
+            ModelParams(2.0), np.array([1e20, 1e30]))
+        assert np.all(resid < RESIDUAL_RTOL * scales) and not flags.any()
+        assert roots[:, 0].real == pytest.approx([-1e40, -1e60], rel=1e-15)
+        slow = np.array([-3.0 - np.sqrt(5.0), -3.0 + np.sqrt(5.0)]) / 2.0
+        assert roots[0, 1:].real == pytest.approx(slow, rel=1e-12)
+        assert roots[1, 1:].real == pytest.approx(slow, rel=1e-12)
+
     def test_triple_root_is_flagged(self):
         # the cubic collapses to (lam+1)^3 at gamma=2, r=1
         rs = cubic_char_roots(ModelParams(2.0), 1.0)
@@ -132,8 +144,10 @@ class TestQuarticRoots:
 
 
 class TestExactPairing:
-    """Real companion matrices give exact conjugate pairs and exactly real
-    roots; the Newton polish must not break either."""
+    """The cubic seed writes a complex pair as re +- i im and the quartic
+    companion eigenvalues of a real matrix come in exact pairs, so pairs
+    are exactly conjugate and real roots exactly real; the Newton polish
+    must not break either."""
 
     GAMMAS = (1.05, 1.5, 2.0, 3.7, 6.0, 9.5)
 
@@ -166,7 +180,7 @@ class TestExactPairing:
     @pytest.mark.parametrize("g", (1.5, 3.0, 6.0, 9.0))
     def test_all_real_batch_returns_complex(self, g):
         # between the first two discriminant zeros all three roots are real,
-        # and numpy's eigvals then returns a float array
+        # and the solve must still return a complex array
         lo, hi = discriminant_zero_radii(ModelParams(g))[:2]
         r = np.linspace(lo, hi, 12)[1:-1]
         coeffs = cubic_coefficients(g, r)
@@ -183,6 +197,92 @@ class TestExactPairing:
         assert cubic_char_roots_batch(p, radii)[3].all()
         for r in radii:
             assert cubic_char_roots(p, float(r)).multiplicity_flag
+
+
+def _companion_reference(coeffs):
+    """Monic cubic rows solved as LAPACK companion eigenvalues plus one
+    Newton step, sorted by (Re, Im)."""
+    comp = np.zeros(coeffs.shape[:-1] + (3, 3))
+    comp[..., 0, :] = -coeffs[..., 1:]
+    comp[..., 1, 0] = comp[..., 2, 1] = 1.0
+    z = np.linalg.eigvals(comp).astype(complex)
+    a, b, c = (coeffs[..., k, None] for k in (1, 2, 3))
+    p = ((z + a) * z + b) * z + c
+    dp = (3.0 * z + 2.0 * a) * z + b
+    z = z - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
+    return np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=-1), axis=-1)
+
+
+class TestCubicSweep:
+    """The closed-form cubic seed over the whole frequency range, r = 0,
+    r <= 1e-6 and r >= 500 included: there the real root dominates the
+    pair, which a division from the wrong end of the cubic loses."""
+
+    def test_sweep_matches_companion_reference(self):
+        rng = np.random.default_rng(20261019)
+        count = 100_000
+        g = rng.uniform(1.001, 10.0, count)
+        r = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), count))
+        r[:50] = 0.0
+        r[50:2050] = rng.uniform(500.0, 1e3, 2000)
+        r[2050:4050] = np.exp(rng.uniform(np.log(1e-10), np.log(1e-6), 2000))
+        coeffs = cubic_coefficients(g, r)
+        roots, resid, scales, flags = solve_polynomial_batch(coeffs)
+        assert np.all(resid < RESIDUAL_RTOL * scales)
+        gap = np.abs(np.sort_complex(roots) - np.sort_complex(np.conj(roots)))
+        assert gap.max() == 0.0
+        ref = _companion_reference(coeffs)
+        err = np.abs(roots - ref) / np.maximum(1.0, np.abs(ref))
+        assert flags[:50].all() and not flags.all()
+        assert err[~flags].max() <= 1e-13
+
+    def test_general_real_cubics(self):
+        # roots of either sign over twelve decades, half of the rows with a
+        # complex pair, and leading coefficients other than 1: every row
+        # stays inside the residual bound with exact pairing
+        rng = np.random.default_rng(77)
+        count = 50_000
+
+        def draw():
+            return (np.exp(rng.uniform(np.log(1e-6), np.log(1e6), count))
+                    * rng.choice([-1.0, 1.0], count))
+
+        x1, x2, x3, im = draw(), draw(), draw(), np.abs(draw())
+        pair = rng.random(count) < 0.5
+        z = np.stack([x1 + 0j, np.where(pair, x2 + 1j * im, x2),
+                      np.where(pair, x2 - 1j * im, x3)], axis=-1)
+        coeffs = np.stack([np.ones(count), -z.sum(axis=-1),
+                           z[:, 0] * z[:, 1] + z[:, 0] * z[:, 2] + z[:, 1] * z[:, 2],
+                           -z.prod(axis=-1)], axis=-1).real
+        coeffs *= np.exp(rng.uniform(-5.0, 5.0, count))[:, None]
+        roots, resid, scales, _ = solve_polynomial_batch(coeffs)
+        assert np.all(resid < RESIDUAL_RTOL * scales)
+        gap = np.abs(np.sort_complex(roots) - np.sort_complex(np.conj(roots)))
+        assert gap.max() == 0.0
+
+    #: pinned from a measured worst case of 44 eps (gamma = 2 at
+    #: r = 1.001, next to the triple root at r = 1)
+    MP_EPS_MULTIPLE = 64
+
+    @pytest.mark.parametrize("g", (1.001, 2.0, 6.0, 9.5))
+    def test_against_mpmath_roots(self, g):
+        mpmath = pytest.importorskip("mpmath")
+        radii = discriminant_zero_radii(ModelParams(g))
+        r = np.concatenate([[0.0, 1e-6, 0.3, 1.0, 30.0, 1e3],
+                            radii * (1.0 - 1e-3), radii * (1.0 + 1e-3)])
+        roots, _, _, flags = solve_polynomial_batch(cubic_coefficients(g, r))
+        # r = 0 (a double root), and r = 1 at gamma = 2 (a triple root)
+        assert flags.sum() <= 2
+        with mpmath.workdps(40):
+            gm = mpmath.mpf(g)
+            for row, ri in zip(roots[~flags], r[~flags]):
+                x = mpmath.mpf(ri) ** 2
+                ref = mpmath.polyroots([1, x + gm, (1 + gm) * x, (gm - 1) * x],
+                                       maxsteps=200, extraprec=200)
+                for z in row:
+                    gap = min(abs(mpmath.mpc(z) - w) for w in ref)
+                    assert float(gap) <= (self.MP_EPS_MULTIPLE * np.finfo(float).eps
+                                          * max(1.0, abs(z)))
 
 
 class TestPerRowSolve:

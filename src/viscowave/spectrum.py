@@ -35,6 +35,7 @@ truncations are available separately through :func:`asymptotic_roots`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -358,7 +359,13 @@ def solve_polynomial_batch(coeffs: np.ndarray):
     residuals = np.abs(np.take_along_axis(p, order, axis=-1))
     scales = np.maximum(1.0, _evaluation_scale(coeffs, roots))
     disc_terms = _disc_terms_cubic if cubic else _disc_terms_quartic
-    disc, disc_scale = disc_terms(coeffs)
+    # the terms are products of 4 (cubic) or 6 (quartic) coefficients and
+    # overflow at large r; a power-of-two row scale keeps them in range and
+    # scales every product and sum exactly, so |disc| / disc_scale stays
+    # (a fold over the columns: max(axis=-1) on rows this short is slower)
+    row_max = functools.reduce(np.maximum, np.moveaxis(np.abs(coeffs), -1, 0))
+    row_scale = np.ldexp(1.0, -np.frexp(row_max)[1])[..., None]
+    disc, disc_scale = disc_terms(coeffs * row_scale)
     flags = ((_min_separation_rel(roots) < MULTIPLICITY_RTOL)
              | (np.abs(disc) <= DISC_RTOL * disc_scale))
     return roots, residuals, scales, flags

@@ -8,6 +8,7 @@ from viscowave import (DataSpectrum, ExperimentConfig, InvalidParameterError,
                        ModelParams, StabilityError, integrate_mgt_mode,
                        integrate_vdw_mode, mgt_mode_solution, vdw_kernels,
                        vdw_mode_solution)
+from viscowave import oracle
 from viscowave.experiments import _field_factory, _mgt_tables, _vdw_tables
 from viscowave.oracle import default_step, integrate_mgt_many, integrate_vdw_many
 from viscowave.spectrum import (_disc_terms_quartic, cubic_char_roots_batch,
@@ -42,6 +43,8 @@ def test_step_stability_guard():
         integrate_mgt_mode(ModelParams(2.0, 0.01), 1.0, [1.0], step=0.1)
     with pytest.raises(StabilityError):
         integrate_vdw_mode(p, 1.0, [1.0], step=-0.1)
+    with pytest.raises(StabilityError):
+        integrate_vdw_mode(p, 1.0, [1.0], step=float("nan"))
 
 
 def test_default_step_respects_stiffness():
@@ -118,9 +121,17 @@ def test_mgt_relaxation_gap_first_order():
 
 
 def test_invalid_times_rejected():
-    p = ModelParams(2.0)
-    with pytest.raises(InvalidParameterError):
-        integrate_vdw_mode(p, 0.5, t_eval=[1.0, 0.5])    # unsorted
+    for t_eval in ([1.0, 0.5],                     # unsorted
+                   [-1.0, 0.5],                    # negative
+                   [],
+                   [0.0, float("nan"), 2.0],
+                   [0.0, float("inf")],
+                   [[0.0, 1.0]]):                  # not 1-d
+        with pytest.raises(InvalidParameterError):
+            integrate_vdw_mode(ModelParams(2.0), 0.5, t_eval=t_eval)
+        with pytest.raises(InvalidParameterError):
+            integrate_mgt_many(np.array([2.0]), np.array([0.1]), np.array([0.5]),
+                               t_eval, 1.0, 0.0, 0.0, step=0.01)
 
 
 @pytest.mark.parametrize("kind", ["vdw", "mgt"])
@@ -168,27 +179,85 @@ def _stepped_rk4(rhs, y0, t_eval, step):
 
 @pytest.mark.parametrize("kind", ["vdw", "mgt"])
 def test_matches_stepped_rk4(kind):
-    # a repeated time, a short interval and one of 1,320 sub-steps
-    t_eval = np.array([0.0, 0.37, 0.37, 0.4, 13.6])
     g, tau, r, step = 3.0, 0.2, 1.3, 0.01
     r2 = r * r
+    # a repeated time, a short interval and one of 1,320 sub-steps; then a
+    # uniform grid, whose intervals after the first reuse one propagator
+    for t_eval in (np.array([0.0, 0.37, 0.37, 0.4, 13.6]), np.linspace(0.0, 2.0, 11)):
+        if kind == "vdw":
+            traj = integrate_vdw_mode(ModelParams(g), r, t_eval=t_eval,
+                                      u0hat=1.0 + 0.5j, u1hat=-0.2, step=step)
+            ref = _stepped_rk4(lambda y: np.array([
+                y[1], -r2 * y[0] - r2 * y[1] + r2 * y[2], y[0] - g * y[2]]),
+                [1.0 + 0.5j, -0.2, 0.0], t_eval, step)
+            got = np.stack([traj.u, traj.ut, traj.z], axis=-1)
+        else:
+            traj = integrate_mgt_mode(ModelParams(g, tau), r, t_eval=t_eval,
+                                      u0hat=1.0 + 0.5j, u1hat=-0.2, v2hat=0.7j,
+                                      step=step)
+            ref = _stepped_rk4(lambda y: np.array([
+                y[1], y[2], (-y[2] - r2 * y[0] - r2 * y[1] + r2 * y[3]) / tau,
+                y[0] - g * y[3]]),
+                [1.0 + 0.5j, -0.2, 0.7j, 0.0], t_eval, step)
+            got = np.stack([traj.u, traj.ut, traj.utt, traj.z], axis=-1)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _seeded_batch(kind, t_eval):
+    """Six seeded modes on the grid ``t_eval`` at one shared step."""
+    rng = np.random.default_rng(5)
+    g, tau = rng.uniform(1.1, 8.0, 6), rng.uniform(0.2, 1.0, 6)
+    r = rng.uniform(0.0, 2.0, 6)
+    u0, u1, v2 = (rng.normal(size=6) + 1j * rng.normal(size=6) for _ in range(3))
     if kind == "vdw":
-        traj = integrate_vdw_mode(ModelParams(g), r, t_eval=t_eval,
-                                  u0hat=1.0 + 0.5j, u1hat=-0.2, step=step)
-        ref = _stepped_rk4(lambda y: np.array([
-            y[1], -r2 * y[0] - r2 * y[1] + r2 * y[2], y[0] - g * y[2]]),
-            [1.0 + 0.5j, -0.2, 0.0], t_eval, step)
-        got = np.stack([traj.u, traj.ut, traj.z], axis=-1)
-    else:
-        traj = integrate_mgt_mode(ModelParams(g, tau), r, t_eval=t_eval,
-                                  u0hat=1.0 + 0.5j, u1hat=-0.2, v2hat=0.7j,
-                                  step=step)
-        ref = _stepped_rk4(lambda y: np.array([
-            y[1], y[2], (-y[2] - r2 * y[0] - r2 * y[1] + r2 * y[3]) / tau,
-            y[0] - g * y[3]]),
-            [1.0 + 0.5j, -0.2, 0.7j, 0.0], t_eval, step)
-        got = np.stack([traj.u, traj.ut, traj.utt, traj.z], axis=-1)
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        return integrate_vdw_many(g, r, t_eval, u0, u1, step=0.02)
+    return integrate_mgt_many(g, tau, r, t_eval, u0, u1, v2, step=0.02)
+
+
+@pytest.mark.parametrize("kind", ["vdw", "mgt"])
+def test_path_equals_chained_intervals(kind, monkeypatch):
+    # a path that reuses one propagator per interval length is bit for bit
+    # the chain of one-interval calls, each started where the last stopped
+    rk4_path, seen = oracle._rk4_path, []
+
+    def capture(a, y0, t_eval, step):
+        seen.append((a, y0, step))
+        return rk4_path(a, y0, t_eval, step)
+
+    monkeypatch.setattr(oracle, "_rk4_path", capture)
+    t = np.linspace(0.0, 20.0, 41)
+    traj = _seeded_batch(kind, t)
+    (a, y, step), = seen
+    chained = [y.astype(complex)]
+    for dt in np.diff(t):
+        y = rk4_path(a, y, np.array([dt]), step)[0]
+        chained.append(y)
+    chained = np.array(chained)
+    got = np.stack([traj.u, traj.ut, traj.z], axis=-1)
+    assert np.array_equal(got, chained[..., [0, 1, -1]])
+
+
+# the singular-limit sweep grid at the default probe_time and history_points
+_TAU_GRID = np.linspace(0.0, 10.0, 201)
+
+
+@pytest.mark.parametrize("t_eval, powers", [
+    (np.linspace(0.0, 20.0, 41), 1),
+    (_TAU_GRID, np.unique(np.diff(_TAU_GRID)).size),
+    # a repeated start time, then 30 intervals of distinct lengths
+    (np.concatenate([[0.0, 0.0], np.geomspace(1.0, 1e4, 30)]), 30),
+], ids=["uniform", "tau-grid", "geometric"])
+def test_one_power_per_distinct_interval(t_eval, powers, monkeypatch):
+    calls = []
+    matrix_power = np.linalg.matrix_power
+
+    def counted(m, n):
+        calls.append(n)
+        return matrix_power(m, n)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counted)
+    _seeded_batch("vdw", t_eval)
+    assert len(calls) == powers
 
 
 _MODELS = {"vdw": (cubic_char_roots_batch, vdw_mode_solution),

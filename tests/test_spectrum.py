@@ -338,6 +338,19 @@ class TestDiscriminant:
             b = cubic_discriminant_expanded(ModelParams(g), r)
             assert a == pytest.approx(b, rel=1e-9, abs=1e-6)
 
+    def test_flag_with_terms_beyond_double_range(self):
+        # the discriminant terms are products of 4 (cubic) or 6 (quartic)
+        # coefficients, so at these rows they overflow unless the row is
+        # rescaled; the pytest settings turn an overflow warning into an error
+        s = 2.0 ** 266
+        double_root = np.array([[1.0, -s, -s * s, s ** 3]])   # (x - s)^2 (x + s)
+        for coeffs, flagged in ((cubic_coefficients(2.0, [1e50]), False),
+                                (quartic_coefficients(2.0, 0.1, [1e30]), False),
+                                (double_root, True)):
+            _, resid, scales, flags = solve_polynomial_batch(coeffs)
+            assert np.all(resid < RESIDUAL_RTOL * scales)
+            assert flags.tolist() == [flagged]
+
     def test_zero_radii_match_sign_changes(self):
         # at gamma=2 the discriminant factors as r^2 (r^2-1)^2 (5 r^2-32);
         # the double zero at r=1 is resolved to ~sqrt(eps) only

@@ -50,7 +50,7 @@ KEYS = frozenset((
     "gamma", "tau", "n", "s", "data.u0", "data.u1", "data.v2",
     "t.min", "t.max", "t.points", "fit.min", "fit.max", "errfit.min", "errfit.max",
     "tau.list", "tau.min", "tau.max", "tau.points", "probe.time", "history.points",
-    "r.eps", "r.cut", "r.max", "r.panels", "r.order", "solver", "equation",
+    "r.eps", "r.cut", "r.max", "r.panels", "r.order", "equation",
     "sweep.rmin", "sweep.rmax", "sweep.points", "modes.count", "seed",
     "allow_outside"))
 
@@ -152,17 +152,11 @@ def parse_spectrum(text: str, key: str):
             raise ConfigError(f"{key}: 'consistent' is only valid for data.v2")
         return "consistent"
     kind, _, rest = text.partition(":")
-    args = [a for a in rest.split(",") if a.strip()] if rest else []
     try:
-        if kind == "gaussian":
-            vals = [float(a) for a in args] or [1.0, 1.0]
-            return DataSpectrum.gaussian(*vals)
-        if kind == "gaussian_diff":
-            vals = [float(a) for a in args] or [1.0, 1.0, 2.0]
-            return DataSpectrum.gaussian_diff(*vals)
-        if kind == "linear_gaussian":
-            vals = [float(a) for a in args] or [1.0, 1.0]
-            return DataSpectrum.linear_gaussian(*vals)
+        if kind in ("gaussian", "gaussian_diff", "linear_gaussian"):
+            # missing trailing arguments take the factory's defaults
+            return getattr(DataSpectrum, kind)(
+                *(float(a) for a in rest.split(",") if a.strip()))
         if kind == "tabulated":
             pairs = [p.split(":") for p in rest.split(";") if p.strip()]
             return DataSpectrum.tabulated([float(p[0]) for p in pairs],
@@ -243,8 +237,7 @@ def build_config(opts: dict[str, str], command: str) -> ExperimentConfig:
             error_fit_window=(_get_float(opts, "errfit.min", 1e3),
                               _get_float(opts, "errfit.max", 1e5)),
             probe_time=_get_positive(opts, "probe.time", 10.0),
-            history_points=_get_int(opts, "history.points", 200),
-            solver=opts.get("solver", "kernel"))
+            history_points=_get_int(opts, "history.points", 200))
     except ViscowaveError as exc:
         raise ConfigError(str(exc)) from exc
 

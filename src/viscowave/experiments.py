@@ -91,7 +91,6 @@ class ExperimentConfig:
     error_fit_window: tuple[float, float] = PROFILE_ERROR_FIT_WINDOW
     probe_time: float = 10.0
     history_points: int = 200
-    solver: str = "kernel"                      # kernel | kernel-grid | oracle
 
     def __post_init__(self):
         self.t_grid = np.asarray(self.t_grid, dtype=float)
@@ -115,8 +114,6 @@ class ExperimentConfig:
             raise InvalidParameterError(
                 f"probe_time must be finite and > 0, got {self.probe_time}")
         self.history_points = _count("history_points", self.history_points)
-        if self.solver not in ("kernel", "kernel-grid", "oracle"):
-            raise InvalidParameterError(f"unknown solver {self.solver!r}")
         if self.r_grid is None:
             r_max = max(self.u0.tail_radius(), self.u1.tail_radius())
             if isinstance(self.v2, DataSpectrum):
@@ -311,25 +308,9 @@ def _radial_weights(config: ExperimentConfig, power) -> np.ndarray:
 
 
 def _norm_series(config: ExperimentConfig) -> np.ndarray:
-    """(u, ut) norm series, shape (2, T), by the route ``config.solver``
-    names: adaptive quadrature of the mode tables at each time ("kernel"),
-    or sums over the fixed frequency grid of one kernel table
-    ("kernel-grid") or one oracle batch ("oracle")."""
-    if config.solver == "kernel":
-        return np.array(thread_map(lambda t: solution_norm(config, t),
-                                   config.t_grid)).T
-    r = config.r_grid.nodes
-    u0v, u1v = config.u0(r) + 0j, config.u1(r) + 0j
-    params = config.params.without_tau()
-    if config.solver == "oracle":
-        step = min(default_step(params, float(r.max())), 0.05)
-        traj = integrate_vdw_many(np.full(r.shape, params.gamma), r,
-                                  config.t_grid, u0v, u1v, step)
-        tables = np.stack((traj.u, traj.ut))
-    else:
-        tables = np.stack(_vdw_tables(params, r, config.t_grid, u0v, u1v)[:2])
-    w = _radial_weights(config, 2 * config.s)
-    return np.sqrt((np.abs(tables) ** 2 * w).sum(axis=-1))
+    """(u, ut) norm series, shape (2, T): one :func:`solution_norm` per time."""
+    return np.array(thread_map(lambda t: solution_norm(config, t),
+                               config.t_grid)).T
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +326,6 @@ class DecayResult:
     fit_ut: RateFit
     predicted_u: RatePrediction
     predicted_ut: RatePrediction
-    #: fit of u-norm with the sqrt-log factor divided out (log branch only)
-    fit_u_deflated: RateFit | None = None
     #: spread max/min of u-norm / (ln(e+t))^(1/2) on the window (log branch)
     log_ratio_spread: float | None = None
 
@@ -363,19 +342,16 @@ def decay_experiment(config: ExperimentConfig) -> DecayResult:
     pred_ut = predicted_decay(config.s + 1, **data)
     fit_u = rate_fit(config.t_grid, u_norms, config.fit_window)
     fit_ut = rate_fit(config.t_grid, ut_norms, config.fit_window)
-    fit_defl = None
     spread = None
     if pred_u.log_half:
         factor = np.sqrt(np.log(math.e + config.t_grid))
-        fit_defl = rate_fit(config.t_grid, u_norms / factor, config.fit_window)
         lo, hi = config.fit_window
         mask = (config.t_grid >= lo) & (config.t_grid <= hi)
         ratios = (u_norms / factor)[mask]
         spread = float(ratios.max() / ratios.min())
     return DecayResult(t=config.t_grid, u_norms=u_norms, ut_norms=ut_norms,
                        fit_u=fit_u, fit_ut=fit_ut, predicted_u=pred_u,
-                       predicted_ut=pred_ut, fit_u_deflated=fit_defl,
-                       log_ratio_spread=spread)
+                       predicted_ut=pred_ut, log_ratio_spread=spread)
 
 
 @dataclass
@@ -402,12 +378,8 @@ def profile_error_experiment(config: ExperimentConfig) -> ProfileResult:
     The profiles multiply the spectrum values at the origin (the moment
     carriers in this normalisation); data with vanishing spectrum at 0
     therefore subtract nothing and the error equals the zone-restricted
-    solution norm.  The error norm is an adaptive quadrature, so the run
-    needs the "kernel" solver and raises PreconditionError for any other.
+    solution norm.
     """
-    if config.solver != "kernel":
-        raise PreconditionError(
-            f"profile needs solver 'kernel', got {config.solver!r}")
     params = config.params.without_tau()
     m0, m1 = config.u0.moment, config.u1.moment
     eps = config.r_grid.eps_cut

@@ -256,20 +256,16 @@ def vdw_kernels(params: ModelParams, r: float, t) -> KernelPair:
 
 
 def _check_time(t):
-    if np.any(np.asarray(t) < 0):
-        raise DomainError("time must be >= 0")
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0) & (t < np.inf)):        # NaN fails both
+        raise DomainError("time must be finite and >= 0")
 
 
 def _expm1_over_x(x: np.ndarray) -> np.ndarray:
-    """(exp(x) - 1)/x for complex x, stable near 0."""
+    """(exp(x) - 1)/x for complex x, 1 at x = 0."""
     x = np.asarray(x, dtype=complex)
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 0.0, x)
-    a, b = x.real, x.imag
-    expm1c = np.expm1(a) * np.cos(b) - 2.0 * np.sin(0.5 * b) ** 2 \
-        + 1j * np.exp(a) * np.sin(b)
-    series = 1.0 + x / 2.0 + x * x / 6.0 + x * x * x / 24.0
-    return np.where(small, series, expm1c / np.where(small, 1.0, xs))
+    zero = x == 0
+    return np.where(zero, 1.0, np.expm1(x) / np.where(zero, 1.0, x))
 
 
 def _memory_weights(roots: np.ndarray, gamma: float, t) -> np.ndarray:

@@ -243,16 +243,6 @@ def _polyder(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[..., :-1] * powers
 
 
-def _evaluation_scale(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Sum of absolute monomials |a_k| |z|^(deg-k); the natural backward-error
-    denominator for a residual test."""
-    az = np.abs(z)
-    acc = np.zeros_like(az)
-    for k in range(coeffs.shape[-1]):
-        acc = acc * az + np.abs(coeffs[..., k, None])
-    return acc
-
-
 def _newton_polish(coeffs: np.ndarray,
                    roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One guarded Newton step per root; keeps the step only if the residual
@@ -261,7 +251,7 @@ def _newton_polish(coeffs: np.ndarray,
     p = _polyval_many(coeffs, roots)
     deriv = _polyder(coeffs)
     dp = _polyval_many(deriv, roots)
-    dscale = _evaluation_scale(deriv, roots)
+    dscale = _polyval_many(np.abs(deriv), np.abs(roots))
     safe = np.abs(dp) > 1e-8 * np.maximum(dscale, 1e-300)
     step = np.where(safe, p / np.where(safe, dp, 1.0), 0.0)
     polished = roots - step
@@ -357,7 +347,7 @@ def solve_polynomial_batch(coeffs: np.ndarray):
     order = _canonical_order(roots)
     roots = np.take_along_axis(roots, order, axis=-1)
     residuals = np.abs(np.take_along_axis(p, order, axis=-1))
-    scales = np.maximum(1.0, _evaluation_scale(coeffs, roots))
+    scales = np.maximum(1.0, _polyval_many(np.abs(coeffs), np.abs(roots)))
     disc_terms = _disc_terms_cubic if cubic else _disc_terms_quartic
     # the terms are products of 4 (cubic) or 6 (quartic) coefficients and
     # overflow at large r; a power-of-two row scale keeps them in range and

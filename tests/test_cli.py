@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from viscowave import cli
+from viscowave import DataSpectrum, cli
 from viscowave.cli import (KEYS, Check, ResultTable, _HANDLERS, parse_config_file,
                            parse_spectrum, run_command)
 from viscowave.errors import ConfigError
@@ -52,6 +52,12 @@ n = 2
             parse_spectrum("mystery:1", "data.u1")
         with pytest.raises(ConfigError):
             parse_spectrum("gaussian:a,b", "data.u1")
+        with pytest.raises(ConfigError):
+            parse_spectrum("gaussian:1,1,1", "data.u1")
+        # missing arguments take the factory's own defaults
+        for kind in ("gaussian", "gaussian_diff", "linear_gaussian"):
+            assert parse_spectrum(kind, "data.u1") == getattr(DataSpectrum, kind)()
+        assert parse_spectrum("gaussian_diff:3", "data.u1").params == (3.0, 1.0, 2.0)
 
 
 def _reference_cell(x) -> str:
@@ -189,14 +195,16 @@ _BASE_CFG = "gamma = 2.0\nn = 3\ndata.v2 = consistent\ntau.points = 5\n"
 
 class TestUnknownOptions:
     def test_unknown_keys_and_sections_are_config_errors(self, tmp_path, capsys):
-        # a misspelt key must not run silently on its default
+        # a misspelt or retired key must not run silently on its default
         cfg = write_cfg(tmp_path, "typo.cfg", "gamma = 2.0\nt.point = 10\n"
+                        "solver = kernel\n"
                         "[histroy]\npoints = 5\n[decay]\nhistroy.points = 5\n")
         rc = run_command(["decay", "--config", cfg])
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.err.startswith("config error:")
-        for name in ("'t.point'", "[histroy]", "'histroy.points'", "'points'"):
+        for name in ("'t.point'", "'solver'", "[histroy]", "'histroy.points'",
+                     "'points'"):
             assert name in captured.err
         assert captured.out == ""
 
@@ -375,15 +383,6 @@ tau.points = 5
         assert rc == 2
         assert err.startswith("error:")
         assert "tau_list" in err
-
-    def test_profile_needs_kernel_solver(self, tmp_path, capsys):
-        # the profile error norm exists only on the adaptive kernel route
-        cfg = write_cfg(tmp_path, "prof.cfg", "gamma = 2.0\nsolver = oracle\n")
-        rc = run_command(["profile", "--config", cfg])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "solver" in captured.err
-        assert captured.out == ""
 
     def test_profile_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "prof.cfg",

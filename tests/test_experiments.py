@@ -1,4 +1,4 @@
-"""Experiment-harness tests: fits, configs, and the cross-solver route."""
+"""Experiment-harness tests: fits, configs, and the norm references."""
 
 import math
 import os
@@ -11,9 +11,11 @@ from viscowave import (DataSpectrum, DomainError, ExperimentConfig,
                        ModelParams, PreconditionError, decay_experiment,
                        envelope_check, optimality_check,
                        profile_error_experiment, rate_fit,
-                       singular_limit_energy, singular_limit_solution)
-from viscowave.experiments import (oracle_mode_comparison, predicted_decay,
-                                   thread_map)
+                       singular_limit_energy, singular_limit_solution,
+                       sphere_area)
+from viscowave.experiments import (_vdw_tables, oracle_mode_comparison,
+                                   predicted_decay, thread_map)
+from viscowave.oracle import default_step, integrate_vdw_many
 from viscowave.spectrum import (DEFAULT_N_CUT, FrequencyGrid,
                                 cubic_char_roots_batch,
                                 cubic_discriminant_expanded)
@@ -138,38 +140,48 @@ class TestConfigValidation:
         assert np.allclose(vals, expected)
 
 
-def _cross_solver_config(solver: str) -> ExperimentConfig:
-    """Reduced-scale decay config on an oscillation-resolving fixed grid."""
-    t_grid = np.geomspace(15.0, 200.0, 10)
-    cap = math.pi / (0.75 * t_grid[-1])
+def _reference_config() -> ExperimentConfig:
+    """Reduced-scale decay config (t up to 200, so the references stay cheap)."""
+    return ExperimentConfig(params=ModelParams(2.0), n=3,
+                            t_grid=np.geomspace(15.0, 200.0, 10),
+                            fit_window=(20.0, 200.0))
+
+
+def _resolving_grid(t_max: float) -> FrequencyGrid:
+    """Fixed grid whose panels resolve the oscillation cos(gamma_tilde r t)
+    up to ``t_max`` on [0, 1], with a coarser tail out to 5."""
+    cap = math.pi / (0.75 * t_max)
     panels = int(np.ceil(1.0 / cap)) + 8
     fine = FrequencyGrid.composite_gauss(0.0, 1.0, panels=panels, order=6)
     tail = FrequencyGrid.composite_gauss(1.0, 5.0, panels=16, order=6)
-    grid = FrequencyGrid(np.concatenate([fine.nodes, tail.nodes]),
+    return FrequencyGrid(np.concatenate([fine.nodes, tail.nodes]),
                          np.concatenate([fine.weights, tail.weights]))
-    return ExperimentConfig(params=ModelParams(2.0), n=3, t_grid=t_grid,
-                            r_grid=grid, fit_window=(20.0, 200.0), solver=solver)
 
 
-class TestCrossSolverEquivalence:
-    def test_slopes_agree_between_kernel_and_oracle(self):
-        # swapping the mode solver moves the fitted slope by < 0.01
-        slopes = {solver: decay_experiment(_cross_solver_config(solver)).fit_u.slope
-                  for solver in ("kernel-grid", "oracle")}
-        assert abs(slopes["kernel-grid"] - slopes["oracle"]) < 0.01
-
-    @pytest.mark.parametrize("solver", ["kernel-grid", "oracle"])
-    def test_optimality_uses_the_chosen_route(self, solver):
-        # optimality takes its norms from the same route as decay
-        cfg = _cross_solver_config(solver)
-        assert np.array_equal(optimality_check(cfg).norms,
-                              decay_experiment(cfg).u_norms)
-
-    @pytest.mark.parametrize("solver", ["kernel-grid", "oracle"])
-    def test_profile_refuses_grid_routes(self, solver):
-        # the profile error norm is an adaptive quadrature of the kernel route
-        with pytest.raises(PreconditionError, match="solver"):
-            profile_error_experiment(_cross_solver_config(solver))
+class TestNormReferences:
+    def test_adaptive_norms_match_closed_form_and_rk4(self):
+        # the adaptive norms against fixed-grid Plancherel sums of two
+        # independent mode tables: the closed form and one RK4 batch
+        cfg = _reference_config()
+        res = decay_experiment(cfg)
+        grid = _resolving_grid(cfg.t_grid[-1])
+        r = grid.nodes
+        u0v, u1v = cfg.u0(r) + 0j, cfg.u1(r) + 0j
+        params = cfg.params
+        closed = _vdw_tables(params, r, cfg.t_grid, u0v, u1v)[:2]
+        step = min(default_step(params, float(r.max())), 0.05)
+        traj = integrate_vdw_many(np.full(r.shape, params.gamma), r, cfg.t_grid,
+                                  u0v, u1v, step)
+        weights = sphere_area(cfg.n) * grid.weights * r ** (cfg.n - 1)
+        for tables in (closed, (traj.u, traj.ut)):
+            u, ut = (np.sqrt((np.abs(tab) ** 2 * weights).sum(axis=-1))
+                     for tab in tables)
+            np.testing.assert_allclose(res.u_norms, u, rtol=1e-6)
+            np.testing.assert_allclose(res.ut_norms, ut, rtol=1e-6)
+            # swapping the route moves the fitted slopes by < 0.01
+            for norms, fit in ((u, res.fit_u), (ut, res.fit_ut)):
+                slope = rate_fit(cfg.t_grid, norms, cfg.fit_window).slope
+                assert abs(slope - fit.slope) < 0.01
 
 
 class TestProfileExperiment:
@@ -182,6 +194,11 @@ class TestProfileExperiment:
 
 
 class TestOptimality:
+    def test_norms_are_the_decay_norms(self):
+        cfg = _reference_config()
+        assert np.array_equal(optimality_check(cfg).norms,
+                              decay_experiment(cfg).u_norms)
+
     def test_zero_moment_rejected(self):
         cfg = ExperimentConfig(params=ModelParams(2.0), n=3,
                                u1=DataSpectrum.linear_gaussian(1.0, 1.0))

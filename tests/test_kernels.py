@@ -38,6 +38,19 @@ class TestKernelIdentities:
         with pytest.raises(DomainError):
             vdw_kernels(ModelParams(2.0), 0.5, -1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("call", [
+        lambda t: vdw_mode_solution(ModelParams(2.0), 0.5, t, 1.0, 0.0),
+        lambda t: vdw_kernels(ModelParams(2.0), 0.5, [1.0, t]),
+        lambda t: mgt_mode_solution(ModelParams(2.0, 0.5), 0.5, t, 1.0, 0.0, 0.0),
+        lambda t: leading_profiles(ModelParams(2.0), 0.05, t),
+    ], ids=["vdw_mode_solution", "vdw_kernels", "mgt_mode_solution",
+            "leading_profiles"])
+    def test_non_finite_time_rejected(self, call, bad):
+        # a NaN or infinite time is an error, not a NaN mode value
+        with pytest.raises(DomainError, match="finite"):
+            call(bad)
+
 
 class TestOracleAgreement:
     def test_kernels_match_integrator(self):

@@ -158,30 +158,51 @@ def _resolving_grid(t_max: float) -> FrequencyGrid:
                          np.concatenate([fine.weights, tail.weights]))
 
 
+def _reference_norms(cfg: ExperimentConfig, route: str):
+    """Fixed-grid Plancherel sums of ||u|| and ||u_t|| from one of two
+    independent mode tables: the closed-form kernel ("kernel-grid") or one
+    RK4 batch ("oracle")."""
+    grid = _resolving_grid(cfg.t_grid[-1])
+    r = grid.nodes
+    u0v, u1v = cfg.u0(r) + 0j, cfg.u1(r) + 0j
+    params = cfg.params
+    if route == "kernel-grid":
+        tables = _vdw_tables(params, r, cfg.t_grid, u0v, u1v)[:2]
+    else:
+        step = min(default_step(params, float(r.max())), 0.05)
+        traj = integrate_vdw_many(np.full(r.shape, params.gamma), r,
+                                  cfg.t_grid, u0v, u1v, step)
+        tables = (traj.u, traj.ut)
+    weights = sphere_area(cfg.n) * grid.weights * r ** (cfg.n - 1)
+    return tuple(np.sqrt((np.abs(tab) ** 2 * weights).sum(axis=-1))
+                 for tab in tables)
+
+
 class TestNormReferences:
     def test_adaptive_norms_match_closed_form_and_rk4(self):
-        # the adaptive norms against fixed-grid Plancherel sums of two
-        # independent mode tables: the closed form and one RK4 batch
+        # the adaptive norms against both fixed-grid references
         cfg = _reference_config()
         res = decay_experiment(cfg)
-        grid = _resolving_grid(cfg.t_grid[-1])
-        r = grid.nodes
-        u0v, u1v = cfg.u0(r) + 0j, cfg.u1(r) + 0j
-        params = cfg.params
-        closed = _vdw_tables(params, r, cfg.t_grid, u0v, u1v)[:2]
-        step = min(default_step(params, float(r.max())), 0.05)
-        traj = integrate_vdw_many(np.full(r.shape, params.gamma), r, cfg.t_grid,
-                                  u0v, u1v, step)
-        weights = sphere_area(cfg.n) * grid.weights * r ** (cfg.n - 1)
-        for tables in (closed, (traj.u, traj.ut)):
-            u, ut = (np.sqrt((np.abs(tab) ** 2 * weights).sum(axis=-1))
-                     for tab in tables)
+        for route in ("kernel-grid", "oracle"):
+            u, ut = _reference_norms(cfg, route)
             np.testing.assert_allclose(res.u_norms, u, rtol=1e-6)
             np.testing.assert_allclose(res.ut_norms, ut, rtol=1e-6)
             # swapping the route moves the fitted slopes by < 0.01
             for norms, fit in ((u, res.fit_u), (ut, res.fit_ut)):
                 slope = rate_fit(cfg.t_grid, norms, cfg.fit_window).slope
                 assert abs(slope - fit.slope) < 0.01
+
+
+class TestCrossSolverEquivalence:
+    @pytest.mark.parametrize("route", ["kernel-grid", "oracle"])
+    def test_optimality_uses_the_chosen_route(self, route):
+        # optimality takes its norms from the same route as decay, and
+        # that route agrees with each fixed-grid reference
+        cfg = _reference_config()
+        norms = optimality_check(cfg).norms
+        assert np.array_equal(norms, decay_experiment(cfg).u_norms)
+        np.testing.assert_allclose(norms, _reference_norms(cfg, route)[0],
+                                   rtol=1e-6)
 
 
 class TestProfileExperiment:
@@ -194,11 +215,6 @@ class TestProfileExperiment:
 
 
 class TestOptimality:
-    def test_norms_are_the_decay_norms(self):
-        cfg = _reference_config()
-        assert np.array_equal(optimality_check(cfg).norms,
-                              decay_experiment(cfg).u_norms)
-
     def test_zero_moment_rejected(self):
         cfg = ExperimentConfig(params=ModelParams(2.0), n=3,
                                u1=DataSpectrum.linear_gaussian(1.0, 1.0))

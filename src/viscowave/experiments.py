@@ -127,9 +127,9 @@ class ExperimentConfig:
         if self.v2 == "consistent":
             return -r * r * (u0v + u1v)
         if isinstance(self.v2, DataSpectrum):
-            return self.v2(r) + 0j
+            return self.v2(r)
         if self.v2 is None:
-            return np.zeros_like(r, dtype=complex)
+            return np.zeros_like(r)
         raise InvalidParameterError(f"cannot interpret v2={self.v2!r}")
 
 
@@ -233,14 +233,24 @@ def _oracle_fallback(tables, flags, integrate, params: ModelParams, r: np.ndarra
         traj = integrate(params, float(r[k]), t_grid, *(d[k] for d in data),
                          step=default_step(params, r[k]) / 4)
         for table, column in zip(tables, (traj.u, traj.ut, traj.utt)):
-            table[..., k] = column
+            # real (stepped) tables come from real data, whose modes are real
+            table[..., k] = column if np.iscomplexobj(table) else column.real
     return tables
+
+
+def _check_stepped_data(step, data) -> None:
+    """The stepped table route keeps the real part of each mode sum (see
+    :func:`kernels._mode_sums`), so it takes real data only."""
+    if step is not None and any(np.iscomplexobj(d) for d in data):
+        raise DomainError("the stepped table route takes real data only")
 
 
 def _vdw_tables(params: ModelParams, r: np.ndarray, t_grid: np.ndarray,
                 u0v: np.ndarray, u1v: np.ndarray, step=None):
     """(u, ut, utt) tables of shape (T, B) of the memory-only model; pass
-    ``step`` when ``t_grid`` is the uniform grid ``k * step``."""
+    ``step`` when ``t_grid`` is the uniform grid ``k * step``; the tables
+    are then real, and the data must be real."""
+    _check_stepped_data(step, (u0v, u1v))
     params = params.without_tau()
     basis = vdw_kernel_basis(params, r)
     return _oracle_fallback(basis.mode_tables(t_grid, u0v, u1v, step), basis.flags,
@@ -251,6 +261,7 @@ def _mgt_tables(params: ModelParams, r: np.ndarray, t_grid: np.ndarray,
                 u0v: np.ndarray, u1v: np.ndarray, v2v: np.ndarray, step=None):
     """(v, vt, vtt) tables of shape (T, B) of the relaxed model; ``step``
     as in :func:`_vdw_tables`."""
+    _check_stepped_data(step, (u0v, u1v, v2v))
     basis = mgt_mode_basis(params, r, u0v, u1v, v2v)
     return _oracle_fallback(basis.eval(t_grid, step), basis.flags, integrate_mgt_mode,
                             params, r, t_grid, (u0v, u1v, v2v))
@@ -563,20 +574,27 @@ def _require_tau_list(config: ExperimentConfig) -> None:
         raise PreconditionError("singular-limit runs need a tau_list (>= 5 values)")
 
 
+def _sweep_grid(config: ExperimentConfig, steps: int):
+    """The uniform grid of ``steps`` steps on [0, probe_time], and its step."""
+    return np.linspace(0.0, config.probe_time, steps + 1, retstep=True)
+
+
 def _tau_sweep(config: ExperimentConfig, steps: int, one_tau) -> list:
     """``one_tau(tau, t, w, w_t, w_tt)`` for every tau of the list, in order.
 
-    ``t`` is the uniform grid of ``steps`` steps on [0, probe_time], and
-    (w, w_t, w_tt) are the (T, B) tables on ``t`` and the frequency nodes of
-    the relaxed model at tau minus the limit model, evaluated in blocks of
-    the step (see :func:`kernels._mode_sums`).  The limit tables do not
-    depend on tau, so they are built once and only the quartic is solved
-    per tau.  Each task subtracts into the relaxed tables it has just built:
-    the tau tasks share the limit tables across threads and never write them.
+    ``t`` is :func:`_sweep_grid`, and (w, w_t, w_tt) are the real (T, B)
+    tables on ``t`` and the frequency nodes of the relaxed model at tau
+    minus the limit model, evaluated in blocks of the step (see
+    :func:`kernels._mode_sums`).  The data spectra are real, so the modes
+    are real and the stepped route, which takes real data only, keeps all
+    of them.  The limit tables do not depend on tau, so they are built once
+    and only the quartic is solved per tau.  Each task subtracts into the
+    relaxed tables it has just built: the tau tasks share the limit tables
+    across threads and never write them.
     """
-    t_grid, step = np.linspace(0.0, config.probe_time, steps + 1, retstep=True)
+    t_grid, step = _sweep_grid(config, steps)
     r = config.r_grid.nodes
-    u0v, u1v = config.u0(r) + 0j, config.u1(r) + 0j
+    u0v, u1v = config.u0(r), config.u1(r)
     v2v = config.v2_values(r)
     limit = _vdw_tables(config.params.without_tau(), r, t_grid, u0v, u1v, step)
 
@@ -605,34 +623,44 @@ def _tau_fit(config: ExperimentConfig, values: np.ndarray) -> RateFit:
     return rate_fit(config.tau_list, values, window)
 
 
-def _memory_series(t_grid: np.ndarray, gram: np.ndarray, gamma: float,
-                   stride: int = 1) -> np.ndarray:
-    """History term by trapezoid over the (possibly strided) time grid.
+def _memory_kernel(t_grid: np.ndarray, gamma: float, stride: int = 1):
+    """Kept indices and trapezoid kernel of :func:`_memory_series`.
 
-    ``gram[i, j]`` is the gradient inner product of w(t_i) with w(t_j), or
-    its real part, the only part used.
     The kept times s are every ``stride``-th time plus the last one (so the
-    last interval may be shorter), and the result has one entry per kept
-    time: gamma times the trapezoid integral over [s_0, s_i] of
-    ``exp(-gamma (s_i - s_j)) ||grad w(s_i) - grad w(s_j)||^2``.  Row i of
-    one lower-triangular weight matrix holds the trapezoid weights of
-    [s_0, s_i], so one weighted row sum gives every entry.
+    last interval may be shorter).  Row i of the lower-triangular kernel is
+    gamma times the trapezoid weights of [s_0, s_i] times
+    ``exp(-gamma (s_i - s_j))``.  It depends on the grid only, so a run
+    builds it once for all its tau values.
     """
     idx = np.arange(0, len(t_grid), stride)
     if idx[-1] != len(t_grid) - 1:
         idx = np.append(idx, len(t_grid) - 1)
     s = t_grid[idx]
-    sub = gram[np.ix_(idx, idx)].real
-    diag = np.diag(sub)
     half = 0.5 * np.diff(s)
+    shape = (s.size, s.size)
     # node j gets half of the interval to its left and, when j < i, half of
     # the one to its right
-    weights = np.tril(np.broadcast_to(np.append(0.0, half), sub.shape)) \
-        + np.tril(np.broadcast_to(np.append(half, 0.0), sub.shape), -1)
+    weights = np.tril(np.broadcast_to(np.append(0.0, half), shape)) \
+        + np.tril(np.broadcast_to(np.append(half, 0.0), shape), -1)
     # above the diagonal the weights are 0; the clip keeps exp finite there
     lag = np.maximum(s[:, None] - s, 0.0)
-    integrand = np.exp(-gamma * lag) * (diag[:, None] + diag - 2.0 * sub)
-    return gamma * (weights * integrand).sum(axis=-1)
+    return idx, gamma * weights * np.exp(-gamma * lag)
+
+
+def _memory_series(gram: np.ndarray, kernel) -> np.ndarray:
+    """History term by trapezoid over the (possibly strided) time grid.
+
+    ``gram[i, j]`` is the real gradient inner product of w(t_i) with
+    w(t_j), and ``kernel`` is :func:`_memory_kernel` of the grid.  The
+    result has one entry per kept time s_i: gamma times the trapezoid
+    integral over [s_0, s_i] of
+    ``exp(-gamma (s_i - s_j)) ||grad w(s_i) - grad w(s_j)||^2``, one
+    weighted row sum.
+    """
+    idx, weights = kernel
+    sub = gram[np.ix_(idx, idx)]
+    diag = np.diag(sub)
+    return (weights * (diag[:, None] + diag - 2.0 * sub)).sum(axis=-1)
 
 
 def singular_limit_energy(config: ExperimentConfig) -> SingularEnergyResult:
@@ -649,29 +677,29 @@ def singular_limit_energy(config: ExperimentConfig) -> SingularEnergyResult:
     r = config.r_grid.nodes
     w_s0, w_s1 = _radial_weights(config, 0), _radial_weights(config, 2)
     w2_modes = config.v2_values(r) + r * r * (config.u0(r) + config.u1(r))
-    w2_norm_sq = float((w_s0 * np.abs(w2_modes) ** 2).sum())
-    w_s1_pairs = np.repeat(w_s1, 2)
+    w2_norm_sq = float((w_s0 * w2_modes ** 2).sum())
+    t_grid, _ = _sweep_grid(config, config.history_points)
+    kernel = _memory_kernel(t_grid, config.params.gamma)
+    kernel_coarse = _memory_kernel(t_grid, config.params.gamma, stride=2)
 
     def one_tau(tau: float, t, w, wt, wtt) -> EnergySeries:
-        # Re <grad w(t_i), grad w(t_j)>, the only part used: one real
-        # product over the interleaved (Re, Im) columns of the (T, B) table
-        pairs = w.view(float)
-        gram = (pairs * w_s1_pairs) @ pairs.T
-        memory = _memory_series(t, gram, config.params.gamma)
-        mem_coarse = _memory_series(t, gram, config.params.gamma, stride=2)
+        # <grad w(t_i), grad w(t_j)>: one real (T, B) @ (B, T) product
+        gram = (w * w_s1) @ w.T
+        memory = _memory_series(gram, kernel)
+        mem_coarse = _memory_series(gram, kernel_coarse)
         scale = max(float(memory[-1]), 1e-300)
         if abs(mem_coarse[-1] - memory[-1]) > 0.01 * scale + 1e-30:
             raise RefinementError(
                 "memory-history trapezoid not converged; raise history_points")
-        wt_sq = np.abs(wt) ** 2
+        wt_sq = wt * wt
         return EnergySeries(
             tau=tau, t=t,
-            e_wtt=tau * (np.abs(wtt) ** 2 * w_s0).sum(axis=-1),
-            e_grad_wt=(wt_sq * w_s1).sum(axis=-1),
+            e_wtt=tau * ((wtt * wtt) @ w_s0),
+            e_grad_wt=wt_sq @ w_s1,
             e_grad_w=np.diag(gram).copy(),
-            e_wt=tau * (wt_sq * w_s0).sum(axis=-1),
+            e_wt=tau * (wt_sq @ w_s0),
             e_memory=memory,
-            w_l2_sq=(np.abs(w) ** 2 * w_s0).sum(axis=-1),
+            w_l2_sq=(w * w) @ w_s0,
         )
 
     series = _tau_sweep(config, config.history_points, one_tau)
@@ -706,7 +734,7 @@ def singular_limit_solution(config: ExperimentConfig,
             "(pass allow_outside=True to explore regardless)")
     w_s0 = _radial_weights(config, 0)
     vals = np.array(_tau_sweep(
-        config, 1, lambda tau, t, w, wt, wtt: float((np.abs(w[-1]) ** 2 * w_s0).sum())))
+        config, 1, lambda tau, t, w, wt, wtt: float(w[-1] ** 2 @ w_s0)))
     fit = _tau_fit(config, vals)
     predicted = _tau_exponent(config)
     return SingularSolutionResult(

@@ -25,7 +25,10 @@ Mode tables on a uniform grid ``k h`` are evaluated in blocks: each cell is
 offset, both taken directly, so a table costs T/16 + 16 exponentials per
 node and root instead of T.  The product of two rounded exponentials
 carries about twice the rounding of one; there is no running product
-whose error would grow along the grid.
+whose error would grow along the grid.  This stepped route is real: it
+returns the real part of each sum, which is the whole sum for real data
+(the roots and amplitudes then come in conjugate pairs), so callers pass
+it real data only.
 """
 
 from __future__ import annotations
@@ -123,8 +126,11 @@ def _mode_sums(amp: np.ndarray, roots: np.ndarray, t, step=None):
     exponentials per node and root instead of T.  Each cell is the product
     of two correctly rounded exponentials, where the direct route has one,
     so its rounding is about twice as large; no cell carries a running
-    product, so the error does not grow along the grid.  The tables are
-    C-contiguous, writable views of one (3, blocks * BLOCK, B) array.
+    product, so the error does not grow along the grid.  The stepped
+    tables are real: they hold the real part of each sum, which is the
+    whole sum when the amplitudes come from real data, and callers pass
+    real data only.  They are C-contiguous, writable views of one real
+    (3, blocks * BLOCK, B) array.
     """
     t = np.asarray(t, dtype=float)
     if step is not None:
@@ -142,17 +148,32 @@ def _mode_sums(amp: np.ndarray, roots: np.ndarray, t, step=None):
 
 def _blocked_mode_sums(amp: np.ndarray, roots: np.ndarray, count: int, step: float):
     """The stepped route of :func:`_mode_sums` on the grid ``k * step``,
-    k < ``count``; the block shrinks to ``count`` on a shorter grid."""
+    k < ``count``: real tables Re sum_j amp_j lambda_j^p exp(lambda_j k h).
+    The block shrinks to ``count`` on a shorter grid.
+
+    Re(c f) = Re c Re f - Im c Im f, so the coarse factors are viewed as
+    interleaved (Re, -Im) pairs and the fine ones as (Re, Im) pairs, and one
+    real product per node, over its 2 deg pair entries, writes the tables
+    through a transposed view.
+    """
     size = min(BLOCK, count)
     blocks = -(-count // size)
-    coarse = np.empty((3, blocks) + roots.shape, dtype=complex)
+    shape, deg = roots.shape[:-1], roots.shape[-1]
+    roots, amp = roots.reshape(-1, deg), amp.reshape(-1, deg)
+    nodes = roots.shape[0]
+    coarse = np.empty((3, blocks, nodes, deg), dtype=complex)
     starts = np.arange(0, blocks * size, size) * step
     np.multiply(amp, np.exp(np.multiply.outer(starts, roots)), out=coarse[0])
     np.multiply(coarse[0], roots, out=coarse[1])
     np.multiply(coarse[1], roots, out=coarse[2])
-    fine = np.exp(np.multiply.outer(np.arange(size) * step, roots))
-    tables = np.einsum("pj...d,k...d->pjk...", coarse, fine)
-    return tuple(tables.reshape((3, blocks * size) + roots.shape[:-1])[:, :count])
+    coarse = coarse.view(float)
+    coarse[..., 1::2] *= -1.0
+    fine = np.exp(np.multiply.outer(np.arange(size) * step, roots)).view(float)
+    tables = np.empty((3, blocks * size, nodes))
+    np.matmul(coarse.reshape(3 * blocks, nodes, 2 * deg).transpose(1, 0, 2),
+              fine.transpose(1, 2, 0),
+              out=tables.reshape(3 * blocks, size, nodes).transpose(2, 0, 1))
+    return tuple(tables.reshape((3, blocks * size) + shape)[:, :count])
 
 
 @dataclass
@@ -335,7 +356,8 @@ def leading_profiles(params: ModelParams, r, t,
     """Leading diffusion-wave profiles on the low-frequency zone.
 
     Closed real cos/sin form; equals the sum of the two oscillatory branch
-    truncations (see :func:`profile_branch_terms`) identically.  The sin
+    truncations, along exp(+i gamma_tilde r t) and its conjugate, identically
+    (``tests/test_kernels.py`` checks that against the branch terms).  The sin
     numerator of the second profile is ``2 gamma^3 - (gamma^2 - 2 gamma + 3) r^2``;
     a commonly quoted variant with ``(gamma-3)(gamma+1)`` breaks that identity.
     """
@@ -359,31 +381,3 @@ def leading_profiles(params: ModelParams, r, t,
           / (2.0 * g ** 3 * gt + 2.0 * (g - 1.0) * gt * r2) * sin_over_r) * damp
     return ProfilePair(j0=j0 + 0j, j1=j1 + 0j)
 
-
-def profile_branch_terms(params: ModelParams, r, t):
-    """The oscillatory branch truncations defining the leading profiles.
-
-    Returns (j0_plus, j0_minus, j1_plus, j1_minus); j0 = j0_plus + j0_minus
-    and likewise for j1.  Requires r > 0 (the second pair carries a 1/r
-    factor that cancels only in the sum).
-    """
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise DomainError("branch terms need r > 0")
-    t = np.asarray(t, dtype=float)
-    g = params.gamma
-    gt = params.gamma_tilde
-    a = np.sqrt(g * (g - 1.0))
-    osc = np.exp(1j * gt * r * t - params.parabolic_decay * r * r * t)
-    out = []
-    for sign in (1.0, -1.0):
-        e = osc if sign > 0 else np.conj(osc)
-        num0 = sign * 1j * a + (g - 1.0) ** 2 / (2.0 * g) * r
-        den0 = sign * 2j * a - 2.0 * (g - 1.0) / g * r
-        out.append(num0 / den0 * e)
-    for sign in (1.0, -1.0):
-        e = osc if sign > 0 else np.conj(osc)
-        num1 = g + sign * 1j * gt * r - params.parabolic_decay * r * r
-        den1 = sign * 2j * a * r - 2.0 * (g - 1.0) / g * r * r
-        out.append(num1 / den1 * e)
-    return tuple(out)

@@ -140,17 +140,18 @@ class TestConfigValidation:
         assert np.allclose(vals, expected)
 
 
-def _reference_config() -> ExperimentConfig:
+def _reference_config(gamma: float = 2.0) -> ExperimentConfig:
     """Reduced-scale decay config (t up to 200, so the references stay cheap)."""
-    return ExperimentConfig(params=ModelParams(2.0), n=3,
+    return ExperimentConfig(params=ModelParams(gamma), n=3,
                             t_grid=np.geomspace(15.0, 200.0, 10),
                             fit_window=(20.0, 200.0))
 
 
-def _resolving_grid(t_max: float) -> FrequencyGrid:
+def _resolving_grid(cfg: ExperimentConfig) -> FrequencyGrid:
     """Fixed grid whose panels resolve the oscillation cos(gamma_tilde r t)
-    up to ``t_max`` on [0, 1], with a coarser tail out to 5."""
-    cap = math.pi / (0.75 * t_max)
+    up to the last time of ``cfg`` on [0, 1], a quarter period per panel,
+    with a coarser tail out to 5."""
+    cap = math.pi / (2.0 * cfg.params.gamma_tilde * cfg.t_grid[-1])
     panels = int(np.ceil(1.0 / cap)) + 8
     fine = FrequencyGrid.composite_gauss(0.0, 1.0, panels=panels, order=6)
     tail = FrequencyGrid.composite_gauss(1.0, 5.0, panels=16, order=6)
@@ -162,7 +163,7 @@ def _reference_norms(cfg: ExperimentConfig, route: str):
     """Fixed-grid Plancherel sums of ||u|| and ||u_t|| from one of two
     independent mode tables: the closed-form kernel ("kernel-grid") or one
     RK4 batch ("oracle")."""
-    grid = _resolving_grid(cfg.t_grid[-1])
+    grid = _resolving_grid(cfg)
     r = grid.nodes
     u0v, u1v = cfg.u0(r) + 0j, cfg.u1(r) + 0j
     params = cfg.params
@@ -180,8 +181,14 @@ def _reference_norms(cfg: ExperimentConfig, route: str):
 
 class TestNormReferences:
     def test_adaptive_norms_match_closed_form_and_rk4(self):
+        self.check_against_references(_reference_config())
+
+    def test_adaptive_norms_match_at_gamma_6(self):
+        self.check_against_references(_reference_config(6.0))
+
+    @staticmethod
+    def check_against_references(cfg: ExperimentConfig):
         # the adaptive norms against both fixed-grid references
-        cfg = _reference_config()
         res = decay_experiment(cfg)
         for route in ("kernel-grid", "oracle"):
             u, ut = _reference_norms(cfg, route)
@@ -497,25 +504,25 @@ class TestMemorySeries:
         (6, 1), (2, 2), (1, 1),
     ])
     def test_matches_per_row_trapezoid(self, points, stride):
-        from viscowave.experiments import _memory_series
+        from viscowave.experiments import _memory_kernel, _memory_series
 
         rng = np.random.default_rng(points + stride)
         t = np.sort(rng.uniform(0.0, 10.0, points))
         t[0] = 0.0
         modes = rng.standard_normal((points, 30)) + 1j * rng.standard_normal((points, 30))
-        gram = modes @ modes.conj().T
-        got = _memory_series(t, gram, 2.0, stride=stride)
+        gram = (modes @ modes.conj().T).real
+        got = _memory_series(gram, _memory_kernel(t, 2.0, stride))
         ref = trapezoid_history(t, gram, 2.0, stride)
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
 
     def test_large_gamma_stays_finite(self):
         # exp(-gamma (t_i - s_j)) above the diagonal would overflow
-        from viscowave.experiments import _memory_series
+        from viscowave.experiments import _memory_kernel, _memory_series
 
         t = np.linspace(0.0, 10.0, 11)
-        gram = np.diag(np.linspace(1.0, 2.0, 11)).astype(complex)
-        got = _memory_series(t, gram, 500.0)
+        gram = np.diag(np.linspace(1.0, 2.0, 11))
+        got = _memory_series(gram, _memory_kernel(t, 500.0))
         ref = trapezoid_history(t, gram, 500.0)
         assert np.all(np.isfinite(got))
         assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))

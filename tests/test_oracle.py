@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viscowave import (DataSpectrum, ExperimentConfig, InvalidParameterError,
-                       ModelParams, StabilityError, integrate_mgt_mode,
-                       integrate_vdw_mode, mgt_mode_solution, vdw_kernels,
-                       vdw_mode_solution)
+from viscowave import (DataSpectrum, DomainError, ExperimentConfig,
+                       InvalidParameterError, ModelParams, StabilityError,
+                       integrate_mgt_mode, integrate_vdw_mode, mgt_mode_solution,
+                       vdw_kernels, vdw_mode_solution)
 from viscowave import oracle
 from viscowave.experiments import _field_factory, _mgt_tables, _vdw_tables
 from viscowave.oracle import default_step, integrate_mgt_many, integrate_vdw_many
@@ -371,21 +371,37 @@ def test_relaxed_fallback_route_matches_closed_form(g, tau):
 
 
 def test_stepped_tables_keep_the_fallback_columns():
-    # the stepped table route hands the fallback writable tables, and the
-    # oracle columns it writes do not depend on the route
+    # the stepped table route hands the fallback writable real tables, and
+    # the oracle columns it writes do not depend on the route
     p = ModelParams(2.0, 0.05)
     flagged = _quartic_coalescence_radii(p)
     r = np.concatenate([[0.3, 2.5], flagged])
     flags = quartic_char_roots_batch(p, r)[3]
     assert flags[2:].all() and not flags[:2].any()
     t, step = np.linspace(0.0, 10.0, 41, retstep=True)
-    data = [np.full(r.shape, d) for d in (1.0 - 0.5j, 0.3 + 1.0j, -0.7 + 0.2j)]
+    data = [np.full(r.shape, d) for d in (1.0, 0.3, -0.7)]
     plain = _mgt_tables(p, r, t, *data)
     stepped = _mgt_tables(p, r, t, *data, step)
     for a, b in zip(plain, stepped):
+        assert b.dtype == float
         assert b.flags.c_contiguous and b.flags.writeable
-        assert np.array_equal(a[:, flags], b[:, flags])
+        assert np.array_equal(a.real[:, flags], b[:, flags])
         assert np.abs(a - b).max() <= 1e-14 * np.abs(a).max()
+
+
+@pytest.mark.parametrize("tables, params, count", [
+    (_vdw_tables, ModelParams(2.0), 2), (_mgt_tables, ModelParams(2.0, 0.05), 3)],
+    ids=["vdw", "mgt"])
+def test_stepped_tables_reject_complex_data(tables, params, count):
+    # the stepped route keeps real parts only, so complex data would lose
+    # their imaginary part silently; it raises instead
+    r = np.array([0.3, 2.5])
+    t, step = np.linspace(0.0, 1.0, 5, retstep=True)
+    for k in range(count):
+        data = [np.ones(r.shape)] * count
+        data[k] = data[k] + 0.5j
+        with pytest.raises(DomainError, match="real data"):
+            tables(params, r, t, *data, step)
 
 
 def test_fallback_integrators_resolved_at_call_time(monkeypatch):

@@ -8,8 +8,10 @@ with commands roots | kernels | decay | profile | optimality | envelope |
 singular-limit-energy | singular-limit-solution | oracle-check.
 
 Configs are flat ``key = value`` text files; an optional ``[command]``
-section overrides top-level keys for that command only.  A key outside
-``KEYS``, or a section that names no command, is a configuration error.
+section overrides top-level keys for that command only.  ``COMMAND_KEYS``
+lists the keys each command reads, and a command sees only those.  A
+top-level key that no command reads, a section key that its command does
+not read, or a section that names no command is a configuration error.
 Each handler returns its result as named columns (arrays of one dtype
 each), and one writer streams them as CSV (full 17-digit precision, LF
 endings) preceded by ``# key=value`` metadata lines echoing the
@@ -31,28 +33,32 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ViscowaveError
-from .experiments import (DECAY_FIT_WINDOW, ExperimentConfig, decay_experiment,
-                          envelope_check, optimality_check,
-                          profile_error_experiment, singular_limit_energy,
+from .experiments import (DECAY_FIT_WINDOW, GRID_ORDER, GRID_PANELS,
+                          ExperimentConfig, decay_experiment, envelope_check,
+                          optimality_check, profile_error_experiment,
+                          singular_limit_energy, singular_limit_grid,
                           singular_limit_solution)
 from .kernels import vdw_kernel_basis
 from .params import ModelParams
 from .quadrature import DataSpectrum
-from .spectrum import (DEFAULT_EPS_CUT, DEFAULT_N_CUT, FrequencyGrid,
-                       cubic_char_roots_batch, quartic_char_roots_batch,
-                       RESIDUAL_RTOL)
+from .spectrum import (DEFAULT_EPS_CUT, DEFAULT_N_CUT, cubic_char_roots_batch,
+                       quartic_char_roots_batch, RESIDUAL_RTOL)
 
-COMMANDS = ("roots", "kernels", "decay", "profile", "optimality", "envelope",
-            "singular-limit-energy", "singular-limit-solution", "oracle-check")
+_DECAY = "gamma n s data.u0 data.u1 t.min t.max t.points fit.min fit.max r.eps r.cut"
+_LIMIT = ("gamma n data.u0 data.u1 data.v2 tau.list tau.min tau.max tau.points "
+          "probe.time r.max r.panels r.order")
 
-#: every config key some command reads
-KEYS = frozenset((
-    "gamma", "tau", "n", "s", "data.u0", "data.u1", "data.v2",
-    "t.min", "t.max", "t.points", "fit.min", "fit.max", "errfit.min", "errfit.max",
-    "tau.list", "tau.min", "tau.max", "tau.points", "probe.time", "history.points",
-    "r.eps", "r.cut", "r.max", "r.panels", "r.order", "equation",
-    "sweep.rmin", "sweep.rmax", "sweep.points", "modes.count", "seed",
-    "allow_outside"))
+#: the config keys each command reads, in the order of the command list
+COMMAND_KEYS = {command: frozenset(keys.split()) for command, keys in (
+    ("roots", "gamma tau equation sweep.rmin sweep.rmax sweep.points r.eps r.cut"),
+    ("kernels", "gamma sweep.rmin sweep.rmax sweep.points"),
+    ("decay", _DECAY),
+    ("profile", _DECAY + " errfit.min errfit.max"),
+    ("optimality", _DECAY),
+    ("envelope", "gamma r.eps r.cut"),
+    ("singular-limit-energy", _LIMIT + " history.points"),
+    ("singular-limit-solution", _LIMIT + " allow_outside"),
+    ("oracle-check", "modes.count seed"))}
 
 
 def _fmt(x) -> str:
@@ -129,18 +135,26 @@ def parse_config_file(path: str) -> dict[str, dict[str, str]]:
 
 
 def merged_options(sections: dict, command: str) -> dict[str, str]:
-    """Top-level keys, overridden by the ``[command]`` section.  Raises
-    ConfigError naming every section that is not a command and every key
-    outside ``KEYS``, in any section."""
-    unknown = [f"section [{name}]" for name in sections
-               if name and name not in COMMANDS]
-    keys = set().union(*sections.values())
-    unknown += [f"key {key!r}" for key in sorted(keys - KEYS)]
-    if unknown:
-        raise ConfigError("no command reads " + ", ".join(unknown))
+    """The keys ``command`` reads: top-level keys, overridden by the
+    ``[command]`` section.
+
+    Raises ConfigError naming every section that is not a command, every
+    key of a command's section that this command does not read, and every
+    other key that no command reads.  So one file can serve every command,
+    each reading only its own keys of the top level.
+    """
+    read_by_any = frozenset().union(*COMMAND_KEYS.values())
+    unread = [f"section [{name}]" for name in sections
+              if name and name not in COMMAND_KEYS]
+    for name, keys in sections.items():
+        where = f" in [{name}]" if name in COMMAND_KEYS else ""
+        unread += [f"key {key!r}{where}" for key in sorted(keys)
+                   if key not in COMMAND_KEYS.get(name, read_by_any)]
+    if unread:
+        raise ConfigError("nothing reads " + ", ".join(unread))
     opts = dict(sections.get("", {}))
     opts.update(sections.get(command, {}))
-    return opts
+    return {key: value for key, value in opts.items() if key in COMMAND_KEYS[command]}
 
 
 def parse_spectrum(text: str, key: str):
@@ -181,10 +195,10 @@ def _get_float(opts, key, default):
 
 
 def _get_positive(opts, key, default):
-    """A key that must be above zero: geometric-grid endpoints and the
-    probe time."""
+    """A key that must be above zero: geometric-grid endpoints, the probe
+    time and the grid radius (whose default is None)."""
     value = _get_float(opts, key, default)
-    if value <= 0:
+    if value is not None and value <= 0:
         raise ConfigError(f"{key}: expected a number > 0, got {value!r}")
     return value
 
@@ -198,56 +212,54 @@ def _get_int(opts, key, default, least=1):
 
 
 def build_config(opts: dict[str, str], command: str) -> ExperimentConfig:
+    """The ExperimentConfig of ``command``.  ``opts`` holds only the keys
+    the command reads (see :func:`merged_options`), so every other field
+    keeps its default; only the singular-limit runs, which read the grid
+    keys, get a tau list and a frequency grid."""
+    t_max, t_points = (1.2e5, 30) if command == "profile" else (1.2e4, 28)
     try:
-        gamma = _get_float(opts, "gamma", 2.0)
-        params = ModelParams(gamma, _get_float(opts, "tau", None))
-    except ViscowaveError as exc:
-        raise ConfigError(str(exc)) from exc
-    n = _get_int(opts, "n", 3)
-    s = _get_float(opts, "s", 0.0)
-    u0 = parse_spectrum(opts.get("data.u0", "zero"), "data.u0")
-    u1 = parse_spectrum(opts.get("data.u1", "gaussian:1.0,1.0"), "data.u1")
-    v2 = parse_spectrum(opts["data.v2"], "data.v2") if "data.v2" in opts else None
-    t_hi_default = 1.2e5 if command == "profile" else 1.2e4
-    t_lo = _get_positive(opts, "t.min", 50.0)
-    t_hi = _get_positive(opts, "t.max", t_hi_default)
-    t_pts = _get_int(opts, "t.points", 30 if command == "profile" else 28)
-    fit = (_get_float(opts, "fit.min", DECAY_FIT_WINDOW[0]),
-           _get_float(opts, "fit.max", DECAY_FIT_WINDOW[1]))
-    eps_cut = _get_float(opts, "r.eps", DEFAULT_EPS_CUT)
-    n_cut = _get_float(opts, "r.cut", DEFAULT_N_CUT)
-    tau_list = None
-    if "tau.list" in opts:
-        tau_list = np.array([_number("tau.list", x)
-                             for x in opts["tau.list"].split(",")])
-    elif command.startswith("singular-limit"):
-        tau_list = np.geomspace(_get_positive(opts, "tau.max", 1e-1),
-                                _get_positive(opts, "tau.min", 1e-3),
-                                _get_int(opts, "tau.points", 7))
-    spectra = [sp for sp in (u0, u1, v2) if isinstance(sp, DataSpectrum)]
-    r_max = _get_float(opts, "r.max", max(sp.tail_radius() for sp in spectra))
-    grid = FrequencyGrid.composite_gauss(
-        0.0, r_max, panels=_get_int(opts, "r.panels", 48),
-        order=_get_int(opts, "r.order", 8), eps_cut=eps_cut, n_cut=n_cut)
-    try:
-        return ExperimentConfig(
-            params=params, n=n, s=s, u0=u0, u1=u1, v2=v2,
-            t_grid=np.geomspace(t_lo, t_hi, t_pts), r_grid=grid,
-            tau_list=tau_list, fit_window=fit,
+        kw = dict(
+            params=ModelParams(_get_float(opts, "gamma", 2.0),
+                               _get_float(opts, "tau", None)),
+            n=_get_int(opts, "n", 3), s=_get_float(opts, "s", 0.0),
+            u0=parse_spectrum(opts.get("data.u0", "zero"), "data.u0"),
+            u1=parse_spectrum(opts.get("data.u1", "gaussian:1.0,1.0"), "data.u1"),
+            t_grid=np.geomspace(_get_positive(opts, "t.min", 50.0),
+                                _get_positive(opts, "t.max", t_max),
+                                _get_int(opts, "t.points", t_points)),
+            fit_window=(_get_float(opts, "fit.min", DECAY_FIT_WINDOW[0]),
+                        _get_float(opts, "fit.max", DECAY_FIT_WINDOW[1])),
             error_fit_window=(_get_float(opts, "errfit.min", 1e3),
                               _get_float(opts, "errfit.max", 1e5)),
+            eps_cut=_get_float(opts, "r.eps", DEFAULT_EPS_CUT),
+            n_cut=_get_float(opts, "r.cut", DEFAULT_N_CUT),
             probe_time=_get_positive(opts, "probe.time", 10.0),
             history_points=_get_int(opts, "history.points", 200))
+        if not 0 < kw["eps_cut"] < kw["n_cut"]:
+            raise ConfigError("r.eps, r.cut: need 0 < r.eps < r.cut, got "
+                              f"{kw['eps_cut']!r} and {kw['n_cut']!r}")
+        if "r.max" in COMMAND_KEYS[command]:
+            v2 = parse_spectrum(opts["data.v2"], "data.v2") if "data.v2" in opts else None
+            if "tau.list" in opts:
+                tau_list = np.array([_number("tau.list", x)
+                                     for x in opts["tau.list"].split(",")])
+            else:
+                tau_list = np.geomspace(_get_positive(opts, "tau.max", 1e-1),
+                                        _get_positive(opts, "tau.min", 1e-3),
+                                        _get_int(opts, "tau.points", 7))
+            kw.update(v2=v2, tau_list=tau_list, r_grid=singular_limit_grid(
+                (kw["u0"], kw["u1"], v2), _get_positive(opts, "r.max", None),
+                _get_int(opts, "r.panels", GRID_PANELS),
+                _get_int(opts, "r.order", GRID_ORDER)))
+        return ExperimentConfig(**kw)
     except ViscowaveError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _metadata(opts: dict[str, str], command: str) -> dict[str, str]:
-    meta = {f"config.{k}": v for k, v in opts.items()}
-    meta["command"] = command
-    meta["version"] = __version__
-    meta["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-    return meta
+    return {**{f"config.{k}": v for k, v in opts.items()}, "command": command,
+            "version": __version__,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())}
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +269,7 @@ def _metadata(opts: dict[str, str], command: str) -> dict[str, str]:
 def _handle_roots(opts, config):
     equation = opts.get("equation", "mgt" if config.params.tau else "vdw")
     sweep = np.geomspace(_get_positive(opts, "sweep.rmin", 1e-3),
-                         _get_positive(opts, "sweep.rmax", 2 * config.r_grid.n_cut),
+                         _get_positive(opts, "sweep.rmax", 2 * config.n_cut),
                          _get_int(opts, "sweep.points", 200))
     if equation == "vdw":
         roots, resid, scales, flags = cubic_char_roots_batch(
@@ -273,15 +285,13 @@ def _handle_roots(opts, config):
     columns["residual_max"] = resid.max(axis=1)
     columns["mult_flag"] = flags
     table = ResultTable(columns)
-    checks = []
     bound = RESIDUAL_RTOL * scales
-    checks.append(Check(
-        "roots.residual", bool(np.all(resid < bound)),
-        f"max residual/bound = {float((resid / bound).max()):.3e} (< 1)"))
     conj_gap = np.abs(np.sort_complex(roots) - np.sort_complex(np.conj(roots))).max()
-    checks.append(Check("roots.conjugate_symmetry", bool(conj_gap <= 1e-12),
-                        f"max conjugation gap = {conj_gap:.3e} (<= 1e-12)"))
-    zone = (sweep >= config.r_grid.eps_cut) & (sweep <= config.r_grid.n_cut)
+    checks = [Check("roots.residual", bool(np.all(resid < bound)),
+                    f"max residual/bound = {float((resid / bound).max()):.3e} (< 1)"),
+              Check("roots.conjugate_symmetry", bool(conj_gap <= 1e-12),
+                    f"max conjugation gap = {conj_gap:.3e} (<= 1e-12)")]
+    zone = (sweep >= config.eps_cut) & (sweep <= config.n_cut)
     if zone.any():
         worst = float(roots.real[zone].max())
         checks.append(Check("roots.bounded_zone_stability", worst < 0,
@@ -319,18 +329,13 @@ def _handle_decay(opts, config):
     table = ResultTable({"t": res.t, "norm_u": res.u_norms, "norm_ut": res.ut_norms},
                         {"fit.u.slope": _fmt(res.fit_u.slope),
                          "fit.ut.slope": _fmt(res.fit_ut.slope)})
-    checks = []
     if res.predicted_u.log_half:
-        checks.append(Check(
-            "decay.u_log_ratio",
-            res.log_ratio_spread < 20.0,
-            f"norm/(ln(e+t))^0.5 spread = {res.log_ratio_spread:.3f} (< 20)"))
+        u_check = Check("decay.u_log_ratio", res.log_ratio_spread < 20.0,
+                        f"norm/(ln(e+t))^0.5 spread = {res.log_ratio_spread:.3f} (< 20)")
     else:
-        checks.append(_slope_check("decay.u_slope", res.fit_u.slope,
-                                   res.predicted_u, 0.05))
-    checks.append(_slope_check("decay.ut_slope", res.fit_ut.slope,
-                               res.predicted_ut, 0.07))
-    return table, checks
+        u_check = _slope_check("decay.u_slope", res.fit_u.slope, res.predicted_u, 0.05)
+    return table, [u_check, _slope_check("decay.ut_slope", res.fit_ut.slope,
+                                         res.predicted_ut, 0.07)]
 
 
 def _slope_check(name, slope, prediction, tol):
@@ -422,8 +427,10 @@ def _handle_sl_energy(opts, config):
 
 
 def _handle_sl_solution(opts, config):
-    res = singular_limit_solution(
-        config, allow_outside=opts.get("allow_outside", "") == "true")
+    allow = opts.get("allow_outside", "false")
+    if allow not in ("true", "false"):
+        raise ConfigError(f"allow_outside: expected true or false, got {allow!r}")
+    res = singular_limit_solution(config, allow_outside=allow == "true")
     table = ResultTable({"tau": res.tau, "w_l2_sq": res.w_l2_sq},
                         {"fit.slope": _fmt(res.fit.slope)})
     checks = [Check(
@@ -466,7 +473,7 @@ def run_command(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="viscowave",
         description="mode-space experiments for memory-damped waves")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=COMMAND_KEYS)
     parser.add_argument("--config", required=True, help="key=value config file")
     parser.add_argument("--out", default=None, help="CSV output path (default stdout)")
     try:
@@ -490,12 +497,9 @@ def run_command(argv) -> int:
             table.write(fh)
     else:
         table.write(sys.stdout)
-    failed = False
     for check in checks:
-        status = "PASS" if check.passed else "FAIL"
-        print(f"{check.name}: {check.detail} {status}")
-        failed = failed or not check.passed
-    return 1 if failed else 0
+        print(f"{check.name}: {check.detail} {'PASS' if check.passed else 'FAIL'}")
+    return 0 if all(check.passed for check in checks) else 1
 
 
 def main() -> None:

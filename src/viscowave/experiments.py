@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +33,8 @@ from .oracle import (default_step, integrate_mgt_many, integrate_mgt_mode,
 from .params import ModelParams
 from .quadrature import (DataSpectrum, g_exponent, l2_norm_radial,
                          rate_function, sphere_area)
-from .spectrum import (FrequencyGrid, cubic_char_roots_batch, cubic_coefficients,
+from .spectrum import (DEFAULT_EPS_CUT, DEFAULT_N_CUT, FrequencyGrid,
+                       cubic_char_roots_batch, cubic_coefficients,
                        quartic_char_roots_batch, quartic_coefficients,
                        solve_polynomial_batch)
 
@@ -45,6 +46,8 @@ KERNEL_NORM_FIT_WINDOW = (1e4, 1e6)
 PROFILE_ERROR_FIT_WINDOW = (1e3, 1e5)
 #: sample-time horizon of oracle_mode_comparison
 ORACLE_HORIZON = 20.0
+#: Gauss-Legendre panels, and nodes per panel, of the singular-limit grid
+GRID_PANELS, GRID_ORDER = 48, 8
 
 
 def thread_map(fn, items):
@@ -82,6 +85,10 @@ class ExperimentConfig:
     u1: DataSpectrum = field(default_factory=DataSpectrum.gaussian)
     v2: DataSpectrum | str | None = None       # spectrum or "consistent"
     t_grid: np.ndarray = field(default_factory=lambda: np.geomspace(50.0, 1.2e4, 28))
+    #: frequency zones: small r < eps_cut, bounded up to n_cut, large beyond
+    eps_cut: float = DEFAULT_EPS_CUT
+    n_cut: float = DEFAULT_N_CUT
+    #: fixed grid of the singular-limit runs (None: singular_limit_grid)
     r_grid: FrequencyGrid | None = None
     tau_list: np.ndarray | None = None
     fit_window: tuple[float, float] = DECAY_FIT_WINDOW
@@ -100,9 +107,7 @@ class ExperimentConfig:
             raise InvalidParameterError("t_grid must be strictly increasing")
         lo, hi = self.fit_window
         if not (self.t_grid[0] <= lo < hi <= self.t_grid[-1] * (1 + 1e-12)):
-            if self.tau_list is None:
-                raise InvalidParameterError(
-                    "fit_window must lie inside the t_grid span")
+            raise InvalidParameterError("fit_window must lie inside the t_grid span")
         if self.tau_list is not None:
             self.tau_list = np.asarray(self.tau_list, dtype=float)
             if not np.all((self.tau_list > 0) & (self.tau_list < 1)):   # NaN fails too
@@ -114,11 +119,8 @@ class ExperimentConfig:
             raise InvalidParameterError(
                 f"probe_time must be finite and > 0, got {self.probe_time}")
         self.history_points = _count("history_points", self.history_points)
-        if self.r_grid is None:
-            r_max = max(self.u0.tail_radius(), self.u1.tail_radius())
-            if isinstance(self.v2, DataSpectrum):
-                r_max = max(r_max, self.v2.tail_radius())
-            self.r_grid = FrequencyGrid.composite_gauss(0.0, r_max, panels=48, order=8)
+        if not 0 < self.eps_cut < self.n_cut:
+            raise InvalidParameterError("need 0 < eps_cut < n_cut")
 
     def v2_values(self, r: np.ndarray) -> np.ndarray:
         """Resolve the second datum of the relaxed model on nodes ``r``."""
@@ -131,6 +133,24 @@ class ExperimentConfig:
         if self.v2 is None:
             return np.zeros_like(r)
         raise InvalidParameterError(f"cannot interpret v2={self.v2!r}")
+
+
+def singular_limit_grid(spectra, r_max=None, panels=GRID_PANELS,
+                        order=GRID_ORDER) -> FrequencyGrid:
+    """The fixed frequency grid of the singular-limit runs: ``panels``
+    Gauss-Legendre panels of ``order`` nodes on [0, r_max], where r_max
+    defaults to the largest tail radius of the data ``spectra`` (entries
+    that are not a DataSpectrum, such as ``"consistent"``, are skipped)."""
+    if r_max is None:
+        r_max = max(sp.tail_radius() for sp in spectra if isinstance(sp, DataSpectrum))
+    return FrequencyGrid.composite_gauss(0.0, r_max, panels, order)
+
+
+def _on_grid(config: ExperimentConfig) -> ExperimentConfig:
+    """``config`` on its ``r_grid``, or else on the :func:`singular_limit_grid`
+    of its data."""
+    grid = config.r_grid or singular_limit_grid((config.u0, config.u1, config.v2))
+    return replace(config, r_grid=grid)
 
 
 @dataclass
@@ -288,8 +308,7 @@ def _osc_segments(config: ExperimentConfig, t: float):
     """
     params = config.params
     omega = params.gamma_tilde * max(t, 1.0)
-    eps = config.r_grid.eps_cut
-    n_cut = config.r_grid.n_cut
+    eps, n_cut = config.eps_cut, config.n_cut
     alive = math.sqrt(50.0 / (2.0 * params.parabolic_decay * max(t, 1.0)))
     segs = [(0.0, min(eps, 1.3 * alive), math.pi / max(omega, math.pi / eps))]
     if alive > eps:
@@ -307,7 +326,7 @@ def solution_norm(config: ExperimentConfig, t: float) -> np.ndarray:
     r_max = max(config.u0.tail_radius(), config.u1.tail_radius())
     return l2_norm_radial(
         f, n=config.n, s=config.s, zone_filter="all",
-        eps_cut=config.r_grid.eps_cut, n_cut=config.r_grid.n_cut,
+        eps_cut=config.eps_cut, n_cut=config.n_cut,
         r_max=r_max, cap_segments=_osc_segments(config, t))
 
 
@@ -393,7 +412,7 @@ def profile_error_experiment(config: ExperimentConfig) -> ProfileResult:
     """
     params = config.params.without_tau()
     m0, m1 = config.u0.moment, config.u1.moment
-    eps = config.r_grid.eps_cut
+    eps = config.eps_cut
 
     def error_norm(t: float) -> float:
         field = _field_factory(config, t)
@@ -482,7 +501,7 @@ def envelope_check(config: ExperimentConfig) -> EnvelopeReport:
     """
     params = config.params.without_tau()
     g, gt, pd = params.gamma, params.gamma_tilde, params.parabolic_decay
-    eps, n_cut = config.r_grid.eps_cut, config.r_grid.n_cut
+    eps, n_cut = config.eps_cut, config.n_cut
 
     def unit_tables(r, t):
         """(k0, dk0, k1, dk1) tables (T, B): data (1, 0), then (0, 1)."""
@@ -671,6 +690,7 @@ def singular_limit_energy(config: ExperimentConfig) -> SingularEnergyResult:
     the initial layer would measure the tau^2 remainder only.
     """
     _require_tau_list(config)
+    config = _on_grid(config)
     span = math.log10(config.tau_list.max() / config.tau_list.min())
     if span < 2.0 - 1e-9:
         raise PreconditionError("tau_list must span at least two decades")
@@ -730,8 +750,10 @@ def singular_limit_solution(config: ExperimentConfig,
     _require_tau_list(config)
     if (config.params.gamma <= 5.0 or config.n < 3) and not allow_outside:
         raise PreconditionError(
-            "the solution-limit estimate requires gamma > 5 and n >= 3 "
-            "(pass allow_outside=True to explore regardless)")
+            "the solution-limit estimate requires gamma > 5 and n >= 3 (set "
+            "allow_outside = true in a CLI config, or pass allow_outside=True, "
+            "to explore regardless)")
+    config = _on_grid(config)
     w_s0 = _radial_weights(config, 0)
     vals = np.array(_tau_sweep(
         config, 1, lambda tau, t, w, wt, wtt: float(w[-1] ** 2 @ w_s0)))

@@ -77,12 +77,10 @@ class RootSet:
 
 @dataclass
 class FrequencyGrid:
-    """Sorted radial nodes with quadrature weights and zone boundaries."""
+    """Sorted radial nodes with quadrature weights."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    eps_cut: float = DEFAULT_EPS_CUT
-    n_cut: float = DEFAULT_N_CUT
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -93,12 +91,9 @@ class FrequencyGrid:
             raise InvalidParameterError("grid nodes must be strictly increasing and >= 0")
         if self.weights.shape != self.nodes.shape or np.any(self.weights <= 0):
             raise InvalidParameterError("grid weights must be positive, one per node")
-        if not 0 < self.eps_cut < self.n_cut:
-            raise InvalidParameterError("need 0 < eps_cut < n_cut")
 
     @classmethod
-    def composite_gauss(cls, r_min, r_max, panels, order=8,
-                        eps_cut=DEFAULT_EPS_CUT, n_cut=DEFAULT_N_CUT) -> "FrequencyGrid":
+    def composite_gauss(cls, r_min, r_max, panels, order) -> "FrequencyGrid":
         """Composite Gauss-Legendre nodes/weights on [r_min, r_max].
 
         Interior Gauss nodes never touch panel edges, so r = 0 and exact
@@ -110,7 +105,7 @@ class FrequencyGrid:
         mid = 0.5 * (edges[:-1] + edges[1:])
         nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
         weights = (half[:, None] * w[None, :]).ravel()
-        return cls(nodes, weights, eps_cut, n_cut)
+        return cls(nodes, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from viscowave import DataSpectrum, cli
-from viscowave.cli import (KEYS, Check, ResultTable, _HANDLERS, parse_config_file,
+from viscowave.cli import (COMMAND_KEYS, Check, ResultTable, _HANDLERS,
+                           build_config, merged_options, parse_config_file,
                            parse_spectrum, run_command)
 from viscowave.errors import ConfigError
 
@@ -209,22 +210,78 @@ class TestUnknownOptions:
         assert captured.out == ""
 
     def test_keys_cover_every_key_read(self):
-        # a key read but missing from KEYS would fail every config setting it
+        # a key read but in no command's set would fail every config setting
+        # it; a key in a set but read nowhere would run silently
         src = Path(cli.__file__).read_text(encoding="utf-8")
         read = set(re.findall(r'opts(?:\.get\(|, |\[)"([\w.]+)"', src))
         read |= set(re.findall(r'"([\w.]+)" in opts', src))
-        assert read == KEYS
+        assert read == set().union(*COMMAND_KEYS.values())
 
     def test_readme_names_every_key(self):
-        # README lists keys as `prefix.a|b|c`; expand that shorthand
-        readme = Path(__file__).resolve().parents[1] / "README.md"
-        named = set()
-        for span in re.findall(r"`([^`\n]+)`", readme.read_text(encoding="utf-8")):
-            first, *rest = span.split()[0].split("|")
-            prefix = first.rpartition(".")[0]
-            named.add(first)
-            named.update(f"{prefix}.{x}" if prefix else x for x in rest)
-        assert KEYS <= named, sorted(KEYS - named)
+        # the README key table lists each command's keys as `prefix.a|b|c`
+        # spans, the pipes escaped; expand that shorthand row by row
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8").splitlines()
+        start = lines.index("| Command | Keys read |") + 2
+        listed = {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            commands, keys = re.split(r"(?<!\\)\|", line)[1:3]
+            named = set()
+            for span in re.findall(r"`([^`]+)`", keys):
+                first, *rest = span.split("\\|")
+                prefix = first.rpartition(".")[0]
+                named.add(first)
+                named.update(f"{prefix}.{x}" if prefix else x for x in rest)
+            for command in re.findall(r"`([^`]+)`", commands):
+                listed[command] = named
+        assert listed == COMMAND_KEYS
+
+    def test_unread_keys_top_level_and_in_section(self, tmp_path, capsys):
+        # keys that decay does not read: at top level decay skips them (one
+        # file serves every command), in [decay] they are an error
+        unread = {"r.panels": "3", "r.order": "2", "r.max": "0.5",
+                  "probe.time": "3", "history.points": "7", "tau.points": "9",
+                  "modes.count": "4", "equation": "mgt"}
+        base = "gamma = 2.0\nt.min = 100\nt.max = 1e4\nt.points = 5\n"
+        extra = "".join(f"{k} = {v}\n" for k, v in unread.items())
+        bodies = []
+        for name, text in (("plain", base), ("top", base + extra)):
+            out = tmp_path / f"{name}.csv"
+            assert run_command(["decay", "--config", write_cfg(tmp_path, name, text),
+                                "--out", str(out)]) == 0
+            lines = out.read_text().splitlines()
+            bodies.append([ln for ln in lines if not ln.startswith("#")])
+            meta = [ln for ln in lines if ln.startswith("# config.")]
+            assert not any(f"# config.{k}=" in ln for k in unread for ln in meta)
+        assert bodies[0] == bodies[1]
+        capsys.readouterr()
+        out = tmp_path / "section.csv"
+        cfg = write_cfg(tmp_path, "section", base + "[decay]\n" + extra)
+        assert run_command(["decay", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        for key in unread:
+            assert f"{key!r} in [decay]" in err
+        assert not out.exists()
+
+    def test_each_command_sees_only_its_keys(self):
+        sections = {"": {"gamma": "6.0", "seed": "3", "data.v2": "consistent"},
+                    "roots": {"sweep.points": "30"},
+                    "oracle-check": {"modes.count": "2"}}
+        assert merged_options(sections, "roots") == {"gamma": "6.0",
+                                                     "sweep.points": "30"}
+        assert merged_options(sections, "oracle-check") == {"seed": "3",
+                                                            "modes.count": "2"}
+        assert merged_options(sections, "kernels") == {"gamma": "6.0"}
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+    def test_grid_only_where_a_command_sums_on_one(self, command):
+        config = build_config({}, command)
+        has_grid = command.startswith("singular-limit")
+        assert (config.r_grid is not None) == has_grid
+        assert (config.tau_list is not None) == has_grid
 
 
 class TestBadNumbers:
@@ -253,7 +310,7 @@ class TestBadNumbers:
         ("singular-limit-energy", "tau.list = 0.1,nan,0.01,0.001,0.05"),
         # counts below 1 and a negative seed
         ("roots", "sweep.points = 0"),
-        ("decay", "r.order = 0"),
+        ("singular-limit-energy", "r.order = 0"),
         ("singular-limit-energy", "history.points = -3"),
         ("oracle-check", "seed = -1"),
         ("oracle-check", "modes.count = 0"),
@@ -265,8 +322,15 @@ class TestBadNumbers:
         ("singular-limit-solution", "tau.min = 0"),
         ("roots", "sweep.rmin = 0"),
         ("kernels", "sweep.rmax = -1"),
-        # a NaN spectrum parameter (every command parses the data)
-        ("roots", "data.u1 = gaussian:nan,1.0"),
+        # a NaN spectrum parameter
+        ("decay", "data.u1 = gaussian:nan,1.0"),
+        # zone cuts out of order and a negative grid radius
+        ("decay", "r.eps = 20"),
+        ("envelope", "r.cut = 0.05"),
+        ("singular-limit-energy", "r.max = -1"),
+        # only true or false; "True" used to mean false
+        ("singular-limit-solution", "allow_outside = True\ngamma = 6.0"),
+        ("singular-limit-solution", "allow_outside = 1\ngamma = 6.0"),
     ])
     def test_config_error_names_key(self, tmp_path, capsys, command, line):
         rc = self._run(tmp_path, command, _BASE_CFG + line + "\n")
@@ -336,11 +400,18 @@ data.v2 = consistent
             assert marker in printed
             assert out.exists()
 
-    def test_solution_limit_outside_hypotheses_is_rejected(self, tmp_path):
+    def test_solution_limit_outside_hypotheses_is_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "low.cfg",
                         "gamma = 2.0\nn = 3\ndata.v2 = consistent\n")
         rc = run_command(["singular-limit-solution", "--config", cfg])
         assert rc == 2
+        # the message names the config form of the override
+        assert "allow_outside = true" in capsys.readouterr().err
+        with open(cfg, "a", encoding="utf-8") as fh:
+            fh.write("tau.points = 5\nallow_outside = true\n")
+        rc = run_command(["singular-limit-solution", "--config", cfg,
+                          "--out", str(tmp_path / "low.csv")])
+        assert rc == 0
 
     def test_optimality_log_rate_domain_is_error(self, tmp_path, capsys):
         # at n = 2 the rate sqrt(log t) is undefined for t <= 1

@@ -1,5 +1,6 @@
 """Experiment-harness tests: fits, configs, and the norm references."""
 
+import dataclasses
 import math
 import os
 
@@ -15,6 +16,7 @@ from viscowave import (DataSpectrum, DomainError, ExperimentConfig,
                        sphere_area)
 from viscowave.experiments import (_vdw_tables, oracle_mode_comparison,
                                    predicted_decay, thread_map)
+from viscowave.kernels import leading_profiles
 from viscowave.oracle import default_step, integrate_vdw_many
 from viscowave.spectrum import (DEFAULT_N_CUT, FrequencyGrid,
                                 cubic_char_roots_batch,
@@ -129,6 +131,25 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(params=ModelParams(2.0), s=-0.5)
 
+    @pytest.mark.parametrize("cuts", [(2.0, 1.0), (0.0, 10.0), (0.1, np.nan)])
+    def test_zone_cuts_ordered(self, cuts):
+        with pytest.raises(InvalidParameterError, match="eps_cut < n_cut"):
+            ExperimentConfig(params=ModelParams(2.0), eps_cut=cuts[0], n_cut=cuts[1])
+
+    def test_grid_built_on_the_singular_limit_path_only(self):
+        # the config holds no grid; the singular-limit runs sum on the
+        # default one, and an explicit grid is used as given
+        cfg = ExperimentConfig(params=ModelParams(6.0), n=3,
+                               u0=DataSpectrum.gaussian(1.0, 1.0),
+                               u1=DataSpectrum.gaussian(1.0, 1.0), v2="consistent",
+                               tau_list=np.geomspace(1e-1, 1e-3, 5))
+        assert cfg.r_grid is None
+        res = singular_limit_solution(cfg)
+        assert cfg.r_grid is None
+        grid = FrequencyGrid.composite_gauss(0.0, cfg.u0.tail_radius(), 48, 8)
+        explicit = singular_limit_solution(dataclasses.replace(cfg, r_grid=grid))
+        assert np.array_equal(explicit.w_l2_sq, res.w_l2_sq)
+
     def test_consistent_token_resolution(self):
         cfg = ExperimentConfig(params=ModelParams(2.0), v2="consistent",
                                u0=DataSpectrum.gaussian(1.0, 1.0),
@@ -147,13 +168,18 @@ def _reference_config(gamma: float = 2.0) -> ExperimentConfig:
                             fit_window=(20.0, 200.0))
 
 
+def _quarter_period(cfg: ExperimentConfig) -> float:
+    """Panel width pi/(2 gamma_tilde t) at the last time of ``cfg``: a
+    quarter period of cos(gamma_tilde r t) in r."""
+    return math.pi / (2.0 * cfg.params.gamma_tilde * cfg.t_grid[-1])
+
+
 def _resolving_grid(cfg: ExperimentConfig) -> FrequencyGrid:
     """Fixed grid whose panels resolve the oscillation cos(gamma_tilde r t)
-    up to the last time of ``cfg`` on [0, 1], a quarter period per panel,
-    with a coarser tail out to 5."""
-    cap = math.pi / (2.0 * cfg.params.gamma_tilde * cfg.t_grid[-1])
-    panels = int(np.ceil(1.0 / cap)) + 8
-    fine = FrequencyGrid.composite_gauss(0.0, 1.0, panels=panels, order=6)
+    up to the last time of ``cfg`` on [0, 1], a quarter period per panel
+    (four Gauss nodes each), with a coarser tail out to 5."""
+    panels = int(np.ceil(1.0 / _quarter_period(cfg))) + 8
+    fine = FrequencyGrid.composite_gauss(0.0, 1.0, panels=panels, order=4)
     tail = FrequencyGrid.composite_gauss(1.0, 5.0, panels=16, order=6)
     return FrequencyGrid(np.concatenate([fine.nodes, tail.nodes]),
                          np.concatenate([fine.weights, tail.weights]))
@@ -179,6 +205,22 @@ def _reference_norms(cfg: ExperimentConfig, route: str):
                  for tab in tables)
 
 
+def _reference_error_norms(cfg: ExperimentConfig) -> np.ndarray:
+    """Fixed-grid Plancherel sums of the small-zone error norm of
+    :func:`profile_error_experiment`: closed-form tables minus the leading
+    profiles times the data moments, on panels of a quarter period at the
+    last time over [0, eps_cut)."""
+    panels = int(np.ceil(cfg.eps_cut / _quarter_period(cfg)))
+    grid = FrequencyGrid.composite_gauss(0.0, cfg.eps_cut, panels=panels, order=4)
+    r = grid.nodes
+    params = cfg.params
+    u = _vdw_tables(params, r, cfg.t_grid, cfg.u0(r) + 0j, cfg.u1(r) + 0j)[0]
+    prof = leading_profiles(params, r, cfg.t_grid[:, None])
+    err = u - prof.j0 * cfg.u0.moment - prof.j1 * cfg.u1.moment
+    weights = sphere_area(cfg.n) * grid.weights * r ** (2 * cfg.s + cfg.n - 1)
+    return np.sqrt((np.abs(err) ** 2 * weights).sum(axis=-1))
+
+
 class TestNormReferences:
     def test_adaptive_norms_match_closed_form_and_rk4(self):
         self.check_against_references(_reference_config())
@@ -186,11 +228,28 @@ class TestNormReferences:
     def test_adaptive_norms_match_at_gamma_6(self):
         self.check_against_references(_reference_config(6.0))
 
+    # the default decay config: t = 50...1.2e4, 28 times
+    def test_default_times_match_closed_form_and_rk4(self):
+        self.check_against_references(ExperimentConfig(params=ModelParams(2.0), n=3))
+
+    def test_default_times_at_gamma_6_match_closed_form(self):
+        self.check_against_references(ExperimentConfig(params=ModelParams(6.0), n=3),
+                                      routes=("kernel-grid",))
+
+    def test_profile_error_norms_match_closed_form(self):
+        # the profile command's default times, t = 50...1.2e5, 30 times
+        cfg = ExperimentConfig(params=ModelParams(2.0), n=3,
+                               t_grid=np.geomspace(50.0, 1.2e5, 30))
+        res = profile_error_experiment(cfg)
+        np.testing.assert_allclose(res.error_norms, _reference_error_norms(cfg),
+                                   rtol=1e-6)
+
     @staticmethod
-    def check_against_references(cfg: ExperimentConfig):
-        # the adaptive norms against both fixed-grid references
+    def check_against_references(cfg: ExperimentConfig,
+                                 routes=("kernel-grid", "oracle")):
+        # the adaptive norms against fixed-grid references
         res = decay_experiment(cfg)
-        for route in ("kernel-grid", "oracle"):
+        for route in routes:
             u, ut = _reference_norms(cfg, route)
             np.testing.assert_allclose(res.u_norms, u, rtol=1e-6)
             np.testing.assert_allclose(res.ut_norms, ut, rtol=1e-6)

@@ -526,9 +526,6 @@ class TestFrequencyGrid:
             FrequencyGrid(np.array([1.0, 0.5]), np.array([0.1, 0.1]))
         with pytest.raises(InvalidParameterError):
             FrequencyGrid(np.array([0.5, 1.0]), np.array([0.1, -0.1]))
-        with pytest.raises(InvalidParameterError):
-            FrequencyGrid(np.array([0.5, 1.0]), np.array([0.1, 0.1]),
-                          eps_cut=2.0, n_cut=1.0)
 
     def test_composite_gauss_avoids_origin(self):
         grid = FrequencyGrid.composite_gauss(0.0, 5.0, panels=8, order=6)

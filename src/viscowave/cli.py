@@ -204,7 +204,8 @@ def _get_positive(opts, key, default):
 
 
 def _get_int(opts, key, default, least=1):
-    """Integer key of at least ``least`` (counts need 1, the seed 0)."""
+    """Integer key of at least ``least`` (counts need 1, the seed 0, the
+    history grid 2 intervals)."""
     value = _get_float(opts, key, default)
     if value != int(value) or value < least:
         raise ConfigError(f"{key}: expected an integer >= {least}, got {value!r}")
@@ -234,7 +235,7 @@ def build_config(opts: dict[str, str], command: str) -> ExperimentConfig:
             eps_cut=_get_float(opts, "r.eps", DEFAULT_EPS_CUT),
             n_cut=_get_float(opts, "r.cut", DEFAULT_N_CUT),
             probe_time=_get_positive(opts, "probe.time", 10.0),
-            history_points=_get_int(opts, "history.points", 200))
+            history_points=_get_int(opts, "history.points", 200, least=2))
         if not 0 < kw["eps_cut"] < kw["n_cut"]:
             raise ConfigError("r.eps, r.cut: need 0 < r.eps < r.cut, got "
                               f"{kw['eps_cut']!r} and {kw['n_cut']!r}")
@@ -243,6 +244,10 @@ def build_config(opts: dict[str, str], command: str) -> ExperimentConfig:
             if "tau.list" in opts:
                 tau_list = np.array([_number("tau.list", x)
                                      for x in opts["tau.list"].split(",")])
+                clash = sorted({"tau.min", "tau.max", "tau.points"} & opts.keys())
+                if clash:
+                    raise ConfigError(f"tau.list: give either the list or "
+                                      f"{', '.join(clash)}, not both")
             else:
                 tau_list = np.geomspace(_get_positive(opts, "tau.max", 1e-1),
                                         _get_positive(opts, "tau.min", 1e-3),

@@ -69,10 +69,12 @@ def thread_map(fn, items):
 # configuration
 # ---------------------------------------------------------------------------
 
-def _count(name: str, value) -> int:
-    """``value`` as an int, if it is an integer >= 1 (NaN and inf are not)."""
-    if not (float(value).is_integer() and value >= 1):
-        raise InvalidParameterError(f"{name} must be an integer >= 1, got {value}")
+def _count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int, if it is an integer >= ``least`` (NaN and inf
+    are not)."""
+    if not (float(value).is_integer() and value >= least):
+        raise InvalidParameterError(
+            f"{name} must be an integer >= {least}, got {value}")
     return int(value)
 
 
@@ -118,7 +120,9 @@ class ExperimentConfig:
         if not (0 < self.probe_time < math.inf):
             raise InvalidParameterError(
                 f"probe_time must be finite and > 0, got {self.probe_time}")
-        self.history_points = _count("history_points", self.history_points)
+        # one interval leaves the stride-2 check of the memory trapezoid
+        # comparing the grid with itself
+        self.history_points = _count("history_points", self.history_points, 2)
         if not 0 < self.eps_cut < self.n_cut:
             raise InvalidParameterError("need 0 < eps_cut < n_cut")
 
@@ -258,19 +262,11 @@ def _oracle_fallback(tables, flags, integrate, params: ModelParams, r: np.ndarra
     return tables
 
 
-def _check_stepped_data(step, data) -> None:
-    """The stepped table route keeps the real part of each mode sum (see
-    :func:`kernels._mode_sums`), so it takes real data only."""
-    if step is not None and any(np.iscomplexobj(d) for d in data):
-        raise DomainError("the stepped table route takes real data only")
-
-
 def _vdw_tables(params: ModelParams, r: np.ndarray, t_grid: np.ndarray,
                 u0v: np.ndarray, u1v: np.ndarray, step=None):
     """(u, ut, utt) tables of shape (T, B) of the memory-only model; pass
     ``step`` when ``t_grid`` is the uniform grid ``k * step``; the tables
     are then real, and the data must be real."""
-    _check_stepped_data(step, (u0v, u1v))
     params = params.without_tau()
     basis = vdw_kernel_basis(params, r)
     return _oracle_fallback(basis.mode_tables(t_grid, u0v, u1v, step), basis.flags,
@@ -281,7 +277,6 @@ def _mgt_tables(params: ModelParams, r: np.ndarray, t_grid: np.ndarray,
                 u0v: np.ndarray, u1v: np.ndarray, v2v: np.ndarray, step=None):
     """(v, vt, vtt) tables of shape (T, B) of the relaxed model; ``step``
     as in :func:`_vdw_tables`."""
-    _check_stepped_data(step, (u0v, u1v, v2v))
     basis = mgt_mode_basis(params, r, u0v, u1v, v2v)
     return _oracle_fallback(basis.eval(t_grid, step), basis.flags, integrate_mgt_mode,
                             params, r, t_grid, (u0v, u1v, v2v))

@@ -27,8 +27,9 @@ node and root instead of T.  The product of two rounded exponentials
 carries about twice the rounding of one; there is no running product
 whose error would grow along the grid.  This stepped route is real: it
 returns the real part of each sum, which is the whole sum for real data
-(the roots and amplitudes then come in conjugate pairs), so callers pass
-it real data only.
+(the roots and amplitudes then come in conjugate pairs), so the basis
+methods that take a step refuse complex data with a
+:class:`~viscowave.errors.DomainError`.
 """
 
 from __future__ import annotations
@@ -176,6 +177,13 @@ def _blocked_mode_sums(amp: np.ndarray, roots: np.ndarray, count: int, step: flo
     return tuple(tables.reshape((3, blocks * size) + shape)[:, :count])
 
 
+def _check_stepped(step, real: bool) -> None:
+    """The stepped route keeps only the real part of each sum, so it takes
+    real data only."""
+    if step is not None and not real:
+        raise DomainError("the stepped table route takes real data only")
+
+
 @dataclass
 class VdwKernelBasis:
     """Per-node kernel component amplitudes for a batch of frequencies."""
@@ -194,7 +202,8 @@ class VdwKernelBasis:
 
     def mode_tables(self, t, u0vals, u1vals, step=None):
         """(u, ut, utt) tables for data values on the node batch; ``step``
-        as in :func:`_mode_sums`."""
+        as in :func:`_mode_sums`, for real data only."""
+        _check_stepped(step, not (np.iscomplexobj(u0vals) or np.iscomplexobj(u1vals)))
         amp = self.coef0 * np.asarray(u0vals, dtype=complex)[:, None] \
             + self.coef1 * np.asarray(u1vals, dtype=complex)[:, None]
         return _mode_sums(amp, self.roots, t, step)
@@ -222,10 +231,12 @@ class MgtModeBasis:
     roots: np.ndarray   # (B, 4)
     amp: np.ndarray     # (B, 4)
     flags: np.ndarray   # (B,)
+    real: bool          # the amplitudes come from real data
 
     def eval(self, t, step=None):
         """(v, vt, vtt) at time(s) ``t``; shape (B,) or (T, B); ``step`` as
-        in :func:`_mode_sums`."""
+        in :func:`_mode_sums`, for a basis of real data only."""
+        _check_stepped(step, self.real)
         return _mode_sums(self.amp, self.roots, t, step)
 
 
@@ -233,11 +244,12 @@ def _mgt_basis(tau, r: np.ndarray, roots: np.ndarray, flags: np.ndarray,
                u0vals, u1vals, v2vals) -> MgtModeBasis:
     """Mode amplitudes from solved quartic roots (B, 4) on the nodes ``r``;
     ``tau`` is a scalar or one value per node."""
+    real = not any(np.iscomplexobj(d) for d in (u0vals, u1vals, v2vals))
     u0vals, u1vals, v2vals = (np.broadcast_to(np.asarray(d, dtype=complex), r.shape)
                               for d in (u0vals, u1vals, v2vals))
     v3vals = -(v2vals + r * r * (u0vals + u1vals)) / tau
     amp = _amplitudes(roots, (u0vals, u1vals, v2vals, v3vals), flags)
-    return MgtModeBasis(r=r, roots=roots, amp=amp, flags=flags)
+    return MgtModeBasis(r=r, roots=roots, amp=amp, flags=flags, real=real)
 
 
 def mgt_mode_basis(params: ModelParams, r, u0vals, u1vals, v2vals) -> MgtModeBasis:

@@ -329,6 +329,8 @@ def l2_norm_radial(spectrum, n: int, s: float = 0.0, zone_filter=None, *,
         raise DomainError(f"dimension must be a positive integer, got {n}")
     if s < 0:
         raise DomainError(f"Sobolev order must be >= 0, got {s}")
+    if not eps_cut > 0:         # the small zone would be empty, its norm 0
+        raise DomainError(f"eps_cut must be > 0, got {eps_cut}")
     exponent = 2.0 * s + n - 1.0
     needs_tail = zone_filter in (None, "all", "large")
     if r_max is None:
@@ -374,42 +376,32 @@ def l2_norm_radial(spectrum, n: int, s: float = 0.0, zone_filter=None, *,
 
 def kernel_norm(t: float, s: float, n: int, part: str, params: ModelParams, *,
                 eps_cut: float = DEFAULT_EPS_CUT) -> float:
-    """Low-frequency weighted norm of the oscillatory kernel envelopes.
+    """Low-frequency weighted norm of the oscillatory kernel envelopes: the
+    :func:`l2_norm_radial` of an envelope spectrum over the small zone.
 
-    ``part="cos_part"`` integrates |r^s cos(gt r t) e^(-c r^2 t)|^2 and
-    ``part="sin_part"`` the companion with weight r^(s-1).  For t > 0 the
-    sin integrand extends continuously to r = 0 for every s >= 0, n >= 1
-    (sin^2 supplies two powers of r), which covers all four branches of
-    the piecewise rate function G; nonpositive t is rejected instead.
+    ``part="cos_part"`` takes the envelope cos(gt r t) e^(-c r^2 t) and
+    ``part="sin_part"`` the companion sin(gt r t)/r e^(-c r^2 t), whose norm
+    carries the weight r^(s-1) on sin.  For t > 0 the sin envelope is
+    gt t sinc(gt t r / pi) e^(-c r^2 t), continuous at r = 0, so its norm is
+    finite for every s >= 0, n >= 1, which covers all four branches of the
+    piecewise rate function G; a t that is not finite and > 0 is rejected.
     """
     if part not in ("cos_part", "sin_part"):
         raise DomainError(f"part must be cos_part or sin_part, got {part!r}")
-    if t <= 0:
+    if not 0 < t < math.inf:                # NaN fails too
         raise DomainError(
-            "kernel norms require t > 0 (at t = 0 the sin weight r^(s-1) "
-            "has a non-integrable envelope for 2s + n <= 2)")
-    if s < 0:
-        raise DomainError(f"Sobolev order must be >= 0, got {s}")
-    if int(n) != n or n < 1:
-        raise DomainError(f"dimension must be a positive integer, got {n}")
-    gt = params.gamma_tilde
-    decay = 2.0 * params.parabolic_decay * t
-    phase = gt * t
-    if part == "cos_part":
-        exponent = 2.0 * s + n - 1.0
+            "kernel norms require a finite t > 0 (at t = 0 the sin weight "
+            "r^(s-1) has a non-integrable envelope for 2s + n <= 2)")
+    phase = params.gamma_tilde * t
+    decay = params.parabolic_decay * t
 
-        def integrand(r):
-            return np.cos(phase * r) ** 2 * np.exp(-decay * r * r) * r ** exponent
-    else:
-        exponent = 2.0 * s + n - 3.0
-
-        def integrand(r):
-            r = np.maximum(r, 1e-300)
-            return np.sin(phase * r) ** 2 * np.exp(-decay * r * r) * r ** exponent
+    def envelope(r):
+        wave = np.cos(phase * r) if part == "cos_part" \
+            else phase * np.sinc(phase * r / math.pi)
+        return wave * np.exp(-decay * r * r)
 
     cap = [(0.0, eps_cut, math.pi / max(phase, math.pi / eps_cut))]
-    value, _ = adaptive_integral(integrand, 0.0, eps_cut, cap_segments=cap)
-    return math.sqrt(sphere_area(n) * value)
+    return l2_norm_radial(envelope, n, s, "small", eps_cut=eps_cut, cap_segments=cap)
 
 
 # ---------------------------------------------------------------------------

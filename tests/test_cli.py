@@ -312,6 +312,9 @@ class TestBadNumbers:
         ("roots", "sweep.points = 0"),
         ("singular-limit-energy", "r.order = 0"),
         ("singular-limit-energy", "history.points = -3"),
+        # one history interval made the memory check compare a number with
+        # itself, so a far too coarse trapezoid passed
+        ("singular-limit-energy", "history.points = 1"),
         ("oracle-check", "seed = -1"),
         ("oracle-check", "modes.count = 0"),
         # geometric-grid endpoints: 0 made np.geomspace raise, a negative
@@ -454,6 +457,22 @@ tau.points = 5
         assert rc == 2
         assert err.startswith("error:")
         assert "tau_list" in err
+
+    @pytest.mark.parametrize("command",
+                             ["singular-limit-energy", "singular-limit-solution"])
+    def test_tau_list_with_grid_keys_is_error(self, tmp_path, capsys, command):
+        # the list used to win silently, and the metadata echoed the
+        # grid keys as if they had been used
+        cfg = write_cfg(tmp_path, "both.cfg", "gamma = 6.0\nn = 3\n"
+                        "data.v2 = consistent\ntau.list = 0.1,0.03,0.01,0.003,0.001\n"
+                        "tau.points = 9\ntau.min = 0.5\n")
+        out = tmp_path / "both.csv"
+        rc = run_command([command, "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: tau.list")
+        assert "tau.min" in err and "tau.points" in err and "tau.max" not in err
+        assert not out.exists()
 
     def test_profile_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "prof.cfg",

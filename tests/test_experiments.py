@@ -104,10 +104,11 @@ class TestConfigValidation:
             ExperimentConfig(params=ModelParams(6.0), probe_time=probe,
                              tau_list=np.geomspace(0.1, 0.001, 5))
 
-    @pytest.mark.parametrize("points", [0, -3, 2.5, np.nan, np.inf])
+    @pytest.mark.parametrize("points", [0, 1, -3, 2.5, np.nan, np.inf])
     def test_history_points_positive_integer(self, points):
         # history_points = 0 gave a one-point history grid t = [0] and a
-        # meaningless tau fit with no error
+        # meaningless tau fit with no error; at 1 the stride-2 memory check
+        # compared the one-interval trapezoid with itself
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(params=ModelParams(2.0), history_points=points,
                              tau_list=np.geomspace(0.1, 0.001, 5))

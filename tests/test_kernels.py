@@ -324,6 +324,36 @@ class TestModeSums:
             assert np.all(np.abs(g - f) <= 1e-15 * s)
 
 
+class TestSteppedBasisData:
+    """The basis methods that take a step refuse complex data: the stepped
+    route keeps real parts only, and dropped the imaginary part silently."""
+
+    r = [0.3, 2.5]
+    t, step = np.linspace(0.0, 1.0, 5, retstep=True)
+
+    def test_vdw_mode_tables(self):
+        from viscowave.kernels import vdw_kernel_basis
+        basis = vdw_kernel_basis(ModelParams(2.0), self.r)
+        with pytest.raises(DomainError, match="real data"):
+            basis.mode_tables(self.t, [1 + 1j] * 2, [0, 0], self.step)
+        plain = basis.mode_tables(self.t, [1.0] * 2, [0, 0])
+        stepped = basis.mode_tables(self.t, [1.0] * 2, [0, 0], self.step)
+        for a, b in zip(plain, stepped):
+            assert np.abs(a.real - b).max() <= 1e-14 * np.abs(a).max()
+
+    def test_mgt_eval(self):
+        from viscowave.kernels import mgt_mode_basis
+        p = ModelParams(2.0, 0.1)
+        basis = mgt_mode_basis(p, self.r, [1 + 1j] * 2, [0, 0], [0, 0])
+        assert not basis.real
+        with pytest.raises(DomainError, match="real data"):
+            basis.eval(self.t, self.step)
+        real = mgt_mode_basis(p, self.r, [1.0] * 2, [0, 0], [0, 0])
+        assert real.real
+        for a, b in zip(real.eval(self.t), real.eval(self.t, self.step)):
+            assert np.abs(a.real - b).max() <= 1e-14 * np.abs(a).max()
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
                     reason="needs an extended-precision long double")
 class TestBlockedModeSums:

@@ -111,6 +111,10 @@ class TestRadialNorm:
             l2_norm_radial(sp, n=3, s=-1)
         with pytest.raises(DomainError):
             l2_norm_radial(sp, n=3, s=0, zone_filter="everything")
+        # an empty small zone would read as a zero norm
+        for eps in (0.0, -0.1, math.nan):
+            with pytest.raises(DomainError, match="eps_cut"):
+                l2_norm_radial(sp, n=3, s=0, zone_filter="small", eps_cut=eps)
 
     def test_truncation_reported(self):
         # bare callable without tail information must be refused for
@@ -316,10 +320,15 @@ class TestKernelNorm:
         p = ModelParams(2.0)
         with pytest.raises(DomainError):
             kernel_norm(1.0, 0.0, 3, "tan_part", p)
-        with pytest.raises(DomainError):
-            kernel_norm(0.0, 0.0, 3, "sin_part", p)
+        for t in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                kernel_norm(t, 0.0, 3, "sin_part", p)
         with pytest.raises(DomainError):
             kernel_norm(1.0, -0.5, 3, "cos_part", p)
+        with pytest.raises(DomainError):
+            kernel_norm(1.0, 0.0, 0, "sin_part", p)
+        with pytest.raises(DomainError):
+            kernel_norm(1.0, 0.0, 3, "cos_part", p, eps_cut=-0.1)
 
     def test_log_branch_computable(self):
         # 2s + n = 2 must be evaluable for t > 0 (sin^2 regularises r = 0)
@@ -335,6 +344,33 @@ class TestKernelNorm:
         got = kernel_norm(t, 0.0, 3, "cos_part", p)
         plain = gaussian_norm_exact(1.0, p.parabolic_decay * t, 3, 0.0)
         assert got == pytest.approx(plain / math.sqrt(2.0), rel=1e-3)
+
+    @pytest.mark.parametrize("t", [1.0, 100.0, 1e3])
+    @pytest.mark.parametrize("s, n", [(0.0, 3), (0.0, 1), (0.75, 1)])
+    @pytest.mark.parametrize("part", ["cos_part", "sin_part"])
+    def test_against_mpmath_quadrature(self, part, s, n, t):
+        # the same integral over the small zone [0, eps_cut] at 30 digits,
+        # split at every oscillation period pi / (gamma_tilde t)
+        mpmath = pytest.importorskip("mpmath")
+        p = ModelParams(2.0)
+        eps = 0.1
+        with mpmath.workdps(30):
+            phase = mpmath.sqrt(mpmath.mpf(1) / 2) * t       # gamma_tilde t
+            decay = 2 * mpmath.mpf(5) / 8 * t                 # 2 c t, c = 5/8
+            trig, power = ((mpmath.cos, 2 * s + n - 1) if part == "cos_part"
+                           else (mpmath.sin, 2 * s + n - 3))
+
+            def f(r):
+                return trig(phase * r) ** 2 * mpmath.exp(-decay * r * r) \
+                    * r ** power
+
+            cuts = [mpmath.mpf(0)]
+            while cuts[-1] + mpmath.pi / phase < eps:
+                cuts.append(cuts[-1] + mpmath.pi / phase)
+            cuts.append(mpmath.mpf(eps))
+            area = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
+            want = float(mpmath.sqrt(area * mpmath.quad(f, cuts)))
+        assert kernel_norm(t, s, n, part, p) == pytest.approx(want, rel=1e-8)
 
 
 class TestRateFunction:

@@ -21,7 +21,8 @@ class ModelParams:
     Attributes
     ----------
     gamma:
-        Memory decay rate, dimensionless, strictly greater than 1.
+        Memory decay rate, dimensionless, strictly greater than 1 and
+        small enough (below about 1.3e154) that 2 gamma^2 is finite.
     tau:
         Thermal relaxation time in (0, 1); ``None`` for the second-order
         (memory-only) model.
@@ -37,6 +38,10 @@ class ModelParams:
         if not math.isfinite(self.gamma) or self.gamma <= 1.0:
             raise InvalidParameterError(
                 f"gamma must be finite and > 1, got {self.gamma!r}")
+        # parabolic_decay divides by 2 gamma^2: 0 or NaN once it overflows
+        if not math.isfinite(2.0 * self.gamma * self.gamma):
+            raise InvalidParameterError(
+                f"gamma must keep 2 gamma^2 finite, got {self.gamma!r}")
         if self.tau is not None:
             if not math.isfinite(self.tau) or not 0.0 < self.tau < 1.0:
                 raise InvalidParameterError(

@@ -23,7 +23,10 @@ each is refined at least as far as it would be on its own.
 
 The smooth frequency cut-offs of the underlying estimates are replaced by
 sharp cuts at the zone boundaries; every rate is insensitive to that
-choice, and the three zones then partition the radial domain exactly.
+choice, and the three zones then partition the radial domain exactly.  A
+norm over all zones is one adaptive pass whose initial panels have edges at
+the cuts (the break points of QUADPACK ``qagp``), so no panel straddles a
+zone boundary and the tolerance holds relative to the whole norm.
 """
 
 from __future__ import annotations
@@ -278,18 +281,6 @@ def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
 # Sobolev norms
 # ---------------------------------------------------------------------------
 
-def _zone_ranges(zone, eps_cut, n_cut, r_max):
-    if zone in (None, "all"):
-        return [(0.0, eps_cut), (eps_cut, n_cut), (n_cut, r_max)]
-    if zone == "small":
-        return [(0.0, eps_cut)]
-    if zone == "bounded":
-        return [(eps_cut, n_cut)]
-    if zone == "large":
-        return [(n_cut, r_max)]
-    raise DomainError(f"unknown zone filter {zone!r}")
-
-
 def l2_norm_radial(spectrum, n: int, s: float = 0.0, zone_filter=None, *,
                    eps_cut: float = DEFAULT_EPS_CUT, n_cut: float = DEFAULT_N_CUT,
                    r_max: float | None = None, rel_tol: float = 1e-9,
@@ -308,8 +299,13 @@ def l2_norm_radial(spectrum, n: int, s: float = 0.0, zone_filter=None, *,
         Space dimension (positive integer) and Sobolev order (s >= 0).
     zone_filter:
         One of None/"all"/"small"/"bounded"/"large"; sharp cuts at the
-        zone boundaries.  The "all" result is assembled from the three
-        zone pieces, so zone contributions add up exactly.
+        zone boundaries ``eps_cut`` and ``n_cut``.  Every zone takes one
+        adaptive pass, and the cuts inside it are initial panel edges, so
+        the zone norms add up in squares to the "all" norm to the
+        quadrature tolerance.
+    rel_tol:
+        Relative tolerance of the integral over the chosen zone (the
+        squared norm), also when that spans several zones.
     r_max:
         Upper integration radius for unbounded zones; defaults to the
         spectrum's ``tail_radius`` when available.
@@ -347,15 +343,15 @@ def l2_norm_radial(spectrum, n: int, s: float = 0.0, zone_filter=None, *,
         vals = np.asarray(spectrum(r))
         return np.abs(vals) ** 2 * r ** exponent
 
-    total = 0.0
-    err = 0.0
-    for lo, hi in _zone_ranges(zone_filter, eps_cut, n_cut, r_max):
-        if hi <= lo:
-            continue
-        v, e = adaptive_integral(integrand, lo, hi, rel_tol=rel_tol,
-                                 cap_segments=cap_segments)
-        total += v
-        err += e
+    zones = {"small": (0.0, eps_cut), "bounded": (eps_cut, n_cut),
+             "large": (n_cut, r_max), "all": (0.0, max(n_cut, r_max))}
+    if zone_filter not in (None, *zones):
+        raise DomainError(f"unknown zone filter {zone_filter!r}")
+    lo, hi = zones[zone_filter or "all"]
+    # the zone cuts are initial panel edges; a cut outside [lo, hi] is dropped
+    cuts = [*(cap_segments or ()), (eps_cut, n_cut, n_cut - eps_cut)]
+    total, err = adaptive_integral(integrand, lo, hi, rel_tol=rel_tol,
+                                   cap_segments=cuts) if hi > lo else (0.0, 0.0)
     if needs_tail:
         tail = np.max(integrand(np.array([r_max * 0.99, r_max])), axis=-1)
         for tail_c, total_c in zip(np.ravel(tail * r_max), np.ravel(total)):
@@ -392,6 +388,8 @@ def kernel_norm(t: float, s: float, n: int, part: str, params: ModelParams, *,
         raise DomainError(
             "kernel norms require a finite t > 0 (at t = 0 the sin weight "
             "r^(s-1) has a non-integrable envelope for 2s + n <= 2)")
+    if not eps_cut > 0:         # before the cap width divides by it
+        raise DomainError(f"eps_cut must be > 0, got {eps_cut}")
     phase = params.gamma_tilde * t
     decay = params.parabolic_decay * t
 

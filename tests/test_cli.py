@@ -298,6 +298,8 @@ class TestBadNumbers:
         ("decay", "t.points = nan"),
         ("decay", "n = inf"),
         ("decay", "gamma = inf"),
+        # 2 gamma^2 overflows: the run took 20 s and printed a wrong slope
+        ("decay", "gamma = 1e200"),
         ("singular-limit-energy", "tau.points = 1e400"),
         ("singular-limit-energy", "probe.time = nan"),
         # a probe time <= 0 wrote rows at t <= 0 (overflowing ones before it)

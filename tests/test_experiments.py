@@ -229,6 +229,13 @@ class TestNormReferences:
     def test_adaptive_norms_match_at_gamma_6(self):
         self.check_against_references(_reference_config(6.0))
 
+    # small times, where the bounded zone carries most of the norm
+    @pytest.mark.parametrize("gamma", [2.0, 6.0])
+    def test_small_times_match_closed_form_and_rk4(self, gamma):
+        self.check_against_references(ExperimentConfig(
+            params=ModelParams(gamma), n=3, t_grid=np.geomspace(0.5, 20.0, 10),
+            fit_window=(0.5, 20.0)))
+
     # the default decay config: t = 50...1.2e4, 28 times
     def test_default_times_match_closed_form_and_rk4(self):
         self.check_against_references(ExperimentConfig(params=ModelParams(2.0), n=3))

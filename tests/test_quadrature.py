@@ -97,6 +97,21 @@ class TestRadialNorm:
         assert total ** 2 == pytest.approx(sum(x ** 2 for x in pieces),
                                            rel=1e-10)
 
+    @pytest.mark.parametrize("zone", [None, "all", "small", "bounded", "large"])
+    def test_one_adaptive_pass_per_norm(self, monkeypatch, zone):
+        # the zone cuts are panel edges of one pass, not separate integrals
+        inner = quadrature.adaptive_integral
+        calls = []
+
+        def counting(f, a, b, **kwargs):
+            calls.append((a, b))
+            return inner(f, a, b, **kwargs)
+
+        monkeypatch.setattr(quadrature, "adaptive_integral", counting)
+        sp = DataSpectrum.gaussian(1.0, 0.05)     # tail radius 20 > n_cut
+        l2_norm_radial(sp, n=3, s=0, zone_filter=zone)
+        assert len(calls) == 1
+
     def test_refinement_changes_less_than_reported_error(self):
         sp = DataSpectrum.gaussian(1.0, 1.0)
         loose, err = l2_norm_radial(sp, n=3, s=0, rel_tol=1e-6, full_output=True)
@@ -327,8 +342,10 @@ class TestKernelNorm:
             kernel_norm(1.0, -0.5, 3, "cos_part", p)
         with pytest.raises(DomainError):
             kernel_norm(1.0, 0.0, 0, "sin_part", p)
-        with pytest.raises(DomainError):
-            kernel_norm(1.0, 0.0, 3, "cos_part", p, eps_cut=-0.1)
+        # eps_cut = 0 divided by zero in the cap width before this check
+        for eps in (0.0, -0.1, math.nan):
+            with pytest.raises(DomainError, match="eps_cut"):
+                kernel_norm(10.0, 0.0, 3, "cos_part", p, eps_cut=eps)
 
     def test_log_branch_computable(self):
         # 2s + n = 2 must be evaluable for t > 0 (sin^2 regularises r = 0)

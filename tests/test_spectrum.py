@@ -29,6 +29,13 @@ class TestModelParams:
             with pytest.raises(InvalidParameterError):
                 ModelParams(g)
 
+    def test_gamma_with_overflowing_constants(self):
+        # (gamma^2 + 1)/(2 gamma^2) read 0 at 1.3e154 and NaN above
+        for g in (1.3e154, 1e155, 1e200):
+            with pytest.raises(InvalidParameterError, match="gamma"):
+                ModelParams(g)
+        assert ModelParams(1e153).parabolic_decay == 0.5
+
     def test_invalid_tau(self):
         for tau in (0.0, 1.0, -0.1, float("nan")):
             with pytest.raises(InvalidParameterError):

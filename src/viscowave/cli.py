@@ -34,7 +34,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, ViscowaveError
 from .experiments import (DECAY_FIT_WINDOW, GRID_ORDER, GRID_PANELS,
-                          ExperimentConfig, decay_experiment, envelope_check,
+                          PROFILE_ERROR_FIT_WINDOW, ExperimentConfig,
+                          decay_experiment, envelope_check, kernel_tables,
                           optimality_check, profile_error_experiment,
                           singular_limit_energy, singular_limit_grid,
                           singular_limit_solution)
@@ -230,8 +231,9 @@ def build_config(opts: dict[str, str], command: str) -> ExperimentConfig:
                                 _get_int(opts, "t.points", t_points)),
             fit_window=(_get_float(opts, "fit.min", DECAY_FIT_WINDOW[0]),
                         _get_float(opts, "fit.max", DECAY_FIT_WINDOW[1])),
-            error_fit_window=(_get_float(opts, "errfit.min", 1e3),
-                              _get_float(opts, "errfit.max", 1e5)),
+            error_fit_window=(
+                _get_float(opts, "errfit.min", PROFILE_ERROR_FIT_WINDOW[0]),
+                _get_float(opts, "errfit.max", PROFILE_ERROR_FIT_WINDOW[1])),
             eps_cut=_get_float(opts, "r.eps", DEFAULT_EPS_CUT),
             n_cut=_get_float(opts, "r.cut", DEFAULT_N_CUT),
             probe_time=_get_positive(opts, "probe.time", 10.0),
@@ -309,15 +311,10 @@ def _handle_kernels(opts, config):
                           _get_positive(opts, "sweep.rmax", 5.0),
                           _get_int(opts, "sweep.points", 12))
     t_vals = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0])
-    basis = vdw_kernel_basis(config.params.without_tau(), r_vals)
-    keep = ~basis.flags
-    if not keep.any():
-        raise ViscowaveError("no sweep radius has distinct roots; "
-                             "every one is flagged near-degenerate")
-    pair = basis.eval(t_vals)                    # (T, B); t_vals[0] = 0
-    k0, k1, dk0, dk1 = (k[:, keep] for k in (pair.k0, pair.k1, pair.dk0, pair.dk1))
-    columns = {"r": np.tile(r_vals[keep], len(t_vals)),
-               "t": np.repeat(t_vals, keep.sum())}
+    params = config.params.without_tau()
+    # (T, B) tables, t_vals[0] = 0; flagged radii come from the oracle
+    k0, dk0, k1, dk1 = kernel_tables(params, vdw_kernel_basis(params, r_vals), t_vals)
+    columns = {"r": np.tile(r_vals, len(t_vals)), "t": np.repeat(t_vals, len(r_vals))}
     for name, k in (("k0", k0), ("k1", k1), ("dk0", dk0), ("dk1", dk1)):
         columns[f"{name}_re"] = k.real.ravel()
         columns[f"{name}_im"] = k.imag.ravel()

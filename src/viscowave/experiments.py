@@ -25,11 +25,13 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, InsufficientDataError,
                      InvalidParameterError, PreconditionError, RefinementError)
-# kept for bench/tracing.py, which wraps *_mode_solution and quartic_char_roots_batch
+# vdw_mode_solution, mgt_mode_solution, cubic_char_roots_batch and
+# quartic_char_roots_batch are unused here, kept only for bench/tracing.py,
+# which wraps them under these names
 from .kernels import (_mgt_basis, _vdw_basis, leading_profiles, mgt_mode_basis,
                       mgt_mode_solution, vdw_kernel_basis, vdw_mode_solution)
-from .oracle import (default_step, integrate_mgt_many, integrate_mgt_mode,
-                     integrate_vdw_many, integrate_vdw_mode)
+from .oracle import (_stiffness, default_step, integrate_mgt_many,
+                     integrate_mgt_mode, integrate_vdw_many, integrate_vdw_mode)
 from .params import ModelParams
 from .quadrature import (DataSpectrum, g_exponent, l2_norm_radial,
                          rate_function, sphere_area)
@@ -282,6 +284,20 @@ def _mgt_tables(params: ModelParams, r: np.ndarray, t_grid: np.ndarray,
                             params, r, t_grid, (u0v, u1v, v2v))
 
 
+def kernel_tables(params: ModelParams, basis, t: np.ndarray):
+    """(k0, dk0, k1, dk1) tables (T, B) of the memory-only kernel ``basis``
+    at the times ``t``: the modes of the data (1, 0), then of (0, 1), with
+    the flagged columns from the oracle."""
+    params = params.without_tau()
+    pair = basis.eval(t)
+    one, zero = np.ones(basis.r.shape), np.zeros(basis.r.shape)
+    k0, dk0 = _oracle_fallback((pair.k0, pair.dk0), basis.flags, integrate_vdw_mode,
+                               params, basis.r, t, (one, zero))
+    k1, dk1 = _oracle_fallback((pair.k1, pair.dk1), basis.flags, integrate_vdw_mode,
+                               params, basis.r, t, (zero, one))
+    return k0, dk0, k1, dk1
+
+
 def _field_factory(config: ExperimentConfig, t: float):
     """Vectorised r -> stacked (u, ut) mode rows at time t, shape (2, B)
     (mode tables, oracle fallback)."""
@@ -491,24 +507,18 @@ def envelope_check(config: ExperimentConfig) -> EnvelopeReport:
 
     The kernels are tested directly (unit data values), once with datum
     (1, 0) and once with (0, 1), so each data channel meets its own bound.
-    Both go through the mode tables, so near-degenerate nodes take the
+    Both come from :func:`kernel_tables`, so near-degenerate nodes take the
     oracle fallback instead of the unit-gap amplitudes of a flagged row.
+    One kernel basis per zone gives its tables and its roots.
     """
     params = config.params.without_tau()
     g, gt, pd = params.gamma, params.gamma_tilde, params.parabolic_decay
     eps, n_cut = config.eps_cut, config.n_cut
 
-    def unit_tables(r, t):
-        """(k0, dk0, k1, dk1) tables (T, B): data (1, 0), then (0, 1)."""
-        one, zero = np.ones(r.shape, complex), np.zeros(r.shape, complex)
-        k0, dk0, _ = _vdw_tables(params, r, t, one, zero)
-        k1, dk1, _ = _vdw_tables(params, r, t, zero, one)
-        return k0, dk0, k1, dk1
-
     # small zone ----------------------------------------------------------
     r_s = np.geomspace(1e-3, eps * 0.999, 28)
     t_s = np.concatenate([[0.0], np.geomspace(0.1, 1e3, 25)])
-    k0, dk0, k1, dk1 = unit_tables(r_s, t_s)
+    k0, dk0, k1, dk1 = kernel_tables(params, vdw_kernel_basis(params, r_s), t_s)
     tt, rr = t_s[:, None], r_s[None, :]
     osc = np.exp(-pd * rr ** 2 * tt)
     cosv, sinv = np.abs(np.cos(gt * rr * tt)), np.abs(np.sin(gt * rr * tt))
@@ -523,24 +533,22 @@ def envelope_check(config: ExperimentConfig) -> EnvelopeReport:
     small = ZoneEnvelope("small", 0.0, c_u_small, c_ut_small)
 
     # bounded zone --------------------------------------------------------
-    r_b = np.linspace(eps, n_cut, 220)
-    roots, _, _, _ = cubic_char_roots_batch(params, r_b)
-    c_fit = 0.9 * float(-roots.real.max())
+    basis = vdw_kernel_basis(params, np.linspace(eps, n_cut, 220))
+    c_fit = 0.9 * float(-basis.roots.real.max())
     t_b = np.linspace(0.0, 40.0, 33)
-    u_b, ut_b, _ = _vdw_tables(params, r_b, t_b, np.ones_like(r_b) + 0j,
-                               np.ones_like(r_b) + 0j)
-    bound_b = 2.0 * np.exp(-c_fit * t_b)[:, None]    # data (1, 1)
-    c_u_bdd = float((np.abs(u_b) / bound_b).max())
+    k0, _, k1, _ = kernel_tables(params, basis, t_b)
+    bound_b = 2.0 * np.exp(-c_fit * t_b)[:, None]    # data (1, 1): k0 + k1
+    c_u_bdd = float((np.abs(k0 + k1) / bound_b).max())
     bounded = ZoneEnvelope("bounded", c_fit, c_u_bdd, 0.0)
 
     # exterior zone -------------------------------------------------------
     r_l = np.geomspace(n_cut * 1.001, n_cut * 3.0, 24)
-    roots_l, _, _, _ = cubic_char_roots_batch(params, r_l)
-    slow = np.where(np.abs(roots_l.real) < 0.5 * r_l[:, None] ** 2,
-                    roots_l.real, -np.inf)
+    basis = vdw_kernel_basis(params, r_l)
+    slow = np.where(np.abs(basis.roots.real) < 0.5 * r_l[:, None] ** 2,
+                    basis.roots.real, -np.inf)
     c_large = 0.9 * float(-slow.max())
     t_l = np.linspace(0.05, 5.0, 21)
-    k0, _, k1, _ = unit_tables(r_l, t_l)
+    k0, _, k1, _ = kernel_tables(params, basis, t_l)
     tt, rr = t_l[:, None], r_l[None, :]
     with np.errstate(under="ignore"):
         b0 = np.exp(-c_large * tt) + np.exp(-rr ** 2 * tt) / rr ** 2
@@ -838,14 +846,12 @@ def oracle_mode_comparison(count: int = 50, seed: int = 20240808) -> OracleCompa
         distinct = np.zeros(count, dtype=bool)
         # the basis builders of the scalar path, so each row matches
         # vdw_mode_solution / mgt_mode_solution exactly
+        step = _accuracy_step(roots, float(np.max(
+            _stiffness(g, r, tau if kind == "mgt" else None))))
         if kind == "vdw":
-            stiffness = float(np.max(np.maximum(g, r * r)))
-            step = _accuracy_step(roots, stiffness)
             traj = integrate_vdw_many(g, r, t_eval, u0, u1, step)
             u, ut, _ = _vdw_basis(r, roots, distinct).mode_tables(t_eval, u0, u1)
         else:
-            stiffness = float(np.max(np.maximum(np.maximum(g, r * r), 1.0 / tau)))
-            step = _accuracy_step(roots, stiffness)
             traj = integrate_mgt_many(g, tau, r, t_eval, u0, u1, v2, step)
             u, ut, _ = _mgt_basis(tau, r, roots, distinct, u0, u1, v2).eval(t_eval)
         # scalar abs per row: numpy's vectorised complex abs can differ from

@@ -14,8 +14,10 @@ relaxed third order (4 complex states u, u', u'', z):
 
     tau u''' = -u'' - r^2 u - r^2 u' + r^2 z
 
-Both are integrated with the classical fixed-step fourth-order Runge-Kutta
-scheme.  On a linear autonomous system one step of length h is exactly
+One builder forms the generator of either system (the second-order one
+when no tau is given) and integrates it with the classical fixed-step
+fourth-order Runge-Kutta scheme.  On a linear autonomous system one step of
+length h is exactly
 
     y <- P(hA) y,    P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
 
@@ -61,11 +63,15 @@ class ModeTrajectory:
     z: np.ndarray
 
 
+def _stiffness(gamma, r, tau=None):
+    """Elementwise stiffness scale max(gamma, r^2, 1/tau); ``tau=None`` is
+    the second-order model."""
+    scale = np.maximum(gamma, np.multiply(r, r))
+    return scale if tau is None else np.maximum(scale, 1.0 / np.asarray(tau))
+
+
 def stiffness_scale(params: ModelParams, r: float) -> float:
-    scale = max(params.gamma, r * r)
-    if params.tau is not None:
-        scale = max(scale, 1.0 / params.tau)
-    return scale
+    return float(_stiffness(params.gamma, r, params.tau))
 
 
 def default_step(params: ModelParams, r: float) -> float:
@@ -75,6 +81,8 @@ def default_step(params: ModelParams, r: float) -> float:
 def _check_step(step: float, scale: float):
     if not step > 0:
         raise StabilityError(f"step must be positive, got {step}")
+    if not np.isfinite(scale):
+        raise StabilityError(f"stiffness scale must be finite, got {scale}")
     if step * scale > STABILITY_LIMIT:
         raise StabilityError(
             f"step {step} exceeds the stability bound {STABILITY_LIMIT / scale:.3e} "
@@ -115,55 +123,48 @@ def _rk4_path(a: np.ndarray, y0: np.ndarray, t_eval: np.ndarray,
 
 def _prepare_times(t_eval):
     t_eval = np.asarray(t_eval, dtype=float)
-    if (t_eval.ndim != 1 or t_eval.size == 0 or not np.all(np.isfinite(t_eval))
-            or np.any(np.diff(t_eval) < 0) or t_eval[0] < 0):
+    if (t_eval.ndim != 1 or t_eval.size == 0 or not np.isfinite(t_eval).all()
+            or (np.diff(t_eval) < 0).any() or t_eval[0] < 0):
         raise InvalidParameterError(
             "t_eval must be a nonempty 1-d array of finite, sorted, nonnegative times")
     return t_eval
 
 
-def _vdw_path(gamma, r, t_eval, u0hat, u1hat, step) -> ModeTrajectory:
-    """Second-order modes of any batch shape (0-d for a single mode)."""
-    gamma, r = np.broadcast_arrays(np.asarray(gamma, dtype=float),
-                                   np.asarray(r, dtype=float))
-    r2 = r * r
-    _check_step(step, float(np.max(np.maximum(gamma, r2))))
-    a = np.zeros(r.shape + (3, 3))
-    a[..., 0, 1] = 1.0
-    a[..., 1, 0] = a[..., 1, 1] = -r2
-    a[..., 1, 2] = r2
-    a[..., 2, 0] = 1.0
-    a[..., 2, 2] = -gamma
-    y0 = np.stack(np.broadcast_arrays(
-        np.asarray(u0hat, dtype=complex), np.asarray(u1hat, dtype=complex),
-        np.zeros(r.shape, dtype=complex)), axis=-1)
+def _path(gamma, tau, r, t_eval, data, step) -> ModeTrajectory:
+    """Modes of any batch shape (0-d for a single mode) from the start
+    ``data``: the second-order states (u, u', z) when ``tau`` is None, else
+    the relaxed states (u, u', u'', z)."""
+    names = ("gamma", "r") if tau is None else ("gamma", "r", "tau")
+    values = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                   for x in (gamma, r, tau)[:len(names)]))
+    finite = np.isfinite(values).reshape(len(names), -1).all(axis=1)
+    if not finite.all():
+        raise InvalidParameterError(f"{names[finite.argmin()]} must be finite")
+    gamma, r = values[:2]
+    if tau is not None:
+        tau = values[2]
+        if (tau <= 0).any():
+            raise InvalidParameterError("tau must be positive")
+    _check_step(step, float(_stiffness(gamma, r, tau).max()))
+    r2, n = r * r, len(names) + 1
+    a = np.zeros(r.shape + (n, n))
+    a[..., 0, 1] = a[..., -1, 0] = 1.0
+    a[..., -1, -1] = -gamma
+    if tau is None:
+        a[..., 1, 0] = a[..., 1, 1] = -r2
+        a[..., 1, 2] = r2
+    else:
+        a[..., 1, 2] = 1.0
+        a[..., 2, 0] = a[..., 2, 1] = -r2 / tau
+        a[..., 2, 2] = -1.0 / tau
+        a[..., 2, 3] = r2 / tau
+    y0 = np.stack(np.broadcast_arrays(*(np.asarray(d, dtype=complex) for d in data),
+                                      np.zeros(r.shape, dtype=complex)), axis=-1)
     path = _rk4_path(a, y0, t_eval, step)
-    u, ut, z = path[..., 0], path[..., 1], path[..., 2]
-    return ModeTrajectory(t=t_eval, u=u, ut=ut, utt=-r2 * (u + ut) + r2 * z, z=z)
-
-
-def _mgt_path(gamma, tau, r, t_eval, u0hat, u1hat, v2hat, step) -> ModeTrajectory:
-    """Relaxed third-order modes of any batch shape (0-d for a single mode)."""
-    gamma, tau, r = np.broadcast_arrays(np.asarray(gamma, dtype=float),
-                                        np.asarray(tau, dtype=float),
-                                        np.asarray(r, dtype=float))
-    if np.any(tau <= 0):
-        raise InvalidParameterError("tau must be positive")
-    r2 = r * r
-    _check_step(step, float(np.max(np.maximum(np.maximum(gamma, r2), 1.0 / tau))))
-    a = np.zeros(r.shape + (4, 4))
-    a[..., 0, 1] = a[..., 1, 2] = 1.0
-    a[..., 2, 0] = a[..., 2, 1] = -r2 / tau
-    a[..., 2, 2] = -1.0 / tau
-    a[..., 2, 3] = r2 / tau
-    a[..., 3, 0] = 1.0
-    a[..., 3, 3] = -gamma
-    y0 = np.stack(np.broadcast_arrays(
-        np.asarray(u0hat, dtype=complex), np.asarray(u1hat, dtype=complex),
-        np.asarray(v2hat, dtype=complex), np.zeros(r.shape, dtype=complex)), axis=-1)
-    path = _rk4_path(a, y0, t_eval, step)
-    return ModeTrajectory(t=t_eval, u=path[..., 0], ut=path[..., 1],
-                          utt=path[..., 2], z=path[..., 3])
+    u, ut, z = path[..., 0], path[..., 1], path[..., -1]
+    # the second-order u'' is reconstructed from the mode equation
+    utt = -r2 * (u + ut) + r2 * z if tau is None else path[..., 2]
+    return ModeTrajectory(t=t_eval, u=u, ut=ut, utt=utt, z=z)
 
 
 def integrate_vdw_mode(params: ModelParams, r: float, t_eval, u0hat=1.0,
@@ -177,7 +178,7 @@ def integrate_vdw_mode(params: ModelParams, r: float, t_eval, u0hat=1.0,
     t_eval = _prepare_times(t_eval)
     if step is None:
         step = default_step(params.without_tau(), r)
-    return _vdw_path(params.gamma, r, t_eval, u0hat, u1hat, step)
+    return _path(params.gamma, None, r, t_eval, (u0hat, u1hat), step)
 
 
 def integrate_mgt_mode(params: ModelParams, r: float, t_eval, u0hat=1.0, u1hat=0.0,
@@ -187,7 +188,7 @@ def integrate_mgt_mode(params: ModelParams, r: float, t_eval, u0hat=1.0, u1hat=0
     t_eval = _prepare_times(t_eval)
     if step is None:
         step = default_step(params, r)
-    return _mgt_path(params.gamma, tau, r, t_eval, u0hat, u1hat, v2hat, step)
+    return _path(params.gamma, tau, r, t_eval, (u0hat, u1hat, v2hat), step)
 
 
 def integrate_vdw_many(gamma: np.ndarray, r: np.ndarray, t_eval,
@@ -197,11 +198,10 @@ def integrate_vdw_many(gamma: np.ndarray, r: np.ndarray, t_eval,
     All modes share the output grid and the step, which must satisfy the
     strictest stability bound in the batch.
     """
-    return _vdw_path(gamma, r, _prepare_times(t_eval), u0hat, u1hat, step)
+    return _path(gamma, None, r, _prepare_times(t_eval), (u0hat, u1hat), step)
 
 
 def integrate_mgt_many(gamma: np.ndarray, tau: np.ndarray, r: np.ndarray, t_eval,
                        u0hat, u1hat, v2hat, step: float) -> ModeTrajectory:
     """Vectorised relaxed-model integration over a batch of modes."""
-    return _mgt_path(gamma, tau, r, _prepare_times(t_eval),
-                     u0hat, u1hat, v2hat, step)
+    return _path(gamma, tau, r, _prepare_times(t_eval), (u0hat, u1hat, v2hat), step)

@@ -20,6 +20,12 @@ def write_cfg(tmp_path, name, text):
     return str(path)
 
 
+def _csv_rows(path):
+    """The numeric rows of a CSV result, past its metadata and header."""
+    body = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    return np.loadtxt(body[1:], delimiter=",", ndmin=2)
+
+
 class TestConfigParsing:
     def test_sections_and_comments(self, tmp_path):
         path = write_cfg(tmp_path, "a.cfg", """
@@ -136,17 +142,33 @@ class TestRunCommand:
         assert rc == 0
         assert "kernels.interpolation_at_0" in capsys.readouterr().out
 
-    def test_all_flagged_sweep_is_error(self, tmp_path, capsys):
-        # r = 1 is a root-coalescence radius of the cubic at gamma = 2
-        cfg = write_cfg(tmp_path, "kf.cfg", "gamma = 2.0\nsweep.rmin = 1\n"
+    def test_flagged_radius_takes_the_oracle(self, tmp_path, capsys):
+        # at gamma = 2 the cubic is (lambda + 1)^3 at r = 1: that radius is
+        # flagged, so its kernels come from the oracle, and must match the
+        # triple-root closed forms
+        cfg = write_cfg(tmp_path, "kf.cfg", "gamma = 2.0\nsweep.rmin = 0.01\n"
+                        "sweep.rmax = 100\nsweep.points = 5\n")
+        out = tmp_path / "kf.csv"
+        assert run_command(["kernels", "--config", cfg, "--out", str(out)]) == 0
+        assert "kernels.interpolation_at_0" in capsys.readouterr().out
+        rows = _csv_rows(out)
+        assert rows.shape == (5 * 6, 10)
+        np.testing.assert_allclose(np.unique(rows[:, 0]), np.geomspace(0.01, 100, 5))
+        at_one = rows[rows[:, 0] == 1.0]
+        t, e = at_one[:, 1], np.exp(-at_one[:, 1])
+        closed = {2: (1 + t) * e, 4: (t + t * t / 2) * e,        # K0, K1
+                  6: -t * e, 8: (1 - t * t / 2) * e}             # dK0, dK1
+        assert len(t) == 6
+        for col, value in closed.items():
+            np.testing.assert_allclose(at_one[:, col], value, rtol=0, atol=1e-6)
+            np.testing.assert_allclose(at_one[:, col + 1], 0.0, rtol=0, atol=1e-6)
+
+    def test_single_flagged_radius_runs(self, tmp_path):
+        cfg = write_cfg(tmp_path, "k1.cfg", "gamma = 2.0\nsweep.rmin = 1\n"
                         "sweep.rmax = 1\nsweep.points = 1\n")
-        rc = run_command(["kernels", "--config", cfg,
-                          "--out", str(tmp_path / "kf.csv")])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err.startswith("error:")
-        assert "distinct roots" in err
-        assert not (tmp_path / "kf.csv").exists()
+        out = tmp_path / "k1.csv"
+        assert run_command(["kernels", "--config", cfg, "--out", str(out)]) == 0
+        assert _csv_rows(out).shape == (6, 10)
 
     def test_failing_check_maps_to_exit_one(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, "f.cfg", "gamma = 2.0\n")

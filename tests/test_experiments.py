@@ -372,6 +372,22 @@ class TestEnvelope:
         assert rep.bounded.c_fit > 0
         assert rep.large.c_fit > 0
 
+    def test_one_cubic_solve_per_zone(self, monkeypatch):
+        # one kernel basis per zone serves its tables and its roots; a
+        # solve per table and per root fit would make 7
+        import viscowave.experiments as experiments
+        import viscowave.kernels as kernels
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return cubic_char_roots_batch(*args, **kwargs)
+
+        for module in (kernels, experiments):
+            monkeypatch.setattr(module, "cubic_char_roots_batch", counted)
+        envelope_check(ExperimentConfig(params=ModelParams(2.0), n=3))
+        assert len(calls) == 3
+
     def test_flagged_node_takes_the_fallback(self):
         # bisect gamma so that the first large-zone node, r = n_cut * 1.001,
         # is a root-coalescence radius; the unit-gap amplitudes of its

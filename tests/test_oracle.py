@@ -47,6 +47,32 @@ def test_step_stability_guard():
         integrate_vdw_mode(p, 1.0, [1.0], step=float("nan"))
 
 
+@pytest.mark.parametrize("name", ["gamma", "r", "tau"])
+def test_non_finite_parameters_rejected(name):
+    # a NaN stiffness passed the step bound (step * nan > limit is False)
+    # and the batch came back all NaN
+    values = {"gamma": np.array([2.0, 3.0]), "r": np.array([0.5, 1.5]),
+              "tau": np.array([0.5, 0.3])}
+    t = np.linspace(0.0, 1.0, 3)
+    for bad in (np.nan, np.inf):
+        args = dict(values)
+        args[name] = np.array([values[name][0], bad])
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be finite"):
+            integrate_mgt_many(args["gamma"], args["tau"], args["r"], t,
+                               1.0, 0.0, 0.0, step=0.01)
+        if name != "tau":
+            with pytest.raises(InvalidParameterError, match=f"^{name} must be finite"):
+                integrate_vdw_many(args["gamma"], args["r"], t, 1.0, 0.0, step=0.01)
+    with pytest.raises(InvalidParameterError, match="^r must be finite"):
+        integrate_vdw_mode(ModelParams(2.0), float("nan"), t)
+
+
+def test_non_finite_stiffness_rejected():
+    # step * nan > limit is False, so a NaN scale needs its own refusal
+    with pytest.raises(StabilityError, match="finite"):
+        oracle._check_step(0.01, float("nan"))
+
+
 def test_default_step_respects_stiffness():
     assert default_step(ModelParams(2.0), 0.5) == pytest.approx(0.1)
     assert default_step(ModelParams(2.0), 10.0) == pytest.approx(0.002)
@@ -405,7 +431,7 @@ def test_stepped_tables_reject_complex_data(tables, params, count):
 
 
 def test_fallback_integrators_resolved_at_call_time(monkeypatch):
-    # both table routes reach the oracle through the experiments module's
+    # the table routes reach the oracle through the experiments module's
     # integrator names, looked up per call, so a wrapper installed there
     # sees every flagged node (the benchmark tracer counts fallbacks so)
     import viscowave.experiments as ex
@@ -427,5 +453,7 @@ def test_fallback_integrators_resolved_at_call_time(monkeypatch):
     qradii = _quartic_coalescence_radii(q)
     ones = np.ones(qradii.shape)
     ex._mgt_tables(q, qradii, t, ones, ones, ones)
+    ex.kernel_tables(p, ex.vdw_kernel_basis(p, radii), t)
     assert calls == (["integrate_vdw_mode"] * radii.size
-                     + ["integrate_mgt_mode"] * qradii.size)
+                     + ["integrate_mgt_mode"] * qradii.size
+                     + ["integrate_vdw_mode"] * (2 * radii.size))

@@ -333,12 +333,10 @@ def solution_norm(config: ExperimentConfig, t: float) -> np.ndarray:
     One adaptive pass integrates both: they share nodes, root solves and
     mode tables, and a panel is accepted only when both have converged.
     """
-    f = _field_factory(config, t)
-    r_max = max(config.u0.tail_radius(), config.u1.tail_radius())
     return l2_norm_radial(
-        f, n=config.n, s=config.s, zone_filter="all",
+        _field_factory(config, t), n=config.n, s=config.s, zone_filter="all",
         eps_cut=config.eps_cut, n_cut=config.n_cut,
-        r_max=r_max, cap_segments=_osc_segments(config, t))
+        cap_segments=_osc_segments(config, t))
 
 
 def _radial_weights(config: ExperimentConfig, power) -> np.ndarray:

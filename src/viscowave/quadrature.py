@@ -27,6 +27,14 @@ choice, and the three zones then partition the radial domain exactly.  A
 norm over all zones is one adaptive pass whose initial panels have edges at
 the cuts (the break points of QUADPACK ``qagp``), so no panel straddles a
 zone boundary and the tolerance holds relative to the whole norm.
+
+The large zone r >= n_cut is unbounded.  It is mapped onto the finite
+interval (n_cut, n_cut + 1] by the rational substitution of QUADPACK
+``qagi`` (Piessens et al., 1983), r = n_cut / (n_cut + 1 - y), with
+Jacobian n_cut / (n_cut + 1 - y)^2 = r / (n_cut + 1 - y), while y = r below
+n_cut.  Every norm is then one pass over a finite variable with no
+truncation radius, so it cannot miss mass that lies far out; the Kronrod
+nodes are interior, so r = infinity is never evaluated.
 """
 
 from __future__ import annotations
@@ -167,7 +175,11 @@ class DataSpectrum:
         return (2.0 * math.pi) ** (n / 2.0) * self.moment
 
     def tail_radius(self) -> float:
-        """Radius beyond which the squared spectrum is negligible (< ~1e-30)."""
+        """Radius beyond which the squared spectrum is negligible (< ~1e-30).
+
+        Only the fixed grid of the singular-limit runs uses it; the adaptive
+        norms map the large zone onto a finite variable instead.
+        """
         if self.kind == "tabulated":
             return self.params[0][-1]
         widths = self.params[1:]
@@ -283,9 +295,13 @@ def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
 
 def l2_norm_radial(spectrum, n: int, s: float = 0.0, zone_filter=None, *,
                    eps_cut: float = DEFAULT_EPS_CUT, n_cut: float = DEFAULT_N_CUT,
-                   r_max: float | None = None, rel_tol: float = 1e-9,
-                   cap_segments=None, full_output: bool = False):
+                   rel_tol: float = 1e-9, cap_segments=None,
+                   full_output: bool = False):
     """Sobolev-weighted radial L2 norm of a spectrum.
+
+    The integral runs over y in [0, n_cut + 1]: y = r up to ``n_cut``, and
+    the large zone is mapped by the ``qagi`` substitution
+    r = n_cut / (n_cut + 1 - y) (see the module docstring).
 
     Parameters
     ----------
@@ -294,21 +310,21 @@ def l2_norm_radial(spectrum, n: int, s: float = 0.0, zone_filter=None, *,
         works directly), or r -> a (k, P) stack of k spectra on the same
         nodes.  A stack gets one norm per component, from one adaptive
         pass whose panels are accepted only when every component has
-        converged; the tail check and ``full_output`` hold per component.
+        converged; ``full_output`` holds per component.
     n, s:
         Space dimension (positive integer) and Sobolev order (s >= 0).
     zone_filter:
         One of None/"all"/"small"/"bounded"/"large"; sharp cuts at the
-        zone boundaries ``eps_cut`` and ``n_cut``.  Every zone takes one
-        adaptive pass, and the cuts inside it are initial panel edges, so
-        the zone norms add up in squares to the "all" norm to the
-        quadrature tolerance.
+        zone boundaries ``eps_cut`` and ``n_cut``, which must satisfy
+        0 < eps_cut < n_cut < inf.  Every zone takes one adaptive pass,
+        and the cuts inside it are initial panel edges, so the zone norms
+        add up in squares to the "all" norm to the quadrature tolerance.
     rel_tol:
         Relative tolerance of the integral over the chosen zone (the
         squared norm), also when that spans several zones.
-    r_max:
-        Upper integration radius for unbounded zones; defaults to the
-        spectrum's ``tail_radius`` when available.
+    cap_segments:
+        (lo, hi, width) panel-width caps of :func:`adaptive_integral`, in
+        r; they must lie below ``n_cut``, where y = r.
     full_output:
         Also return an error estimate of the norm, propagated from the
         summed |K21 - G10| of :func:`adaptive_integral`; like that one it
@@ -316,49 +332,42 @@ def l2_norm_radial(spectrum, n: int, s: float = 0.0, zone_filter=None, *,
 
     Raises
     ------
+    DomainError
+        On a bad dimension, order, zone filter or pair of cuts.
     TruncationError
-        If no tail radius is known and none is supplied, the integrand
-        has not decayed at the chosen radius (for any component), or the
-        quadrature fails (see :func:`adaptive_integral`).
+        If the quadrature fails (see :func:`adaptive_integral`), as it
+        does for a spectrum that does not decay fast enough for a finite
+        norm: the mapped integrand then grows without bound towards
+        y = n_cut + 1, and the panels there hit the depth cap or the
+        panel budget.
     """
     if int(n) != n or n < 1:
         raise DomainError(f"dimension must be a positive integer, got {n}")
     if s < 0:
         raise DomainError(f"Sobolev order must be >= 0, got {s}")
-    if not eps_cut > 0:         # the small zone would be empty, its norm 0
-        raise DomainError(f"eps_cut must be > 0, got {eps_cut}")
+    # an empty small zone would read 0, and the map needs a finite n_cut
+    if not 0 < eps_cut < n_cut < math.inf:
+        raise DomainError(
+            f"need 0 < eps_cut < n_cut < inf, got eps_cut={eps_cut}, n_cut={n_cut}")
     exponent = 2.0 * s + n - 1.0
-    needs_tail = zone_filter in (None, "all", "large")
-    if r_max is None:
-        if needs_tail:
-            if hasattr(spectrum, "tail_radius"):
-                r_max = max(float(spectrum.tail_radius()), n_cut * 1.5)
-            else:
-                raise TruncationError(
-                    "unbounded zone requires r_max or a spectrum with tail_radius()")
-        else:
-            r_max = n_cut  # unused
 
-    def integrand(r):
+    def integrand(y):
+        mapped = y > n_cut
+        gap = n_cut + 1.0 - y
+        r = np.where(mapped, n_cut / gap, y)
+        jacobian = np.where(mapped, r / gap, 1.0)
         vals = np.asarray(spectrum(r))
-        return np.abs(vals) ** 2 * r ** exponent
+        return np.abs(vals) ** 2 * r ** exponent * jacobian
 
     zones = {"small": (0.0, eps_cut), "bounded": (eps_cut, n_cut),
-             "large": (n_cut, r_max), "all": (0.0, max(n_cut, r_max))}
+             "large": (n_cut, n_cut + 1.0), "all": (0.0, n_cut + 1.0)}
     if zone_filter not in (None, *zones):
         raise DomainError(f"unknown zone filter {zone_filter!r}")
     lo, hi = zones[zone_filter or "all"]
     # the zone cuts are initial panel edges; a cut outside [lo, hi] is dropped
     cuts = [*(cap_segments or ()), (eps_cut, n_cut, n_cut - eps_cut)]
     total, err = adaptive_integral(integrand, lo, hi, rel_tol=rel_tol,
-                                   cap_segments=cuts) if hi > lo else (0.0, 0.0)
-    if needs_tail:
-        tail = np.max(integrand(np.array([r_max * 0.99, r_max])), axis=-1)
-        for tail_c, total_c in zip(np.ravel(tail * r_max), np.ravel(total)):
-            if tail_c > max(rel_tol * total_c, 1e-290):
-                raise TruncationError(
-                    f"integrand has not decayed at r_max={r_max}: "
-                    f"tail estimate {tail_c:.2e} vs total {total_c:.2e}")
+                                   cap_segments=cuts)
     norm = np.sqrt(sphere_area(n) * total)
     if full_output:
         half_rel = 0.5 * err / np.maximum(total, 1e-300)

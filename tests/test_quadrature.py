@@ -90,12 +90,27 @@ class TestRadialNorm:
             assert got == pytest.approx(math.pi ** (n / 4), rel=1e-9)
 
     def test_zone_partition_is_exact(self):
-        sp = DataSpectrum.gaussian(1.0, 1.0)
-        total = l2_norm_radial(sp, n=3, s=0, zone_filter="all")
-        pieces = [l2_norm_radial(sp, n=3, s=0, zone_filter=z)
-                  for z in ("small", "bounded", "large")]
-        assert total ** 2 == pytest.approx(sum(x ** 2 for x in pieces),
-                                           rel=1e-10)
+        # at width 1 the large zone is empty to rounding; at width 0.01
+        # most of the mass lies past n_cut = 10, in the mapped variable
+        for width in (1.0, 0.01):
+            sp = DataSpectrum.gaussian(1.0, width)
+            total = l2_norm_radial(sp, n=3, s=0, zone_filter="all")
+            pieces = [l2_norm_radial(sp, n=3, s=0, zone_filter=z)
+                      for z in ("small", "bounded", "large")]
+            assert total ** 2 == pytest.approx(sum(x ** 2 for x in pieces),
+                                               rel=1e-10)
+
+    @pytest.mark.parametrize("width", [0.01, 0.05])
+    def test_large_zone_closed_form(self, width):
+        # int_a^inf r^2 e^(-b r^2) dr
+        #   = a e^(-b a^2) / (2 b) + sqrt(pi) / (4 b^(3/2)) erfc(sqrt(b) a)
+        # with b = 2 width for |f|^2 and a = n_cut
+        a, b = quadrature.DEFAULT_N_CUT, 2.0 * width
+        tail = (a * math.exp(-b * a * a) / (2 * b)
+                + math.sqrt(math.pi) / (4 * b ** 1.5) * math.erfc(math.sqrt(b) * a))
+        got = l2_norm_radial(DataSpectrum.gaussian(1.0, width), n=3, s=0,
+                             zone_filter="large")
+        assert got == pytest.approx(math.sqrt(4 * math.pi * tail), rel=1e-9)
 
     @pytest.mark.parametrize("zone", [None, "all", "small", "bounded", "large"])
     def test_one_adaptive_pass_per_norm(self, monkeypatch, zone):
@@ -130,17 +145,23 @@ class TestRadialNorm:
         for eps in (0.0, -0.1, math.nan):
             with pytest.raises(DomainError, match="eps_cut"):
                 l2_norm_radial(sp, n=3, s=0, zone_filter="small", eps_cut=eps)
+        # the large-zone map r = n_cut / (n_cut + 1 - y) needs a finite
+        # n_cut above eps_cut; nan and -1 read a silent 0 without the check
+        for cut in (math.nan, -1.0, 0.05, math.inf):
+            for zone in (None, "large"):
+                with pytest.raises(DomainError, match="n_cut"):
+                    l2_norm_radial(sp, n=3, s=0, zone_filter=zone, n_cut=cut)
 
     def test_truncation_reported(self):
-        # bare callable without tail information must be refused for
-        # unbounded zones, and a non-decaying integrand must be caught
+        # a spectrum that does not decay raises, from the depth cap or
+        # the panel budget
         with pytest.raises(TruncationError):
-            l2_norm_radial(lambda r: np.exp(-r * r), n=3, s=0)
-        with pytest.raises(TruncationError):
-            l2_norm_radial(lambda r: np.ones_like(r), n=3, s=0, r_max=30.0)
+            l2_norm_radial(lambda r: np.ones_like(r), n=3, s=0)
 
-    def test_explicit_r_max_for_callables(self):
-        got = l2_norm_radial(lambda r: np.exp(-r * r), n=3, s=0, r_max=8.0)
+    def test_bare_callable_needs_no_r_max(self):
+        # the large zone is mapped onto a finite variable, so a bare
+        # callable is integrated to infinity with no tail radius given
+        got = l2_norm_radial(lambda r: np.exp(-r * r), n=3, s=0)
         assert got == pytest.approx((math.pi / 2) ** 0.75, rel=1e-9)
 
     @settings(max_examples=25, deadline=None)
@@ -289,21 +310,22 @@ class TestVectorIntegrand:
         def stack(r):
             return np.stack([np.exp(-w * r * r) for w in widths])
 
-        got = l2_norm_radial(stack, n=3, s=1, r_max=12.0)
+        got = l2_norm_radial(stack, n=3, s=1)
         assert got.shape == (2,)
         for g, w in zip(got, widths):
             assert g == pytest.approx(gaussian_norm_exact(1.0, w, 3, 1), rel=1e-9)
-        norms, errs = l2_norm_radial(stack, n=3, s=1, r_max=12.0,
-                                     full_output=True)
+        norms, errs = l2_norm_radial(stack, n=3, s=1, full_output=True)
         assert np.array_equal(norms, got) and errs.shape == (2,)
 
-    def test_radial_tail_checked_per_component(self):
-        # the second component has not decayed at r_max; the first has
+    def test_radial_non_decaying_component_raises(self):
+        # the first component converges; the second decays like r^-1.4,
+        # whose squared norm at n = 3 diverges, so its mapped integrand
+        # grows without bound towards y = n_cut + 1
         def stack(r):
-            return np.stack([np.exp(-r * r), np.exp(-0.01 * r * r)])
+            return np.stack([np.exp(-r * r), (1.0 + r * r) ** -0.7])
 
-        with pytest.raises(TruncationError, match="not decayed"):
-            l2_norm_radial(stack, n=3, s=0, r_max=8.0)
+        with pytest.raises(TruncationError):
+            l2_norm_radial(stack, n=3, s=0)
 
 
 class TestNodeBudget:
@@ -328,6 +350,21 @@ class TestNodeBudget:
             assert norms.shape == (2,) and np.all(norms > 0)
         assert sizes and all(k % 21 == 0 for k in sizes)
         assert sum(sizes) <= 9000
+
+
+class TestFarTail:
+    @pytest.mark.parametrize("t", [0.3, 30.0])
+    def test_norm_independent_of_far_tail(self, t):
+        # u1 = exp(-w r^2) with w -> 0: the mode kernels decay on their own
+        # at large r, so every tiny width gives the same norms, however far
+        # past n_cut the data's tail radius (~4e150 at w = 1e-300) lies
+        norms = []
+        for width in (1e-300, 1e-40, 1e-20):
+            cfg = ExperimentConfig(params=ModelParams(2.0), n=3,
+                                   u1=DataSpectrum.gaussian(1.0, width))
+            norms.append(solution_norm(cfg, t))
+        for got in norms[1:]:
+            np.testing.assert_allclose(got, norms[0], rtol=1e-8)
 
 
 class TestKernelNorm:

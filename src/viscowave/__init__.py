@@ -32,19 +32,19 @@ from .oracle import ModeTrajectory, integrate_mgt_mode, integrate_vdw_mode
 from .params import ModelParams
 from .quadrature import (DataSpectrum, kernel_norm, l2_norm_radial,
                          rate_function, sphere_area)
-from .spectrum import (FrequencyGrid, RootSet, asymptotic_roots,
-                       cubic_char_roots, cubic_discriminant,
-                       cubic_discriminant_expanded, discriminant_zero_radii,
-                       quartic_char_roots, track_branches)
+from .spectrum import (RootSet, asymptotic_roots, cubic_char_roots,
+                       cubic_discriminant, cubic_discriminant_expanded,
+                       discriminant_zero_radii, quartic_char_roots,
+                       track_branches)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "DataSpectrum", "DecayResult", "DomainError",
-    "EnergySeries", "ExperimentConfig", "FrequencyGrid",
-    "InsufficientDataError", "InvalidParameterError", "KernelPair",
-    "MissingParameterError", "ModeState", "ModeTrajectory", "ModelParams",
-    "NearDegenerateError", "OptimalityReport", "PreconditionError",
+    "EnergySeries", "ExperimentConfig", "InsufficientDataError",
+    "InvalidParameterError", "KernelPair", "MissingParameterError",
+    "ModeState", "ModeTrajectory", "ModelParams", "NearDegenerateError",
+    "OptimalityReport", "PreconditionError",
     "ProfilePair", "ProfileResult", "RateFit", "RefinementError", "RootSet",
     "StabilityError", "TruncationError", "ViscowaveError",
     "asymptotic_roots", "cubic_char_roots", "cubic_discriminant",

@@ -33,11 +33,10 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ViscowaveError
-from .experiments import (DECAY_FIT_WINDOW, GRID_ORDER, GRID_PANELS,
-                          PROFILE_ERROR_FIT_WINDOW, ExperimentConfig,
-                          decay_experiment, envelope_check, kernel_tables,
-                          optimality_check, profile_error_experiment,
-                          singular_limit_energy, singular_limit_grid,
+from .experiments import (DECAY_FIT_WINDOW, PROFILE_ERROR_FIT_WINDOW,
+                          ExperimentConfig, decay_experiment, envelope_check,
+                          kernel_tables, optimality_check,
+                          profile_error_experiment, singular_limit_energy,
                           singular_limit_solution)
 from .kernels import vdw_kernel_basis
 from .params import ModelParams
@@ -47,7 +46,7 @@ from .spectrum import (DEFAULT_EPS_CUT, DEFAULT_N_CUT, cubic_char_roots_batch,
 
 _DECAY = "gamma n s data.u0 data.u1 t.min t.max t.points fit.min fit.max r.eps r.cut"
 _LIMIT = ("gamma n data.u0 data.u1 data.v2 tau.list tau.min tau.max tau.points "
-          "probe.time r.max r.panels r.order")
+          "probe.time")
 
 #: the config keys each command reads, in the order of the command list
 COMMAND_KEYS = {command: frozenset(keys.split()) for command, keys in (
@@ -196,10 +195,10 @@ def _get_float(opts, key, default):
 
 
 def _get_positive(opts, key, default):
-    """A key that must be above zero: geometric-grid endpoints, the probe
-    time and the grid radius (whose default is None)."""
+    """A key that must be above zero: geometric-grid endpoints and the
+    probe time."""
     value = _get_float(opts, key, default)
-    if value is not None and value <= 0:
+    if value <= 0:
         raise ConfigError(f"{key}: expected a number > 0, got {value!r}")
     return value
 
@@ -216,8 +215,8 @@ def _get_int(opts, key, default, least=1):
 def build_config(opts: dict[str, str], command: str) -> ExperimentConfig:
     """The ExperimentConfig of ``command``.  ``opts`` holds only the keys
     the command reads (see :func:`merged_options`), so every other field
-    keeps its default; only the singular-limit runs, which read the grid
-    keys, get a tau list and a frequency grid."""
+    keeps its default; only the singular-limit runs, which read the tau
+    keys, get a tau list."""
     t_max, t_points = (1.2e5, 30) if command == "profile" else (1.2e4, 28)
     try:
         kw = dict(
@@ -241,7 +240,7 @@ def build_config(opts: dict[str, str], command: str) -> ExperimentConfig:
         if not 0 < kw["eps_cut"] < kw["n_cut"]:
             raise ConfigError("r.eps, r.cut: need 0 < r.eps < r.cut, got "
                               f"{kw['eps_cut']!r} and {kw['n_cut']!r}")
-        if "r.max" in COMMAND_KEYS[command]:
+        if "tau.list" in COMMAND_KEYS[command]:
             v2 = parse_spectrum(opts["data.v2"], "data.v2") if "data.v2" in opts else None
             if "tau.list" in opts:
                 tau_list = np.array([_number("tau.list", x)
@@ -254,10 +253,7 @@ def build_config(opts: dict[str, str], command: str) -> ExperimentConfig:
                 tau_list = np.geomspace(_get_positive(opts, "tau.max", 1e-1),
                                         _get_positive(opts, "tau.min", 1e-3),
                                         _get_int(opts, "tau.points", 7))
-            kw.update(v2=v2, tau_list=tau_list, r_grid=singular_limit_grid(
-                (kw["u0"], kw["u1"], v2), _get_positive(opts, "r.max", None),
-                _get_int(opts, "r.panels", GRID_PANELS),
-                _get_int(opts, "r.order", GRID_ORDER)))
+            kw.update(v2=v2, tau_list=tau_list)
         return ExperimentConfig(**kw)
     except ViscowaveError as exc:
         raise ConfigError(str(exc)) from exc

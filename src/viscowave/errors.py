@@ -38,7 +38,9 @@ class InsufficientDataError(ViscowaveError):
 
 
 class RefinementError(ViscowaveError):
-    """A discretised term failed its refinement (grid-doubling) check."""
+    """A discretised term failed its refinement check: a time grid against
+    its every other point, or a radial sum against its own G10-K21 error
+    estimate within the panel budget."""
 
 
 class PreconditionError(ViscowaveError):

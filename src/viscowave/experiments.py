@@ -11,7 +11,10 @@ Relaxation sweeps fit the energy of the model difference against tau on
 the supremum over the sampled time interval (including t = 0): the energy
 bound is uniform in time, and the initial-layer share tau * ||w2||^2 of
 the budget is only visible near t = 0 (it decays like exp(-t/tau), so any
-fixed probe past the transient sees the tau^2 remainder instead).
+fixed probe past the transient sees the tau^2 remainder instead).  The
+sweeps' radial sums take the G10-K21 panel rule of the adaptive norms, on
+panels derived from the data and halved until every summed column meets
+its own |K21 - G10| estimate (:func:`_refined_sweep`).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,12 +36,11 @@ from .kernels import (_mgt_basis, _vdw_basis, leading_profiles, mgt_mode_basis,
 from .oracle import (_stiffness, default_step, integrate_mgt_many,
                      integrate_mgt_mode, integrate_vdw_many, integrate_vdw_mode)
 from .params import ModelParams
-from .quadrature import (DataSpectrum, g_exponent, l2_norm_radial,
+from .quadrature import (DataSpectrum, g_exponent, l2_norm_radial, panel_rule,
                          rate_function, sphere_area)
-from .spectrum import (DEFAULT_EPS_CUT, DEFAULT_N_CUT, FrequencyGrid,
-                       cubic_char_roots_batch, cubic_coefficients,
-                       quartic_char_roots_batch, quartic_coefficients,
-                       solve_polynomial_batch)
+from .spectrum import (DEFAULT_EPS_CUT, DEFAULT_N_CUT, cubic_char_roots_batch,
+                       cubic_coefficients, quartic_char_roots_batch,
+                       quartic_coefficients, solve_polynomial_batch)
 
 #: spec-pinned default fit window for time-decay experiments
 DECAY_FIT_WINDOW = (1e2, 1e4)
@@ -48,8 +50,11 @@ KERNEL_NORM_FIT_WINDOW = (1e4, 1e6)
 PROFILE_ERROR_FIT_WINDOW = (1e3, 1e5)
 #: sample-time horizon of oracle_mode_comparison
 ORACLE_HORIZON = 20.0
-#: Gauss-Legendre panels, and nodes per panel, of the singular-limit grid
-GRID_PANELS, GRID_ORDER = 48, 8
+#: initial equal panels, and panel budget, of the singular-limit sums
+SWEEP_PANELS, SWEEP_MAX_PANELS = 16, 512
+#: bound on |K21 - G10| of every singular-limit sum, relative to the largest
+#: value of its column (the adaptive norms' rel_tol)
+SWEEP_RTOL = 1e-9
 
 
 def thread_map(fn, items):
@@ -92,8 +97,6 @@ class ExperimentConfig:
     #: frequency zones: small r < eps_cut, bounded up to n_cut, large beyond
     eps_cut: float = DEFAULT_EPS_CUT
     n_cut: float = DEFAULT_N_CUT
-    #: fixed grid of the singular-limit runs (None: singular_limit_grid)
-    r_grid: FrequencyGrid | None = None
     tau_list: np.ndarray | None = None
     fit_window: tuple[float, float] = DECAY_FIT_WINDOW
     #: window for the profile-error fit; the subtracted difference carries
@@ -139,24 +142,6 @@ class ExperimentConfig:
         if self.v2 is None:
             return np.zeros_like(r)
         raise InvalidParameterError(f"cannot interpret v2={self.v2!r}")
-
-
-def singular_limit_grid(spectra, r_max=None, panels=GRID_PANELS,
-                        order=GRID_ORDER) -> FrequencyGrid:
-    """The fixed frequency grid of the singular-limit runs: ``panels``
-    Gauss-Legendre panels of ``order`` nodes on [0, r_max], where r_max
-    defaults to the largest tail radius of the data ``spectra`` (entries
-    that are not a DataSpectrum, such as ``"consistent"``, are skipped)."""
-    if r_max is None:
-        r_max = max(sp.tail_radius() for sp in spectra if isinstance(sp, DataSpectrum))
-    return FrequencyGrid.composite_gauss(0.0, r_max, panels, order)
-
-
-def _on_grid(config: ExperimentConfig) -> ExperimentConfig:
-    """``config`` on its ``r_grid``, or else on the :func:`singular_limit_grid`
-    of its data."""
-    grid = config.r_grid or singular_limit_grid((config.u0, config.u1, config.v2))
-    return replace(config, r_grid=grid)
 
 
 @dataclass
@@ -337,13 +322,6 @@ def solution_norm(config: ExperimentConfig, t: float) -> np.ndarray:
         _field_factory(config, t), n=config.n, s=config.s, zone_filter="all",
         eps_cut=config.eps_cut, n_cut=config.n_cut,
         cap_segments=_osc_segments(config, t))
-
-
-def _radial_weights(config: ExperimentConfig, power) -> np.ndarray:
-    """Plancherel weights of the frequency grid for r^power |mode|^2:
-    |S^(n-1)| times the grid weights times r^(power + n - 1)."""
-    grid = config.r_grid
-    return sphere_area(config.n) * grid.weights * grid.nodes ** (power + config.n - 1)
 
 
 def _norm_series(config: ExperimentConfig) -> np.ndarray:
@@ -599,12 +577,12 @@ def _sweep_grid(config: ExperimentConfig, steps: int):
     return np.linspace(0.0, config.probe_time, steps + 1, retstep=True)
 
 
-def _tau_sweep(config: ExperimentConfig, steps: int, one_tau) -> list:
+def _tau_sweep(config: ExperimentConfig, r: np.ndarray, steps: int, one_tau) -> list:
     """``one_tau(tau, t, w, w_t, w_tt)`` for every tau of the list, in order.
 
     ``t`` is :func:`_sweep_grid`, and (w, w_t, w_tt) are the real (T, B)
-    tables on ``t`` and the frequency nodes of the relaxed model at tau
-    minus the limit model, evaluated in blocks of the step (see
+    tables on ``t`` and the radii ``r`` of the relaxed model at tau minus
+    the limit model, evaluated in blocks of the step (see
     :func:`kernels._mode_sums`).  The data spectra are real, so the modes
     are real and the stepped route, which takes real data only, keeps all
     of them.  The limit tables do not depend on tau, so they are built once
@@ -613,7 +591,6 @@ def _tau_sweep(config: ExperimentConfig, steps: int, one_tau) -> list:
     across threads and never write them.
     """
     t_grid, step = _sweep_grid(config, steps)
-    r = config.r_grid.nodes
     u0v, u1v = config.u0(r), config.u1(r)
     v2v = config.v2_values(r)
     limit = _vdw_tables(config.params.without_tau(), r, t_grid, u0v, u1v, step)
@@ -626,6 +603,56 @@ def _tau_sweep(config: ExperimentConfig, steps: int, one_tau) -> list:
         return one_tau(tau, t_grid, *diff)
 
     return thread_map(task, config.tau_list)
+
+
+def _refined_sweep(config: ExperimentConfig, steps: int, one_tau):
+    """:func:`_tau_sweep` on the G10-K21 panel rule, halved until every sum
+    meets its own estimate; returns the results, the radii and the weights.
+
+    ``one_tau(tau, t, w, w_t, w_tt, r, weights)`` returns a result and the
+    largest |K21 - G10| of its summed columns relative to that column's
+    largest value (:func:`_kg_gap`), where ``weights`` (B, 2) are the
+    Plancherel weights |S^(n-1)| r^(n-1) times the K21 and the G10 weights
+    of :func:`quadrature.panel_rule`.  The panels start as
+    ``SWEEP_PANELS`` equal ones on [0, R], R the largest tail radius of the
+    data, and every node of a tabulated datum is an edge too, so that its
+    kinks fall on edges.  While some tau's estimate is above ``SWEEP_RTOL``,
+    all panels are halved and the sweep runs again; past
+    ``SWEEP_MAX_PANELS`` panels a :class:`RefinementError` names that tau.
+    """
+    spectra = [sp for sp in (config.u0, config.u1, config.v2)
+               if isinstance(sp, DataSpectrum)]
+    r_max = max(sp.tail_radius() for sp in spectra)
+    if not r_max > 0:
+        raise InvalidParameterError("the data spectra vanish for every r > 0")
+    kinks = [x for sp in spectra if sp.kind == "tabulated"
+             for x in sp.params[0] if 0.0 < x < r_max]
+    edges = np.union1d(np.linspace(0.0, r_max, SWEEP_PANELS + 1), kinks)
+    while True:
+        r, k21, g10 = panel_rule(edges)
+        weights = (sphere_area(config.n) * r ** (config.n - 1))[:, None] \
+            * np.stack((k21, g10), axis=-1)
+        out = _tau_sweep(config, r, steps,
+                         lambda *tables: one_tau(*tables, r, weights))
+        bad = [(tau, gap) for tau, (_, gap) in zip(config.tau_list, out)
+               if not gap <= SWEEP_RTOL]          # NaN is not converged
+        if not bad:
+            return [res for res, _ in out], r, weights
+        if 2 * (edges.size - 1) > SWEEP_MAX_PANELS:
+            tau, gap = bad[0]
+            raise RefinementError(
+                f"singular-limit sums at tau={tau:g} not converged on "
+                f"{edges.size - 1} panels: |K21 - G10| is {gap:.2e} of the "
+                f"column maximum (needs <= {SWEEP_RTOL:g})")
+        edges = np.union1d(edges, 0.5 * (edges[:-1] + edges[1:]))
+
+
+def _kg_gap(sums) -> float:
+    """Largest |K21 - G10| of (..., 2) sums, relative to the largest K21
+    value, 0 for an all-zero column."""
+    sums = np.asarray(sums)
+    return float(np.abs(sums[..., 0] - sums[..., 1]).max()
+                 / max(np.abs(sums[..., 0]).max(), 1e-300))
 
 
 def _tau_exponent(config: ExperimentConfig) -> float:
@@ -691,21 +718,17 @@ def singular_limit_energy(config: ExperimentConfig) -> SingularEnergyResult:
     the initial layer would measure the tau^2 remainder only.
     """
     _require_tau_list(config)
-    config = _on_grid(config)
     span = math.log10(config.tau_list.max() / config.tau_list.min())
     if span < 2.0 - 1e-9:
         raise PreconditionError("tau_list must span at least two decades")
-    r = config.r_grid.nodes
-    w_s0, w_s1 = _radial_weights(config, 0), _radial_weights(config, 2)
-    w2_modes = config.v2_values(r) + r * r * (config.u0(r) + config.u1(r))
-    w2_norm_sq = float((w_s0 * w2_modes ** 2).sum())
     t_grid, _ = _sweep_grid(config, config.history_points)
     kernel = _memory_kernel(t_grid, config.params.gamma)
     kernel_coarse = _memory_kernel(t_grid, config.params.gamma, stride=2)
 
-    def one_tau(tau: float, t, w, wt, wtt) -> EnergySeries:
+    def one_tau(tau: float, t, w, wt, wtt, r, w_s0):
+        w_s1 = w_s0 * (r * r)[:, None]
         # <grad w(t_i), grad w(t_j)>: one real (T, B) @ (B, T) product
-        gram = (w * w_s1) @ w.T
+        gram = (w * w_s1[:, 0]) @ w.T
         memory = _memory_series(gram, kernel)
         mem_coarse = _memory_series(gram, kernel_coarse)
         scale = max(float(memory[-1]), 1e-300)
@@ -713,17 +736,21 @@ def singular_limit_energy(config: ExperimentConfig) -> SingularEnergyResult:
             raise RefinementError(
                 "memory-history trapezoid not converged; raise history_points")
         wt_sq = wt * wt
-        return EnergySeries(
-            tau=tau, t=t,
-            e_wtt=tau * ((wtt * wtt) @ w_s0),
-            e_grad_wt=wt_sq @ w_s1,
-            e_grad_w=np.diag(gram).copy(),
-            e_wt=tau * (wt_sq @ w_s0),
-            e_memory=memory,
-            w_l2_sq=(w * w) @ w_s0,
-        )
+        sums = dict(e_wtt=tau * ((wtt * wtt) @ w_s0), e_grad_wt=wt_sq @ w_s1,
+                    e_grad_w=(w * w) @ w_s1, e_wt=tau * (wt_sq @ w_s0),
+                    w_l2_sq=(w * w) @ w_s0)
+        # the G10 memory at the last time, from one G10 Gram row
+        grad_g10 = sums["e_grad_w"][:, 1]
+        row_g10 = (w[-1] * w_s1[:, 1]) @ w.T
+        mem_g10 = kernel[1][-1] @ (grad_g10[-1] + grad_g10 - 2.0 * row_g10)
+        gap = max(_kg_gap(s) for s in sums.values())
+        gap = max(gap, abs(memory[-1] - mem_g10) / max(memory.max(), 1e-300))
+        return EnergySeries(tau=tau, t=t, e_memory=memory,
+                            **{name: s[:, 0] for name, s in sums.items()}), gap
 
-    series = _tau_sweep(config, config.history_points, one_tau)
+    series, r, weights = _refined_sweep(config, config.history_points, one_tau)
+    w2_modes = config.v2_values(r) + r * r * (config.u0(r) + config.u1(r))
+    w2_norm_sq = float(w2_modes ** 2 @ weights[:, 0])
     sup_vals = np.array([s.total.max() for s in series])
     return SingularEnergyResult(series=series, fit_sup=_tau_fit(config, sup_vals),
                                 es0_values=np.array([s.total[0] for s in series]),
@@ -754,10 +781,12 @@ def singular_limit_solution(config: ExperimentConfig,
             "the solution-limit estimate requires gamma > 5 and n >= 3 (set "
             "allow_outside = true in a CLI config, or pass allow_outside=True, "
             "to explore regardless)")
-    config = _on_grid(config)
-    w_s0 = _radial_weights(config, 0)
-    vals = np.array(_tau_sweep(
-        config, 1, lambda tau, t, w, wt, wtt: float(w[-1] ** 2 @ w_s0)))
+
+    def one_tau(tau, t, w, wt, wtt, r, w_s0):
+        sums = w[-1] ** 2 @ w_s0
+        return float(sums[0]), _kg_gap(sums)
+
+    vals = np.array(_refined_sweep(config, 1, one_tau)[0])
     fit = _tau_fit(config, vals)
     predicted = _tau_exponent(config)
     return SingularSolutionResult(

@@ -75,39 +75,6 @@ class RootSet:
     ambiguous_match: bool = False
 
 
-@dataclass
-class FrequencyGrid:
-    """Sorted radial nodes with quadrature weights."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.nodes = np.asarray(self.nodes, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.nodes.ndim != 1 or self.nodes.size == 0:
-            raise InvalidParameterError("grid nodes must be a non-empty 1-d array")
-        if np.any(np.diff(self.nodes) <= 0) or self.nodes[0] < 0:
-            raise InvalidParameterError("grid nodes must be strictly increasing and >= 0")
-        if self.weights.shape != self.nodes.shape or np.any(self.weights <= 0):
-            raise InvalidParameterError("grid weights must be positive, one per node")
-
-    @classmethod
-    def composite_gauss(cls, r_min, r_max, panels, order) -> "FrequencyGrid":
-        """Composite Gauss-Legendre nodes/weights on [r_min, r_max].
-
-        Interior Gauss nodes never touch panel edges, so r = 0 and exact
-        zone boundaries are avoided automatically.
-        """
-        x, w = np.polynomial.legendre.leggauss(order)
-        edges = np.linspace(r_min, r_max, panels + 1)
-        half = 0.5 * np.diff(edges)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        weights = (half[:, None] * w[None, :]).ravel()
-        return cls(nodes, weights)
-
-
 # ---------------------------------------------------------------------------
 # polynomial coefficients
 # ---------------------------------------------------------------------------

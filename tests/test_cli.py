@@ -263,8 +263,8 @@ class TestUnknownOptions:
     def test_unread_keys_top_level_and_in_section(self, tmp_path, capsys):
         # keys that decay does not read: at top level decay skips them (one
         # file serves every command), in [decay] they are an error
-        unread = {"r.panels": "3", "r.order": "2", "r.max": "0.5",
-                  "probe.time": "3", "history.points": "7", "tau.points": "9",
+        unread = {"tau.list": "0.1,0.01", "data.v2": "consistent",
+                  "allow_outside": "true", "probe.time": "3", "history.points": "7", "tau.points": "9",
                   "modes.count": "4", "equation": "mgt"}
         base = "gamma = 2.0\nt.min = 100\nt.max = 1e4\nt.points = 5\n"
         extra = "".join(f"{k} = {v}\n" for k, v in unread.items())
@@ -300,10 +300,22 @@ class TestUnknownOptions:
 
     @pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
     def test_grid_only_where_a_command_sums_on_one(self, command):
+        # only the singular-limit runs get a tau list; their radii are
+        # derived in the run, so no config carries a frequency grid
         config = build_config({}, command)
-        has_grid = command.startswith("singular-limit")
-        assert (config.r_grid is not None) == has_grid
-        assert (config.tau_list is not None) == has_grid
+        assert (config.tau_list is not None) == command.startswith("singular-limit")
+
+    @pytest.mark.parametrize("command", ["singular-limit-energy",
+                                         "singular-limit-solution"])
+    def test_retired_grid_keys_are_unread(self, tmp_path, capsys, command):
+        # r.max, r.panels and r.order set the fixed grid the singular-limit
+        # sums no longer use: a config that sets one exits 2 and names it
+        for key in ("r.max", "r.panels", "r.order"):
+            for text, where in ((f"{key} = 48\n", ""),
+                                (f"[{command}]\n{key} = 48\n", f" in [{command}]")):
+                cfg = write_cfg(tmp_path, "grid.cfg", "gamma = 6.0\n" + text)
+                assert run_command([command, "--config", cfg]) == 2
+                assert f"nothing reads key {key!r}{where}" in capsys.readouterr().err
 
 
 class TestBadNumbers:
@@ -334,6 +346,7 @@ class TestBadNumbers:
         ("singular-limit-energy", "tau.list = 0.1,nan,0.01,0.001,0.05"),
         # counts below 1 and a negative seed
         ("roots", "sweep.points = 0"),
+        # a retired grid key is unread, whatever its value
         ("singular-limit-energy", "r.order = 0"),
         ("singular-limit-energy", "history.points = -3"),
         # one history interval made the memory check compare a number with
@@ -351,7 +364,7 @@ class TestBadNumbers:
         ("kernels", "sweep.rmax = -1"),
         # a NaN spectrum parameter
         ("decay", "data.u1 = gaussian:nan,1.0"),
-        # zone cuts out of order and a negative grid radius
+        # zone cuts out of order, and a retired grid key
         ("decay", "r.eps = 20"),
         ("envelope", "r.cut = 0.05"),
         ("singular-limit-energy", "r.max = -1"),

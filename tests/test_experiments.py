@@ -9,18 +9,28 @@ import pytest
 
 from viscowave import (DataSpectrum, DomainError, ExperimentConfig,
                        InsufficientDataError, InvalidParameterError,
-                       ModelParams, PreconditionError, decay_experiment,
-                       envelope_check, optimality_check,
+                       ModelParams, PreconditionError, RefinementError,
+                       decay_experiment, envelope_check, optimality_check,
                        profile_error_experiment, rate_fit,
                        singular_limit_energy, singular_limit_solution,
                        sphere_area)
-from viscowave.experiments import (_vdw_tables, oracle_mode_comparison,
+from viscowave.experiments import (_memory_kernel, _memory_series, _tau_sweep,
+                                   _vdw_tables, oracle_mode_comparison,
                                    predicted_decay, thread_map)
 from viscowave.kernels import leading_profiles
 from viscowave.oracle import default_step, integrate_vdw_many
-from viscowave.spectrum import (DEFAULT_N_CUT, FrequencyGrid,
-                                cubic_char_roots_batch,
+from viscowave.spectrum import (DEFAULT_N_CUT, cubic_char_roots_batch,
                                 cubic_discriminant_expanded)
+
+
+def _gauss_rule(edges, order):
+    """Composite Gauss-Legendre nodes and weights of ``order`` points on
+    each panel between consecutive ``edges``."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
 class TestRateFit:
@@ -138,18 +148,14 @@ class TestConfigValidation:
             ExperimentConfig(params=ModelParams(2.0), eps_cut=cuts[0], n_cut=cuts[1])
 
     def test_grid_built_on_the_singular_limit_path_only(self):
-        # the config holds no grid; the singular-limit runs sum on the
-        # default one, and an explicit grid is used as given
+        # only a config with a tau list sums over tau; the radii are the
+        # run's own, so the config carries none
+        assert ExperimentConfig(params=ModelParams(6.0)).tau_list is None
         cfg = ExperimentConfig(params=ModelParams(6.0), n=3,
                                u0=DataSpectrum.gaussian(1.0, 1.0),
                                u1=DataSpectrum.gaussian(1.0, 1.0), v2="consistent",
                                tau_list=np.geomspace(1e-1, 1e-3, 5))
-        assert cfg.r_grid is None
-        res = singular_limit_solution(cfg)
-        assert cfg.r_grid is None
-        grid = FrequencyGrid.composite_gauss(0.0, cfg.u0.tail_radius(), 48, 8)
-        explicit = singular_limit_solution(dataclasses.replace(cfg, r_grid=grid))
-        assert np.array_equal(explicit.w_l2_sq, res.w_l2_sq)
+        assert np.array_equal(singular_limit_solution(cfg).tau, cfg.tau_list)
 
     def test_consistent_token_resolution(self):
         cfg = ExperimentConfig(params=ModelParams(2.0), v2="consistent",
@@ -175,23 +181,21 @@ def _quarter_period(cfg: ExperimentConfig) -> float:
     return math.pi / (2.0 * cfg.params.gamma_tilde * cfg.t_grid[-1])
 
 
-def _resolving_grid(cfg: ExperimentConfig) -> FrequencyGrid:
-    """Fixed grid whose panels resolve the oscillation cos(gamma_tilde r t)
-    up to the last time of ``cfg`` on [0, 1], a quarter period per panel
-    (four Gauss nodes each), with a coarser tail out to 5."""
+def _resolving_grid(cfg: ExperimentConfig):
+    """Fixed nodes and weights whose panels resolve the oscillation
+    cos(gamma_tilde r t) up to the last time of ``cfg`` on [0, 1], a quarter
+    period per panel (four Gauss nodes each), with a coarser tail out to 5."""
     panels = int(np.ceil(1.0 / _quarter_period(cfg))) + 8
-    fine = FrequencyGrid.composite_gauss(0.0, 1.0, panels=panels, order=4)
-    tail = FrequencyGrid.composite_gauss(1.0, 5.0, panels=16, order=6)
-    return FrequencyGrid(np.concatenate([fine.nodes, tail.nodes]),
-                         np.concatenate([fine.weights, tail.weights]))
+    fine = _gauss_rule(np.linspace(0.0, 1.0, panels + 1), 4)
+    tail = _gauss_rule(np.linspace(1.0, 5.0, 17), 6)
+    return tuple(np.concatenate(pair) for pair in zip(fine, tail))
 
 
 def _reference_norms(cfg: ExperimentConfig, route: str):
     """Fixed-grid Plancherel sums of ||u|| and ||u_t|| from one of two
     independent mode tables: the closed-form kernel ("kernel-grid") or one
     RK4 batch ("oracle")."""
-    grid = _resolving_grid(cfg)
-    r = grid.nodes
+    r, grid_weights = _resolving_grid(cfg)
     u0v, u1v = cfg.u0(r) + 0j, cfg.u1(r) + 0j
     params = cfg.params
     if route == "kernel-grid":
@@ -201,7 +205,7 @@ def _reference_norms(cfg: ExperimentConfig, route: str):
         traj = integrate_vdw_many(np.full(r.shape, params.gamma), r,
                                   cfg.t_grid, u0v, u1v, step)
         tables = (traj.u, traj.ut)
-    weights = sphere_area(cfg.n) * grid.weights * r ** (cfg.n - 1)
+    weights = sphere_area(cfg.n) * grid_weights * r ** (cfg.n - 1)
     return tuple(np.sqrt((np.abs(tab) ** 2 * weights).sum(axis=-1))
                  for tab in tables)
 
@@ -212,13 +216,12 @@ def _reference_error_norms(cfg: ExperimentConfig) -> np.ndarray:
     profiles times the data moments, on panels of a quarter period at the
     last time over [0, eps_cut)."""
     panels = int(np.ceil(cfg.eps_cut / _quarter_period(cfg)))
-    grid = FrequencyGrid.composite_gauss(0.0, cfg.eps_cut, panels=panels, order=4)
-    r = grid.nodes
+    r, grid_weights = _gauss_rule(np.linspace(0.0, cfg.eps_cut, panels + 1), 4)
     params = cfg.params
     u = _vdw_tables(params, r, cfg.t_grid, cfg.u0(r) + 0j, cfg.u1(r) + 0j)[0]
     prof = leading_profiles(params, r, cfg.t_grid[:, None])
     err = u - prof.j0 * cfg.u0.moment - prof.j1 * cfg.u1.moment
-    weights = sphere_area(cfg.n) * grid.weights * r ** (2 * cfg.s + cfg.n - 1)
+    weights = sphere_area(cfg.n) * grid_weights * r ** (2 * cfg.s + cfg.n - 1)
     return np.sqrt((np.abs(err) ** 2 * weights).sum(axis=-1))
 
 
@@ -510,8 +513,7 @@ class TestIndependentEnergyRoute:
                                probe_time=probe)
         produced = singular_limit_energy(cfg).series[0].total[-1]
 
-        grid = FrequencyGrid.composite_gauss(0.0, 7.5, panels=57, order=7)
-        r = grid.nodes
+        r, grid_weights = _gauss_rule(np.linspace(0.0, 7.5, 58), 7)
         u0v, u1v = cfg.u0(r) + 0j, cfg.u1(r) + 0j
         v2v = -r * r * (u0v + u1v)
         t_hist = np.linspace(0.0, probe, 401)
@@ -526,8 +528,8 @@ class TestIndependentEnergyRoute:
         trm = integrate_mgt_many(g_arr, np.full(r.shape, tau), r, t_hist,
                                  u0v, u1v, v2v, step)
         w, wt, wtt = trm.u - trv.u, trm.ut - trv.ut, trm.utt - trv.utt
-        w_s0 = sphere_area(n) * grid.weights * r ** (n - 1)
-        w_s1 = sphere_area(n) * grid.weights * r ** (n + 1)
+        w_s0 = sphere_area(n) * grid_weights * r ** (n - 1)
+        w_s1 = sphere_area(n) * grid_weights * r ** (n + 1)
         gram = (w * w_s1) @ w.conj().T
         diag = np.diag(gram).real
         integ = np.exp(-gamma * (probe - t_hist)) * (diag[-1] + diag
@@ -587,8 +589,6 @@ class TestMemorySeries:
         (6, 1), (2, 2), (1, 1),
     ])
     def test_matches_per_row_trapezoid(self, points, stride):
-        from viscowave.experiments import _memory_kernel, _memory_series
-
         rng = np.random.default_rng(points + stride)
         t = np.sort(rng.uniform(0.0, 10.0, points))
         t[0] = 0.0
@@ -601,8 +601,6 @@ class TestMemorySeries:
 
     def test_large_gamma_stays_finite(self):
         # exp(-gamma (t_i - s_j)) above the diagonal would overflow
-        from viscowave.experiments import _memory_kernel, _memory_series
-
         t = np.linspace(0.0, 10.0, 11)
         gram = np.diag(np.linspace(1.0, 2.0, 11))
         got = _memory_series(gram, _memory_kernel(t, 500.0))
@@ -637,12 +635,10 @@ class TestLimitTablesOnce:
         assert len(calls) == 1
 
 
-def _sweep_difference(config: ExperimentConfig):
-    """History grid and (w, w_t, w_tt) tables of the one tau of ``config``,
-    through the tau sweep the singular-limit runs use."""
-    from viscowave.experiments import _tau_sweep
-
-    ((t, tables),) = _tau_sweep(config, config.history_points,
+def _sweep_difference(config: ExperimentConfig, r):
+    """History grid and (w, w_t, w_tt) tables on the radii ``r`` of the one
+    tau of ``config``, through the tau sweep the singular-limit runs use."""
+    ((t, tables),) = _tau_sweep(config, r, config.history_points,
                                 lambda tau, t, *tables: (t, tables))
     return t, tables
 
@@ -698,10 +694,9 @@ class TestTauDifferenceAccuracy:
             cfg = ExperimentConfig(params=ModelParams(gamma), n=3,
                                    u0=DataSpectrum.gaussian(1.0, 1.0),
                                    u1=DataSpectrum.gaussian(1.0, 1.0), v2=v2,
-                                   r_grid=FrequencyGrid(self.R, np.ones_like(self.R)),
                                    tau_list=np.array([tau]), probe_time=10.0,
                                    history_points=200)
-            t, tables = _sweep_difference(cfg)
+            t, tables = _sweep_difference(cfg, self.R)
             runs.append((tables, list(zip(cfg.u0(self.R), cfg.u1(self.R),
                                           cfg.v2_values(self.R)))))
         assert t.size == 201
@@ -712,3 +707,103 @@ class TestTauDifferenceAccuracy:
                 for name, got, want in zip(("w", "w_t", "w_tt"), tables, ref):
                     err = np.abs(got[:, k] - want).max() / np.abs(want).max()
                     assert err <= bound, (v2, name, r, err / bound)
+
+
+def _dense_limit_sums(cfg: ExperimentConfig, steps: int, panels: int) -> list:
+    """Every summed column of the singular-limit runs of ``cfg``, per tau
+    on the sweep grid of ``steps`` steps, from ``panels`` Gauss-Legendre
+    panels of 10 nodes between each pair of breaks: 0, the nodes of
+    tabulated data and the largest tail radius of the data."""
+    spectra = [sp for sp in (cfg.u0, cfg.u1, cfg.v2) if isinstance(sp, DataSpectrum)]
+    r_max = max(sp.tail_radius() for sp in spectra)
+    breaks = sorted({0.0, r_max, *(x for sp in spectra if sp.kind == "tabulated"
+                                   for x in sp.params[0] if 0.0 < x < r_max)})
+    edges = np.concatenate([np.linspace(a, b, panels + 1)[:-1]
+                            for a, b in zip(breaks, breaks[1:])] + [[r_max]])
+    r, weights = _gauss_rule(edges, 10)
+    w_s0 = sphere_area(cfg.n) * weights * r ** (cfg.n - 1)
+    w_s1 = w_s0 * r * r
+
+    def one_tau(tau, t, w, wt, wtt):
+        gram = (w * w_s1) @ w.T
+        return dict(e_wtt=tau * (wtt * wtt) @ w_s0, e_grad_wt=(wt * wt) @ w_s1,
+                    e_grad_w=np.diag(gram), e_wt=tau * (wt * wt) @ w_s0,
+                    e_memory=_memory_series(gram, _memory_kernel(t, cfg.params.gamma)),
+                    w_l2_sq=(w * w) @ w_s0)
+
+    return _tau_sweep(cfg, r, steps, one_tau)
+
+
+class TestSingularLimitSums:
+    """The singular-limit sums against dense Gauss-Legendre references.
+
+    The panels are halved until every sum meets its own |K21 - G10|
+    estimate, so cases that a fixed grid of 48 panels of 8 Gauss nodes
+    misread without notice now match, or raise."""
+
+    @staticmethod
+    def config(u0, **kw):
+        return ExperimentConfig(params=ModelParams(6.0), n=3, u0=u0,
+                                u1=DataSpectrum.gaussian(1.0, 1.0),
+                                v2=DataSpectrum.zero(),
+                                tau_list=np.geomspace(1e-1, 1e-3, 5), **kw)
+
+    # the fixed grid read ||w||^2 4.7e-3 off at probe_time 100, and 4.4e-2
+    # off with a spectrum of width 0.01 (tail radius 43)
+    @pytest.mark.parametrize("width, probe", [(1.0, 100.0), (0.01, 10.0)])
+    def test_solution_matches_dense_reference(self, width, probe):
+        cfg = self.config(DataSpectrum.gaussian(1.0, width), probe_time=probe)
+        want = [sums["w_l2_sq"][-1] for sums in _dense_limit_sums(cfg, 1, 800)]
+        np.testing.assert_allclose(singular_limit_solution(cfg).w_l2_sq, want,
+                                   rtol=1e-9, atol=0)
+
+    def test_tabulated_data_matches_dense_reference(self):
+        # the nodes of a tabulated spectrum, where it has kinks, are panel
+        # edges; inside fixed panels they left the energy 4e-5 off
+        cfg = self.config(DataSpectrum.tabulated([0.0, 0.5, 1.0, 2.0, 3.0],
+                                                 [1.0, 0.8, 0.4, 0.1, 0.0]))
+        want = [sums["w_l2_sq"][-1] for sums in _dense_limit_sums(cfg, 1, 60)]
+        np.testing.assert_allclose(singular_limit_solution(cfg).w_l2_sq, want,
+                                   rtol=1e-8, atol=0)
+        res = singular_limit_energy(cfg)
+        refs = _dense_limit_sums(cfg, cfg.history_points, 60)
+        for series, ref in zip(res.series, refs):
+            for name, want in ref.items():
+                gap = np.abs(getattr(series, name) - want).max()
+                assert gap <= 1e-8 * np.abs(want).max(), (series.tau, name)
+
+    def test_unresolved_probe_time_raises(self):
+        # at t = 1000 the modes oscillate in r faster than 512 panels
+        # resolve; the fixed grid read ||w||^2 about 78% off and passed
+        cfg = self.config(DataSpectrum.gaussian(1.0, 1.0), probe_time=1000.0)
+        with pytest.raises(RefinementError, match=r"tau=0\.1 .* 512 panels"):
+            singular_limit_solution(cfg)
+
+    def test_data_without_positive_support_rejected(self):
+        # tabulated data that end at r <= 0 leave no panels on r > 0
+        tab = DataSpectrum.tabulated([-2.0, -1.0], [1.0, 1.0])
+        cfg = dataclasses.replace(self.config(tab), u1=tab, v2=None)
+        with pytest.raises(InvalidParameterError, match="r > 0"):
+            singular_limit_solution(cfg)
+
+    @pytest.mark.parametrize("v2", ["zero", "consistent"])
+    @pytest.mark.parametrize("run, gamma", [(singular_limit_energy, 2.0),
+                                            (singular_limit_solution, 6.0)])
+    def test_first_level_meets_the_estimate(self, monkeypatch, run, gamma, v2):
+        # the benchmark's relaxation configs: 16 panels of 21 nodes
+        import viscowave.experiments as ex
+
+        sizes = []
+        original = ex._tau_sweep
+
+        def counted(config, r, *args):
+            sizes.append(r.size)
+            return original(config, r, *args)
+
+        monkeypatch.setattr(ex, "_tau_sweep", counted)
+        run(ExperimentConfig(params=ModelParams(gamma), n=3,
+                             u0=DataSpectrum.gaussian(1.0, 1.0),
+                             u1=DataSpectrum.gaussian(1.0, 1.0),
+                             v2=DataSpectrum.zero() if v2 == "zero" else v2,
+                             tau_list=np.geomspace(1e-1, 1e-3, 7)))
+        assert sizes == [16 * 21]

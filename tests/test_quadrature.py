@@ -261,6 +261,27 @@ class TestKronrodTable:
         np.testing.assert_allclose(wg[1::2], gw, rtol=0, atol=1e-15)
 
 
+class TestPanelRule:
+    def test_one_panel_is_the_scaled_table(self, qk21):
+        x, wk, wg = qk21
+        r, k21, g10 = quadrature.panel_rule([1.0, 3.0])
+        np.testing.assert_allclose(r, 2.0 + x, rtol=0, atol=1e-15)
+        assert np.array_equal(k21, wk) and np.array_equal(g10, wg)
+
+    def test_nodes_avoid_edges_and_integrate_polynomials(self):
+        # uneven panels; K21 is exact to degree 31 and G10 to 19 on each
+        edges = np.array([0.0, 0.5, 2.0, 5.0])
+        r, k21, g10 = quadrature.panel_rule(edges)
+        assert r.shape == k21.shape == g10.shape == (63,)
+        assert np.all(np.diff(r) > 0) and 0.0 < r[0] and r[-1] < 5.0
+        assert not np.isin(edges, r).any()
+        for w, degree in ((k21, 31), (g10, 19)):
+            exact = 5.0 ** (degree + 1) / (degree + 1)
+            assert (w * r ** degree).sum() == pytest.approx(exact, rel=1e-13)
+        # at degree 31 G10 is off and K21 is not: the gap is the estimate
+        assert abs(((k21 - g10) * r ** 31).sum()) > 1e-10 * 5.0 ** 32 / 32
+
+
 def _counted(f):
     """Wrap an integrand; the list holds the node count of each call."""
     nodes = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viscowave import (DomainError, FrequencyGrid, InvalidParameterError,
+from viscowave import (DomainError, InvalidParameterError,
                        MissingParameterError, ModelParams, RootSet,
                        asymptotic_roots, cubic_char_roots, cubic_discriminant,
                        cubic_discriminant_expanded, discriminant_zero_radii,
@@ -525,18 +525,3 @@ class TestTrackBranches:
         b = cubic_char_roots(p, 0.5)
         with pytest.raises(DomainError):
             track_branches([a, b])
-
-
-class TestFrequencyGrid:
-    def test_invariants_enforced(self):
-        with pytest.raises(InvalidParameterError):
-            FrequencyGrid(np.array([1.0, 0.5]), np.array([0.1, 0.1]))
-        with pytest.raises(InvalidParameterError):
-            FrequencyGrid(np.array([0.5, 1.0]), np.array([0.1, -0.1]))
-
-    def test_composite_gauss_avoids_origin(self):
-        grid = FrequencyGrid.composite_gauss(0.0, 5.0, panels=8, order=6)
-        assert grid.nodes[0] > 0.0
-        assert np.all(np.diff(grid.nodes) > 0)
-        # quadrature sanity: integrate r^2 over [0, 5]
-        assert (grid.weights * grid.nodes ** 2).sum() == pytest.approx(125 / 3, rel=1e-12)

@@ -12,18 +12,22 @@ and the thermally relaxed model into a fourth-order ODE with quartic
     tau mu^4 + (1 + tau gamma) mu^3 + (r^2 + gamma) mu^2
         + (1 + gamma) r^2 mu + (gamma - 1) r^2 = 0.
 
-Cubic roots come in closed form: one real root from the trigonometric or
-Cardano formula (Press et al., *Numerical Recipes*, §5.6), refined by a
-real Newton step, and the other two from the quadratic left after dividing
-it out, divided from whichever end of the cubic is stable.  Quartic roots
-are the eigenvalues of the real companion matrix, a backward-stable route
-(Edelman & Murakami, Math. Comp. 64, 1995).  One guarded Newton polish
-follows either, which keeps a uniform residual bound across frequency
+Both degrees are solved in closed form, with no eigenvalue routine.
+Cubic roots: one real root from the trigonometric or Cardano formula
+(Press et al., *Numerical Recipes*, §5.6), refined by a real Newton step,
+and the other two from the quadratic left after dividing it out, divided
+from whichever end of the cubic is stable.  Quartic roots: the quartic is
+split into two real quadratics through the dominant root of its resolvent
+cubic and the LDL^T form of Orellana & De Michele (ACM TOMS 46(2),
+Algorithm 1010, 2020), and Newton steps on the four coefficients of the
+two factors refine the split, so a slow pair next to a fast one comes from
+a well-conditioned factor at every radius.  One guarded Newton polish
+follows either seed, which keeps a uniform residual bound across frequency
 zones without case analysis.  Exact conjugate pairing needs no clean-up
-pass: the cubic seed writes a complex pair as ``re +- i im`` and LAPACK
-returns the eigenvalues of a real matrix in exactly conjugate pairs, both
-with real roots carrying imaginary part ``+0.0``, and the Newton step
-preserves this because IEEE complex arithmetic commutes with conjugation.
+pass: for both degrees every pair comes from the real quadratic formula,
+which writes a complex pair as ``re +- i im`` and gives real roots the
+imaginary part ``+0.0``, and the Newton step preserves this because IEEE
+complex arithmetic commutes with conjugation.
 
 :func:`solve_polynomial_batch` is the one solve entry point.  The
 coefficient builders take gamma and tau values that broadcast against the
@@ -52,6 +56,11 @@ MULTIPLICITY_RTOL = 1e-8
 DISC_RTOL = 1e-10
 #: residual acceptance factor relative to the evaluation scale
 RESIDUAL_RTOL = 1e-10
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+#: error of the reproduced coefficients, summed over the four, within which
+#: a quartic's split into two quadratics counts as exact in rounding
+_SPLIT_RTOL = 16.0 * _EPS
 
 #: default frequency-zone boundaries (low-frequency cut, high-frequency cut)
 DEFAULT_EPS_CUT = 0.1
@@ -115,42 +124,31 @@ def quartic_coefficients(gamma, tau, r) -> np.ndarray:
 # root solving
 # ---------------------------------------------------------------------------
 
-def _companion_eigvals(coeffs: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the real companion matrices of monic-normalised rows
-    (``eigvals`` returns a float array when all of them are real)."""
-    monic = coeffs / coeffs[..., :1]
-    deg = monic.shape[-1] - 1
-    comp = np.zeros(monic.shape[:-1] + (deg, deg))
-    idx = np.arange(deg - 1)
-    comp[..., idx + 1, idx] = 1.0
-    comp[..., 0, :] = -monic[..., 1:]
-    return np.linalg.eigvals(comp).astype(complex)
-
-
-def _cubic_seed(coeffs: np.ndarray) -> np.ndarray:
-    """Closed-form roots of real cubics x^3 + a x^2 + b x + c.
-
-    One real root x comes from the trigonometric form when all three roots
-    are real (the larger in modulus of the lowest and the highest) and from
-    Cardano's form otherwise (Press et al., *Numerical Recipes*, §5.6),
-    refined by one guarded real Newton step.  Dividing it out leaves
-    x^2 + s1 x + s0, solved by the cancellation-free quadratic formula.
-    The division runs from the constant end (s0 = -c/x, s1 = (s0 - b)/x)
-    when x is the largest root in modulus, |x|^3 > |c|, and from the
-    leading end (s1 = a + x, s0 = b + x s1) otherwise: the stable order for
-    each (Wilkinson, *Rounding Errors in Algebraic Processes*, 1963).  The
-    leading end alone would lose the small pair next to a dominant root,
-    as at r -> 0 and r >> 1 in the mode cubic.  A complex pair is written
-    re +- i im, so it is exactly conjugate and real roots have imaginary
-    part exactly zero; the double root at 0 of r = 0 comes out exactly.
-    Rows are scaled by a power of two, which is exact, so that a^3, R^2
-    and Q^3 stay in range.
-    """
+def _monic_scaled(coeffs: np.ndarray):
+    """Monic lower coefficients of each row, a_j of x^n + a_1 x^(n-1) + ...,
+    scaled by a power of two 2^-k (exact) so that every |a_j|^(1/j) < 1:
+    the roots shrink by 2^-k and all lie within 2 of the origin.  Returns
+    the scaled coefficients and 2^k."""
     lead = coeffs[..., 0]
-    a, b, c = (coeffs[..., k] / lead for k in (1, 2, 3))
-    k = np.frexp(np.maximum(np.maximum(np.abs(a), np.sqrt(np.abs(b))),
-                            np.cbrt(np.abs(c))))[1]
-    a, b, c = np.ldexp(a, -k), np.ldexp(b, -2 * k), np.ldexp(c, -3 * k)
+    low = [coeffs[..., j] / lead for j in range(1, coeffs.shape[-1])]
+    size = np.maximum(np.maximum(np.abs(low[0]), np.sqrt(np.abs(low[1]))),
+                      np.cbrt(np.abs(low[2])))
+    if len(low) == 4:
+        size = np.maximum(size, np.sqrt(np.sqrt(np.abs(low[3]))))
+    k = np.frexp(size)[1]
+    for j, x in enumerate(low, 1):
+        np.ldexp(x, -j * k, out=x)
+    return low, np.ldexp(1.0, k)
+
+
+def _cubic_real_root(a, b, c):
+    """One real root of x^3 + a x^2 + b x + c, the dominant one when all
+    three are real: the larger in modulus of the lowest and the highest
+    from the trigonometric form, else Cardano's (Press et al., *Numerical
+    Recipes*, section 5.6), refined by one guarded real Newton step.  A
+    step of 4 or more is not taken: the roots of a cubic scaled by
+    :func:`_monic_scaled` lie within 2 of the origin, so from a closed-form
+    start such a step is no use (and could overflow)."""
     q = (a * a - 3.0 * b) / 9.0
     rr = (a * (2.0 * a * a - 9.0 * b) + 27.0 * c) / 54.0
     q3 = q * q * q
@@ -165,30 +163,217 @@ def _cubic_seed(coeffs: np.ndarray) -> np.ndarray:
                  ca + q / np.where(ca == 0.0, np.inf, ca) - a / 3.0)
     f = ((x + a) * x + b) * x + c
     fp = (3.0 * x + 2.0 * a) * x + b
-    # every root of the scaled cubic lies within 2 of the origin, so a
-    # longer step is no use (and could overflow)
     ok = np.abs(f) < 4.0 * np.abs(fp)
     stepped = x - np.where(ok, f, 0.0) / np.where(ok, fp, 1.0)
-    x = np.where(np.abs(((stepped + a) * stepped + b) * stepped + c) < np.abs(f),
-                 stepped, x)
-    back = np.abs(x) ** 3 > np.abs(c)
-    x_back = np.where(back, x, 1.0)
-    s0_back = -c / x_back
-    s1 = np.where(back, (s0_back - b) / x_back, a + x)
-    s0 = np.where(back, s0_back, b + x * s1)
+    return np.where(np.abs(((stepped + a) * stepped + b) * stepped + c) < np.abs(f),
+                    stepped, x)
+
+
+def _pair_roots(s1, s0, scale, out: np.ndarray) -> None:
+    """Write the roots of x^2 + s1 x + s0, times ``scale``, into the last
+    axis (length 2) of the complex array ``out``, by the cancellation-free
+    quadratic formula: real roots have imaginary part exactly +0.0 and a
+    complex pair is re +- i im, so it is exactly conjugate."""
     disc = s1 * s1 - 4.0 * s0
     root_disc = np.sqrt(np.abs(disc))
     real = disc >= 0.0
     big = -0.5 * (s1 + np.copysign(root_disc, s1))
     small = s0 / np.where(big == 0.0, np.inf, big)
-    scale = np.ldexp(1.0, k)
+    out.real[..., 0] = np.where(real, big, -0.5 * s1) * scale
+    out.real[..., 1] = np.where(real, small, -0.5 * s1) * scale
+    out.imag[..., 0] = np.where(real, 0.0, 0.5 * root_disc * scale)
+    out.imag[..., 1] = np.where(real, 0.0, -0.5 * root_disc * scale)
+
+
+def _cubic_seed(coeffs: np.ndarray) -> np.ndarray:
+    """Closed-form roots of real cubics x^3 + a x^2 + b x + c.
+
+    One real root x comes from :func:`_cubic_real_root`.  Dividing it out
+    leaves x^2 + s1 x + s0, solved by :func:`_pair_roots`.  The division
+    runs from the constant end (s0 = -c/x, s1 = (s0 - b)/x) when x is the
+    largest root in modulus, |x|^3 > |c|, and from the leading end
+    (s1 = a + x, s0 = b + x s1) otherwise: the stable order for each
+    (Wilkinson, *Rounding Errors in Algebraic Processes*, 1963).  The
+    leading end alone would lose the small pair next to a dominant root,
+    as at r -> 0 and r >> 1 in the mode cubic.  The double root at 0 of
+    r = 0 comes out exactly.  Rows are scaled by :func:`_monic_scaled`,
+    which keeps a^3, R^2 and Q^3 in range.
+    """
+    (a, b, c), scale = _monic_scaled(coeffs)
+    x = _cubic_real_root(a, b, c)
+    back = np.abs(x) ** 3 > np.abs(c)
+    x_back = np.where(back, x, 1.0)
+    s0_back = -c / x_back
+    s1 = np.where(back, (s0_back - b) / x_back, a + x)
+    s0 = np.where(back, s0_back, b + x * s1)
     roots = np.zeros(x.shape + (3,), dtype=complex)
     roots.real[..., 0] = x * scale
-    roots.real[..., 1] = np.where(real, big, -0.5 * s1) * scale
-    roots.real[..., 2] = np.where(real, small, -0.5 * s1) * scale
-    roots.imag[..., 1] = np.where(real, 0.0, 0.5 * root_disc * scale)
-    roots.imag[..., 2] = np.where(real, 0.0, -0.5 * root_disc * scale)
+    _pair_roots(s1, s0, scale, roots[..., 1:])
     return roots
+
+
+def _column_min(x: np.ndarray) -> np.ndarray:
+    """Minimum over the short last axis, kept as an axis of length 1 (a
+    fold over the columns: ``min(axis=-1)`` on rows this short is slower)."""
+    return functools.reduce(np.minimum, np.moveaxis(x, -1, 0))[..., None]
+
+
+def _quartic_seed(coeffs: np.ndarray) -> np.ndarray:
+    """Closed-form roots of real quartics x^4 + a x^3 + b x^2 + c x + d,
+    after Orellana & De Michele (ACM TOMS 46(2), Algorithm 1010, 2020).
+
+    The quartic is written (x^2 + l1 x + l3)^2 + d2 (x + l2)^2, the LDL^T
+    form of its symmetric 3x3 matrix with the last pivot zero: l1 = a/2,
+    l3 = b/6 + phi/2 and d2 = 2b/3 - phi - l1^2, with phi the dominant
+    root of the resolvent cubic phi^3 + g phi + h.  phi does not change
+    when x is shifted, so g and h are taken on the quartic shifted to an
+    inflection point, where they suffer the least cancellation, and phi
+    gets one guarded Newton step.  Of the two formulas for (d2, l2), the
+    one that reproduces b, c and d best is kept.  With gamma = sqrt(-d2)
+    the quartic is (x^2 + (l1 + gamma) x + l3 + gamma l2) times
+    (x^2 + (l1 - gamma) x + l3 - gamma l2).  If d2 > 0 these two factors
+    are complex conjugates, and the roots z1, z2 of the first give the
+    real factors (x - z1)(x - conj z1) and (x - z2)(x - conj z2).  The
+    smaller constant term is retaken as d over the larger, and each of
+    the three expressions for the smaller linear term gives one candidate
+    split; the split with d2 = 0, (x^2 + l1 x + l3)^2 - (l3^2 - d) as for
+    a biquadratic, is a fourth.  Newton steps on the four factor
+    coefficients refine every candidate of a row until one of them
+    reproduces the quartic within rounding, each candidate stopping at
+    its first step that does not reduce its error (the published cap of
+    8 steps bounds the loop), and the candidate with the least error is
+    kept.  Errors are relative to each coefficient, but never finer than
+    the rounding of the products that form it, so that a coefficient far
+    below them (a zero one included) cannot make a wrong split look best.
+    Each factor is solved by :func:`_pair_roots`.  Rows are scaled by
+    :func:`_monic_scaled`.
+    """
+    low, scale = _monic_scaled(coeffs)
+    # a trailing axis of length 1, along which the candidate splits stack
+    a, b, c, d = (x[..., None] for x in low)
+    sizes = [np.maximum(np.abs(x), _TINY) for x in (a, b, c, d)]
+
+    def misfit(a1, b1, a2, b2):
+        # coefficients of (x^2 + a1 x + b1)(x^2 + a2 x + b2) minus the
+        # quartic's, and their summed relative error; a coefficient below
+        # the rounding of the products that form it is measured in units
+        # of that rounding instead
+        prods = (a1 * a2, a1 * b2, b1 * a2, b1 * b2)
+        res = (a1 + a2 - a, b1 + prods[0] + b2 - b, prods[1] + prods[2] - c, prods[3] - d)
+        terms = (np.abs(a1) + np.abs(a2), np.abs(b1) + np.abs(prods[0]) + np.abs(b2),
+                 np.abs(prods[1]) + np.abs(prods[2]), np.abs(prods[3]))
+        return res, sum(np.abs(r) / np.maximum(_EPS * t, s)
+                        for r, t, s in zip(res, terms, sizes))
+
+    def split_beta(b1, b2):
+        # the smaller constant term is d over the larger
+        keep = np.abs(b1) >= np.abs(b2)
+        big = np.where(keep, b1, b2)
+        small = d / np.where(big == 0.0, np.inf, big)
+        return np.where(keep, b1, small), np.where(keep, small, b2)
+
+    # the shift s to an inflection point, p''(s) = 0, when one is real
+    disc_s = 9.0 * a * a - 24.0 * b
+    real_s = disc_s > 0.0
+    s = np.where(real_s, -2.0 * b / np.where(
+        real_s, 3.0 * a + np.copysign(np.sqrt(np.abs(disc_s)), a), 1.0), -0.25 * a)
+    sa = a + 4.0 * s
+    sb = b + 3.0 * s * (a + 2.0 * s)
+    sc = c + s * (2.0 * b + s * (3.0 * a + 4.0 * s))
+    sd = d + s * (c + s * (b + s * (a + s)))
+    sac = sa * sc
+    sb3 = sb / 3.0
+    phi = _cubic_real_root(0.0, sac - 4.0 * sd - sb * sb3,
+                           (8.0 * sd + sac - 2.0 * sb3 * sb3) * sb3 - sc * sc - sa * sa * sd)
+    l1 = 0.5 * a
+    l3 = b / 6.0 + 0.5 * phi
+    del2 = c - a * l3
+    d3 = d - l3 * l3
+    d2_1 = 2.0 * b / 3.0 - phi - l1 * l1
+    l2_2 = 2.0 * d3 / np.where(del2 == 0.0, np.inf, del2)
+    d2 = np.concatenate([d2_1, del2 / np.where(l2_2 == 0.0, np.inf, 2.0 * l2_2)], axis=-1)
+    l2 = np.concatenate([del2 / np.where(d2_1 == 0.0, np.inf, 2.0 * d2_1), l2_2], axis=-1)
+    l1l3 = l1 * l3
+    d2l2 = d2 * l2
+    d2l22 = d2l2 * l2
+    ldlt_err = (np.abs(d2 + (l1 * l1 + 2.0 * l3 - b))
+                / np.maximum(_EPS * (np.abs(d2) + l1 * l1 + 2.0 * np.abs(l3)), sizes[1])
+                + np.abs(2.0 * (d2l2 + l1l3) - c)
+                / np.maximum(2.0 * _EPS * (np.abs(d2l2) + np.abs(l1l3)), sizes[2])
+                + np.abs(d2l22 + (l3 * l3 - d))
+                / np.maximum(_EPS * (np.abs(d2l22) + l3 * l3), sizes[3]))
+    second = ldlt_err[..., 1:] < ldlt_err[..., :1]
+    d2 = np.where(second, d2[..., 1:], d2[..., :1])
+    gamma = np.sqrt(np.abs(d2))
+    gl = gamma * np.where(second, l2[..., 1:], l2[..., :1])
+    a1, b1, a2, b2 = l1 + gamma, l3 + gl, l1 - gamma, l3 - gl
+    conj = d2 > 0.0
+    if conj.any():
+        # roots z1, z2 of x^2 + (l1 + i gamma) x + l3 + i gamma l2, the
+        # larger first (the root term taken along the linear term)
+        lin = l1 + 1j * gamma
+        root = np.sqrt(lin * lin - 4.0 * (l3 + 1j * gl))
+        root = np.where(lin.real * root.real + lin.imag * root.imag < 0.0, -root, root)
+        z1 = -0.5 * (lin + root)
+        z2 = (l3 + 1j * gl) / np.where(z1 == 0.0, np.inf, z1)
+        a1, a2 = np.where(conj, -2.0 * z1.real, a1), np.where(conj, -2.0 * z2.real, a2)
+        b1 = np.where(conj, z1.real * z1.real + z1.imag * z1.imag, b1)
+        b2 = np.where(conj, z2.real * z2.real + z2.imag * z2.imag, b2)
+    b1, b2 = split_beta(b1, b2)
+    # (big, big_b) is the factor with the larger linear term; the other
+    # linear term has three expressions, and last comes the d2 = 0 split
+    # (whose start the Newton steps need for near-biquadratics)
+    swap = np.abs(a1) < np.abs(a2)
+    big, big_b = np.where(swap, a2, a1), np.where(swap, b2, b1)
+    small_b = np.where(swap, b1, b2)
+    root_d3 = np.sqrt(np.maximum(-d3, 0.0))
+    flat_b1, flat_b2 = split_beta(l3 + root_d3, l3 - root_d3)
+    cands = (np.concatenate([big, big, big, l1], axis=-1),
+             np.concatenate([big_b, big_b, big_b, flat_b1], axis=-1),
+             np.concatenate([a - big,
+                             (c - big * small_b) / np.where(big_b == 0.0, np.inf, big_b),
+                             (b - big_b - small_b) / np.where(big == 0.0, np.inf, big),
+                             l1], axis=-1),
+             np.concatenate([small_b, small_b, small_b, flat_b2], axis=-1))
+    a1, b1, a2, b2 = cands
+    err = misfit(*cands)[1]
+    # a row is done once one of its candidates is within rounding
+    live = _column_min(err) > _SPLIT_RTOL
+    for _ in range(8):
+        if not live.any():
+            break
+        # a step through a near-singular Jacobian may overflow; it cannot
+        # reduce the error, so it is dropped like any other such step
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the Jacobian of the coefficients in (a1, b1, a2, b2), solved
+            # by Cramer's rule; its determinant is the resultant of the
+            # two factors
+            f_a, f_b, f_c, f_d = misfit(a1, b1, a2, b2)[0]
+            da = a2 - a1
+            db = b2 - b1
+            cross = b1 * a2 - b2 * a1
+            det = da * cross + db * db
+            live = live & (det != 0.0)
+            inv = 1.0 / np.where(live, det, 1.0)
+            g_b = f_b - a1 * f_a
+            g_c = f_c - b1 * f_a
+            mix = da * g_c - db * g_b
+            step_a1 = (g_b * cross + db * g_c - da * f_d) * inv
+            new = (a1 - step_a1,
+                   b1 - (b1 * mix - f_d * (da * a1 - db)) * inv,
+                   a2 - (f_a - step_a1),
+                   b2 - (f_d * (da * a2 - db) - b2 * mix) * inv)
+            new_err = misfit(*new)[1]
+            live &= new_err < err
+            a1, b1, a2, b2 = (np.where(live, x, y) for x, y in zip(new, (a1, b1, a2, b2)))
+            err = np.where(live, new_err, err)
+            live &= _column_min(err) > _SPLIT_RTOL
+    pick = np.argmin(err, axis=-1) + np.arange(0, err.size, 4).reshape(err.shape[:-1])
+    a1, b1, a2, b2 = (x.reshape(-1)[pick][..., None] for x in (a1, b1, a2, b2))
+    roots = np.empty(scale.shape + (2, 2), dtype=complex)
+    _pair_roots(np.concatenate([a1, a2], axis=-1), np.concatenate([b1, b2], axis=-1),
+                scale[..., None], roots)
+    return roots.reshape(scale.shape + (4,))
 
 
 def _polyval_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -252,23 +437,27 @@ def _disc_terms_cubic(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _disc_terms_quartic(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a, b, c, d, e = (coeffs[..., k] for k in range(5))
+    # the power products the sixteen terms share, each formed once
+    ae, ac, bd, ce = a * e, a * c, b * d, c * e
+    b2, c2, d2 = b * b, c * c, d * d
+    ae2, ad2, b2e, bd2 = ae * ae, a * d2, b2 * e, bd * bd
     terms = np.stack([
-        256.0 * a ** 3 * e ** 3,
-        -192.0 * a ** 2 * b * d * e ** 2,
-        -128.0 * a ** 2 * c ** 2 * e ** 2,
-        144.0 * a ** 2 * c * d ** 2 * e,
-        -27.0 * a ** 2 * d ** 4,
-        144.0 * a * b ** 2 * c * e ** 2,
-        -6.0 * a * b ** 2 * d ** 2 * e,
-        -80.0 * a * b * c ** 2 * d * e,
-        18.0 * a * b * c * d ** 3,
-        16.0 * a * c ** 4 * e,
-        -4.0 * a * c ** 3 * d ** 2,
-        -27.0 * b ** 4 * e ** 2,
-        18.0 * b ** 3 * c * d * e,
-        -4.0 * b ** 3 * d ** 3,
-        -4.0 * b ** 2 * c ** 3 * e,
-        b ** 2 * c ** 2 * d ** 2,
+        256.0 * ae2 * ae,
+        -192.0 * ae2 * bd,
+        -128.0 * ae2 * c2,
+        144.0 * ae * ac * d2,
+        -27.0 * ad2 * ad2,
+        144.0 * ae * b2 * ce,
+        -6.0 * ae * b2 * d2,
+        -80.0 * ae * bd * c2,
+        18.0 * ac * bd * d2,
+        16.0 * ae * c2 * c2,
+        -4.0 * ac * c2 * d2,
+        -27.0 * b2e * b2e,
+        18.0 * b2 * bd * ce,
+        -4.0 * bd2 * bd,
+        -4.0 * b2e * c2 * c,
+        bd2 * c2,
     ], axis=-1)
     return terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
 
@@ -282,11 +471,11 @@ def solve_polynomial_batch(coeffs: np.ndarray):
         Array (..., deg+1) of descending real coefficients with nonzero
         leading entries, deg 3 or 4.  Every row is its own polynomial, so
         rows built from per-row (gamma, tau, r) by :func:`cubic_coefficients`
-        or :func:`quartic_coefficients` are solved in one call.  Cubic rows
-        take the closed-form seed, quartic rows the LAPACK companion
-        eigenvalues, each followed by one Newton polish; every step works
-        on each row alone, so a row comes out bit-identical to a
-        single-row call.
+        or :func:`quartic_coefficients` are solved in one call.  Cubic and
+        quartic rows take their closed-form seeds (:func:`_cubic_seed`,
+        :func:`_quartic_seed`), each followed by one Newton polish; every
+        step works on each row alone, so a row comes out bit-identical to
+        a single-row call.
 
     Returns
     -------
@@ -305,7 +494,7 @@ def solve_polynomial_batch(coeffs: np.ndarray):
     """
     cubic = coeffs.shape[-1] == 4
     roots, p = _newton_polish(
-        coeffs, _cubic_seed(coeffs) if cubic else _companion_eigvals(coeffs))
+        coeffs, _cubic_seed(coeffs) if cubic else _quartic_seed(coeffs))
     order = _canonical_order(roots)
     roots = np.take_along_axis(roots, order, axis=-1)
     residuals = np.abs(np.take_along_axis(p, order, axis=-1))

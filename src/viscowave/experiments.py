@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, InsufficientDataError,
                      InvalidParameterError, PreconditionError, RefinementError)
-# vdw_mode_solution, mgt_mode_solution, cubic_char_roots_batch and
-# quartic_char_roots_batch are unused here, kept only for bench/tracing.py,
-# which wraps them under these names
+# mgt_mode_basis, vdw_mode_solution, mgt_mode_solution,
+# cubic_char_roots_batch and quartic_char_roots_batch are unused here, kept
+# only for bench/tracing.py, which wraps them under these names
 from .kernels import (_mgt_basis, _vdw_basis, leading_profiles, mgt_mode_basis,
                       mgt_mode_solution, vdw_kernel_basis, vdw_mode_solution)
 from .oracle import (_stiffness, default_step, integrate_mgt_many,
@@ -260,12 +260,14 @@ def _vdw_tables(params: ModelParams, r: np.ndarray, t_grid: np.ndarray,
                             integrate_vdw_mode, params, r, t_grid, (u0v, u1v))
 
 
-def _mgt_tables(params: ModelParams, r: np.ndarray, t_grid: np.ndarray,
-                u0v: np.ndarray, u1v: np.ndarray, v2v: np.ndarray, step=None):
-    """(v, vt, vtt) tables of shape (T, B) of the relaxed model; ``step``
-    as in :func:`_vdw_tables`."""
-    basis = mgt_mode_basis(params, r, u0v, u1v, v2v)
-    return _oracle_fallback(basis.eval(t_grid, step), basis.flags, integrate_mgt_mode,
+def _mgt_tables(params: ModelParams, r: np.ndarray, roots: np.ndarray,
+                flags: np.ndarray, t_grid: np.ndarray, u0v: np.ndarray,
+                u1v: np.ndarray, v2v: np.ndarray, step=None):
+    """(v, vt, vtt) tables of shape (T, B) of the relaxed model at the tau
+    of ``params``, from its solved quartic ``roots`` (B, 4) and ``flags``
+    (B,) on the radii ``r``; ``step`` as in :func:`_vdw_tables`."""
+    basis = _mgt_basis(params.require_tau(), r, roots, flags, u0v, u1v, v2v)
+    return _oracle_fallback(basis.eval(t_grid, step), flags, integrate_mgt_mode,
                             params, r, t_grid, (u0v, u1v, v2v))
 
 
@@ -585,24 +587,30 @@ def _tau_sweep(config: ExperimentConfig, r: np.ndarray, steps: int, one_tau) -> 
     the limit model, evaluated in blocks of the step (see
     :func:`kernels._mode_sums`).  The data spectra are real, so the modes
     are real and the stepped route, which takes real data only, keeps all
-    of them.  The limit tables do not depend on tau, so they are built once
-    and only the quartic is solved per tau.  Each task subtracts into the
-    relaxed tables it has just built: the tau tasks share the limit tables
-    across threads and never write them.
+    of them.  The limit tables do not depend on tau, so they are built once.
+    The quartics of every tau are solved in one call, each row on its own,
+    so a tau's roots and flags are those of a solve at that tau alone; the
+    amplitudes, tables and oracle fallback stay per tau.  Each task
+    subtracts into the relaxed tables it has just built: the tau tasks
+    share the limit tables and the roots across threads and never write
+    them.
     """
     t_grid, step = _sweep_grid(config, steps)
     u0v, u1v = config.u0(r), config.u1(r)
     v2v = config.v2_values(r)
     limit = _vdw_tables(config.params.without_tau(), r, t_grid, u0v, u1v, step)
+    taus = config.tau_list
+    roots, _, _, flags = solve_polynomial_batch(
+        quartic_coefficients(config.params.gamma, taus[:, None], r))
 
-    def task(tau):
-        diff = _mgt_tables(config.params.with_tau(tau), r, t_grid, u0v, u1v, v2v,
-                           step)
+    def task(k):
+        diff = _mgt_tables(config.params.with_tau(taus[k]), r, roots[k], flags[k],
+                           t_grid, u0v, u1v, v2v, step)
         for v, u in zip(diff, limit):
             v -= u
-        return one_tau(tau, t_grid, *diff)
+        return one_tau(taus[k], t_grid, *diff)
 
-    return thread_map(task, config.tau_list)
+    return thread_map(task, range(taus.size))
 
 
 def _refined_sweep(config: ExperimentConfig, steps: int, one_tau):

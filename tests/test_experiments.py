@@ -19,8 +19,12 @@ from viscowave.experiments import (_memory_kernel, _memory_series, _tau_sweep,
                                    predicted_decay, thread_map)
 from viscowave.kernels import leading_profiles
 from viscowave.oracle import default_step, integrate_vdw_many
+from viscowave.quadrature import panel_rule
 from viscowave.spectrum import (DEFAULT_N_CUT, cubic_char_roots_batch,
-                                cubic_discriminant_expanded)
+                                cubic_discriminant_expanded,
+                                quartic_char_roots_batch)
+
+from helpers import quartic_coalescence_radii, solved_mgt_tables
 
 
 def _gauss_rule(edges, order):
@@ -609,6 +613,15 @@ class TestMemorySeries:
         assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
 
 
+def _benchmark_relaxation_config(gamma):
+    """The benchmark's relaxation data with consistent v2: gaussian u0 and
+    u1, 7 tau values from 1e-1 to 1e-3."""
+    return ExperimentConfig(params=ModelParams(gamma), n=3,
+                            u0=DataSpectrum.gaussian(1.0, 1.0),
+                            u1=DataSpectrum.gaussian(1.0, 1.0), v2="consistent",
+                            tau_list=np.geomspace(1e-1, 1e-3, 7))
+
+
 class TestLimitTablesOnce:
     """The tau-independent limit tables are built once per sweep, not once
     per tau."""
@@ -626,13 +639,92 @@ class TestLimitTablesOnce:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(ex, "_vdw_tables", counted)
-        cfg = ExperimentConfig(params=ModelParams(gamma), n=3,
-                               u0=DataSpectrum.gaussian(1.0, 1.0),
-                               u1=DataSpectrum.gaussian(1.0, 1.0),
-                               v2="consistent",
-                               tau_list=np.geomspace(1e-1, 1e-3, 7))
-        run(cfg)
+        run(_benchmark_relaxation_config(gamma))
         assert len(calls) == 1
+
+
+class TestQuarticSolveOnce:
+    """The quartics of every tau of a sweep level are solved in one call,
+    and each tau's tables are those of a solve at that tau alone."""
+
+    @pytest.mark.parametrize("run, gamma", [(singular_limit_energy, 2.0),
+                                            (singular_limit_solution, 6.0)])
+    def test_one_quartic_solve_per_level(self, monkeypatch, run, gamma):
+        import viscowave.experiments as ex
+        import viscowave.spectrum as sp
+
+        rows, levels = [], []
+        original, sweep = sp.solve_polynomial_batch, ex._tau_sweep
+
+        def counted(coeffs):
+            if coeffs.shape[-1] == 5:
+                rows.append(coeffs[..., 0].size)
+            return original(coeffs)
+
+        def counted_sweep(config, r, *args):
+            levels.append(r.size)
+            return sweep(config, r, *args)
+
+        # the sweep's own name and the one behind quartic_char_roots_batch
+        monkeypatch.setattr(ex, "solve_polynomial_batch", counted)
+        monkeypatch.setattr(sp, "solve_polynomial_batch", counted)
+        monkeypatch.setattr(ex, "_tau_sweep", counted_sweep)
+        run(_benchmark_relaxation_config(gamma))
+        assert levels == [16 * 21]
+        assert rows == [7 * 16 * 21]
+
+    @staticmethod
+    def per_tau_route(config, r, steps):
+        """(w, w_t, w_tt) per tau of ``config`` from a quartic solve at that
+        tau alone: quartic_char_roots_batch, _mgt_tables, minus _vdw_tables."""
+        t, step = np.linspace(0.0, config.probe_time, steps + 1, retstep=True)
+        u0v, u1v, v2v = config.u0(r), config.u1(r), config.v2_values(r)
+        limit = _vdw_tables(config.params, r, t, u0v, u1v, step)
+        out = []
+        for tau in config.tau_list:
+            p = config.params.with_tau(tau)
+            tables = solved_mgt_tables(p, r, t, u0v, u1v, v2v, step=step)
+            out.append([v - u for v, u in zip(tables, limit)])
+        return out
+
+    @staticmethod
+    def sweep(config, r, steps):
+        return _tau_sweep(config, r, steps, lambda tau, t, *tables: tables)
+
+    def test_flags_of_one_tau_reach_the_oracle(self, monkeypatch):
+        import viscowave.experiments as ex
+
+        cfg = _benchmark_relaxation_config(2.0)
+        # the coalescence radii of tau = 0.01, flagged at that tau only
+        flagged = quartic_coalescence_radii(cfg.params.with_tau(cfg.tau_list[3]))
+        r = np.concatenate([[0.3, 1.1], flagged, [6.0]])
+        flags = np.array([quartic_char_roots_batch(cfg.params.with_tau(tau), r)[3]
+                          for tau in cfg.tau_list])
+        assert flags.sum() == flagged.size and flags[3, 2:-1].all()
+        calls = []
+        original = ex.integrate_mgt_mode
+
+        def counted(params, rk, *args, **kwargs):
+            calls.append((params.tau, rk))
+            return original(params, rk, *args, **kwargs)
+
+        monkeypatch.setattr(ex, "integrate_mgt_mode", counted)
+        got = self.sweep(cfg, r, 20)
+        assert sorted(calls) == [(cfg.tau_list[3], rk) for rk in flagged]
+        for tables, want in zip(got, self.per_tau_route(cfg, r, 20)):
+            for a, b in zip(tables, want):
+                assert np.array_equal(a, b)
+
+    def test_bit_identical_past_the_ufunc_buffer(self):
+        # 128 panels of 21 nodes and 7 tau values: 18,816 quartic rows, past
+        # numpy's 8,192-element ufunc buffer, where amplitudes batched over
+        # tau moved in the last bit
+        cfg = _benchmark_relaxation_config(6.0)
+        r, _, _ = panel_rule(np.linspace(0.0, cfg.u0.tail_radius(), 129))
+        assert r.size * cfg.tau_list.size == 18816
+        for tables, want in zip(self.sweep(cfg, r, 4), self.per_tau_route(cfg, r, 4)):
+            for a, b in zip(tables, want):
+                assert np.array_equal(a, b)
 
 
 def _sweep_difference(config: ExperimentConfig, r):

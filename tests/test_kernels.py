@@ -7,7 +7,8 @@ from viscowave import (DomainError, ModelParams, NearDegenerateError,
                        integrate_mgt_mode, integrate_vdw_mode,
                        leading_profiles, mgt_mode_solution, vdw_kernels,
                        vdw_mode_solution)
-from viscowave.experiments import _mgt_tables
+
+from helpers import solved_mgt_tables
 
 
 class TestKernelIdentities:
@@ -193,8 +194,8 @@ class TestMgtModeSolution:
             want = getattr(ref, name)
             gap = np.abs(getattr(state, name) - want).max()
             assert gap <= 1e-8 * np.abs(want).max(), name
-        tables = _mgt_tables(p, np.array([r]), t, np.array([u0]),
-                             np.array([u1]), np.array([v2]))
+        tables = solved_mgt_tables(p, np.array([r]), t, np.array([u0]),
+                                   np.array([u1]), np.array([v2]))
         for name, table in zip(("u", "ut", "utt"), tables):
             want = getattr(state, name)
             assert np.abs(table[:, 0] - want).max() <= 1e-12 * np.abs(want).max()

@@ -9,11 +9,12 @@ from viscowave import (DataSpectrum, DomainError, ExperimentConfig,
                        integrate_mgt_mode, integrate_vdw_mode, mgt_mode_solution,
                        vdw_kernels, vdw_mode_solution)
 from viscowave import oracle
-from viscowave.experiments import _field_factory, _mgt_tables, _vdw_tables
+from viscowave.experiments import _field_factory, _vdw_tables
 from viscowave.oracle import default_step, integrate_mgt_many, integrate_vdw_many
-from viscowave.spectrum import (_disc_terms_quartic, cubic_char_roots_batch,
-                                discriminant_zero_radii,
-                                quartic_char_roots_batch, quartic_coefficients)
+from viscowave.spectrum import (cubic_char_roots_batch, discriminant_zero_radii,
+                                quartic_char_roots_batch)
+
+from helpers import quartic_coalescence_radii, solved_mgt_tables
 
 
 def test_zero_frequency_is_linear_in_time():
@@ -357,38 +358,16 @@ def test_fallback_route_matches_closed_form(g):
                 assert gap <= 1e-6, (name, r, gap)
 
 
-def _quartic_coalescence_radii(p):
-    """Radii in [1e-3, 1e2] where the quartic discriminant changes sign,
-    bisected to the last representable step."""
-    def disc(r):
-        return _disc_terms_quartic(quartic_coefficients(p.gamma, p.tau, r))[0]
-
-    grid = np.geomspace(1e-3, 1e2, 4001)
-    signs = np.sign(disc(grid))
-    radii = []
-    for k in np.where(signs[:-1] != signs[1:])[0]:
-        lo, hi = grid[k], grid[k + 1]
-        mid = 0.5 * (lo + hi)
-        while lo < mid < hi:
-            if np.sign(disc(mid)) == signs[k]:
-                lo = mid
-            else:
-                hi = mid
-            mid = 0.5 * (lo + hi)
-        radii.append(lo)
-    return np.array(radii)
-
-
 @pytest.mark.parametrize("g, tau", [(1.3, 0.05), (1.3, 0.3), (2.0, 0.05),
                                     (4.5, 0.05), (9.0, 0.05)])
 def test_relaxed_fallback_route_matches_closed_form(g, tau):
     # flagged relaxed-model nodes reach the oracle through _mgt_tables
     p = ModelParams(g, tau)
-    radii = _quartic_coalescence_radii(p)
+    radii = quartic_coalescence_radii(p)
     assert radii.size and quartic_char_roots_batch(p, radii)[3].all()
     t = np.concatenate([[0.0], np.geomspace(1.0, 1e3, 7)])
     data = (1.0 - 0.5j, 0.3 + 1.0j, -0.7 + 0.2j)
-    tables = _mgt_tables(p, radii, t, *(np.full(radii.shape, d) for d in data))
+    tables = solved_mgt_tables(p, radii, t, *(np.full(radii.shape, d) for d in data))
     for name, table in zip(("u", "ut", "utt"), tables):
         for k, r in enumerate(radii):
             ref = _closed_form_mean("mgt", p, float(r), t, data, name)
@@ -400,14 +379,14 @@ def test_stepped_tables_keep_the_fallback_columns():
     # the stepped table route hands the fallback writable real tables, and
     # the oracle columns it writes do not depend on the route
     p = ModelParams(2.0, 0.05)
-    flagged = _quartic_coalescence_radii(p)
+    flagged = quartic_coalescence_radii(p)
     r = np.concatenate([[0.3, 2.5], flagged])
     flags = quartic_char_roots_batch(p, r)[3]
     assert flags[2:].all() and not flags[:2].any()
     t, step = np.linspace(0.0, 10.0, 41, retstep=True)
     data = [np.full(r.shape, d) for d in (1.0, 0.3, -0.7)]
-    plain = _mgt_tables(p, r, t, *data)
-    stepped = _mgt_tables(p, r, t, *data, step)
+    plain = solved_mgt_tables(p, r, t, *data)
+    stepped = solved_mgt_tables(p, r, t, *data, step=step)
     for a, b in zip(plain, stepped):
         assert b.dtype == float
         assert b.flags.c_contiguous and b.flags.writeable
@@ -416,7 +395,8 @@ def test_stepped_tables_keep_the_fallback_columns():
 
 
 @pytest.mark.parametrize("tables, params, count", [
-    (_vdw_tables, ModelParams(2.0), 2), (_mgt_tables, ModelParams(2.0, 0.05), 3)],
+    (_vdw_tables, ModelParams(2.0), 2),
+    (solved_mgt_tables, ModelParams(2.0, 0.05), 3)],
     ids=["vdw", "mgt"])
 def test_stepped_tables_reject_complex_data(tables, params, count):
     # the stepped route keeps real parts only, so complex data would lose
@@ -427,7 +407,7 @@ def test_stepped_tables_reject_complex_data(tables, params, count):
         data = [np.ones(r.shape)] * count
         data[k] = data[k] + 0.5j
         with pytest.raises(DomainError, match="real data"):
-            tables(params, r, t, *data, step)
+            tables(params, r, t, *data, step=step)
 
 
 def test_fallback_integrators_resolved_at_call_time(monkeypatch):
@@ -450,9 +430,10 @@ def test_fallback_integrators_resolved_at_call_time(monkeypatch):
     radii = discriminant_zero_radii(p)
     ex._vdw_tables(p, radii, t, np.ones(radii.shape), np.zeros(radii.shape))
     q = ModelParams(2.0, 0.05)
-    qradii = _quartic_coalescence_radii(q)
+    qradii = quartic_coalescence_radii(q)
     ones = np.ones(qradii.shape)
-    ex._mgt_tables(q, qradii, t, ones, ones, ones)
+    roots, _, _, flags = quartic_char_roots_batch(q, qradii)
+    ex._mgt_tables(q, qradii, roots, flags, t, ones, ones, ones)
     ex.kernel_tables(p, ex.vdw_kernel_basis(p, radii), t)
     assert calls == (["integrate_vdw_mode"] * radii.size
                      + ["integrate_mgt_mode"] * qradii.size

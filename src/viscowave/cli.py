@@ -18,7 +18,9 @@ endings) preceded by ``# key=value`` metadata lines echoing the
 configuration; one PASS/FAIL line per built-in assertion goes to stdout.
 Exit code: 0 all pass, 1 any fail, 2 configuration or usage error.
 
-Worker threads are capped by the VISCOWAVE_THREADS environment variable.
+Worker threads are capped by the VISCOWAVE_THREADS environment variable;
+every command checks it first, and a value that is not an integer is a
+configuration error, whether or not the command uses threads.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .experiments import (DECAY_FIT_WINDOW, PROFILE_ERROR_FIT_WINDOW,
                           ExperimentConfig, decay_experiment, envelope_check,
                           kernel_tables, optimality_check,
                           profile_error_experiment, singular_limit_energy,
-                          singular_limit_solution)
+                          singular_limit_solution, thread_count)
 from .kernels import vdw_kernel_basis
 from .params import ModelParams
 from .quadrature import DataSpectrum
@@ -479,6 +481,7 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        thread_count()
         sections = parse_config_file(args.config)
         opts = merged_options(sections, args.command)
         config = build_config(opts, args.command)

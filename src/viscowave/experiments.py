@@ -28,16 +28,17 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, InsufficientDataError,
                      InvalidParameterError, PreconditionError, RefinementError)
-# mgt_mode_basis, vdw_mode_solution, mgt_mode_solution,
-# cubic_char_roots_batch and quartic_char_roots_batch are unused here, kept
-# only for bench/tracing.py, which wraps them under these names
+# mgt_mode_basis, vdw_mode_solution, mgt_mode_solution, l2_norm_radial and
+# quartic_char_roots_batch are unused here, kept only for bench/tracing.py,
+# which wraps them under these names; the norm series reach quadrature
+# through l2_norms_radial, which it does not wrap
 from .kernels import (_mgt_basis, _vdw_basis, leading_profiles, mgt_mode_basis,
                       mgt_mode_solution, vdw_kernel_basis, vdw_mode_solution)
 from .oracle import (_stiffness, default_step, integrate_mgt_many,
                      integrate_mgt_mode, integrate_vdw_many, integrate_vdw_mode)
 from .params import ModelParams
-from .quadrature import (DataSpectrum, g_exponent, l2_norm_radial, panel_rule,
-                         rate_function, sphere_area)
+from .quadrature import (DataSpectrum, g_exponent, l2_norm_radial, l2_norms_radial,
+                         panel_rule, rate_function, sphere_area)
 from .spectrum import (DEFAULT_EPS_CUT, DEFAULT_N_CUT, cubic_char_roots_batch,
                        cubic_coefficients, quartic_char_roots_batch,
                        quartic_coefficients, solve_polynomial_batch)
@@ -57,15 +58,21 @@ SWEEP_PANELS, SWEEP_MAX_PANELS = 16, 512
 SWEEP_RTOL = 1e-9
 
 
-def thread_map(fn, items):
-    """Order-preserving map with a worker count capped by VISCOWAVE_THREADS."""
-    items = list(items)
+def thread_count() -> int:
+    """Worker count of :func:`thread_map`: VISCOWAVE_THREADS, else the CPU
+    count; a value that is not an integer is a :class:`ConfigError`."""
     raw = os.environ.get("VISCOWAVE_THREADS", "").strip()
     try:
-        workers = int(raw) if raw else (os.cpu_count() or 1)
+        return int(raw) if raw else (os.cpu_count() or 1)
     except ValueError:
         raise ConfigError(
             f"VISCOWAVE_THREADS must be an integer, got {raw!r}") from None
+
+
+def thread_map(fn, items):
+    """Order-preserving map with a worker count capped by VISCOWAVE_THREADS."""
+    items = list(items)
+    workers = thread_count()
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=min(workers, len(items))) as ex:
@@ -255,9 +262,15 @@ def _vdw_tables(params: ModelParams, r: np.ndarray, t_grid: np.ndarray,
     ``step`` when ``t_grid`` is the uniform grid ``k * step``; the tables
     are then real, and the data must be real."""
     params = params.without_tau()
-    basis = vdw_kernel_basis(params, r)
+    return _basis_tables(params, vdw_kernel_basis(params, r), t_grid, u0v, u1v, step)
+
+
+def _basis_tables(params: ModelParams, basis, t_grid: np.ndarray, u0v: np.ndarray,
+                  u1v: np.ndarray, step=None):
+    """:func:`_vdw_tables` on a solved memory-only kernel ``basis``;
+    ``params`` carry no tau."""
     return _oracle_fallback(basis.mode_tables(t_grid, u0v, u1v, step), basis.flags,
-                            integrate_vdw_mode, params, r, t_grid, (u0v, u1v))
+                            integrate_vdw_mode, params, basis.r, t_grid, (u0v, u1v))
 
 
 def _mgt_tables(params: ModelParams, r: np.ndarray, roots: np.ndarray,
@@ -285,18 +298,6 @@ def kernel_tables(params: ModelParams, basis, t: np.ndarray):
     return k0, dk0, k1, dk1
 
 
-def _field_factory(config: ExperimentConfig, t: float):
-    """Vectorised r -> stacked (u, ut) mode rows at time t, shape (2, B)
-    (mode tables, oracle fallback)."""
-    params, u0, u1 = config.params, config.u0, config.u1
-
-    def field(r):
-        u, ut, _ = _vdw_tables(params, r, [t], u0(r), u1(r))
-        return np.concatenate((u, ut))
-
-    return field
-
-
 def _osc_segments(config: ExperimentConfig, t: float):
     """Panel-width caps for the oscillatory low-frequency region at time t.
 
@@ -314,22 +315,63 @@ def _osc_segments(config: ExperimentConfig, t: float):
     return segs
 
 
-def solution_norm(config: ExperimentConfig, t: float) -> np.ndarray:
-    """(|| |D|^s u(t) ||, || |D|^s u_t(t) ||) over all frequencies.
+def _mode_field(config: ExperimentConfig, times, rows):
+    """The lockstep field of :func:`quadrature.l2_norms_radial` for norms
+    of the memory-only modes at ``times``.
 
-    One adaptive pass integrates both: they share nodes, root solves and
-    mode tables, and a panel is accepted only when both have converged.
+    A call solves the cubics of all its radii in one
+    :func:`cubic_char_roots_batch`; the roots are row-wise, so each time
+    gets those of a solve of its own radii.  The amplitudes, the mode
+    tables with their oracle fallback, and ``rows(t, r, u, ut)`` run per
+    time on that time's radii ``r``, with ``u`` and ``ut`` the (1, B) mode
+    tables at ``t``: batched across times the amplitudes can move in the
+    last bit.
     """
-    return l2_norm_radial(
-        _field_factory(config, t), n=config.n, s=config.s, zone_filter="all",
-        eps_cut=config.eps_cut, n_cut=config.n_cut,
-        cap_segments=_osc_segments(config, t))
+    params, u0, u1 = config.params.without_tau(), config.u0, config.u1
+
+    def field(ks, radii):
+        roots, _, _, flags = cubic_char_roots_batch(params, np.concatenate(radii))
+        out, end = [], 0
+        for k, r in zip(ks, radii):
+            own = slice(end, end + r.size)
+            end = own.stop
+            basis = _vdw_basis(r, roots[own], flags[own])
+            u, ut, _ = _basis_tables(params, basis, [times[k]], u0(r), u1(r))
+            out.append(rows(times[k], r, u, ut))
+        return out
+
+    return field
 
 
-def _norm_series(config: ExperimentConfig) -> np.ndarray:
-    """(u, ut) norm series, shape (2, T): one :func:`solution_norm` per time."""
-    return np.array(thread_map(lambda t: solution_norm(config, t),
-                               config.t_grid)).T
+def _radial_norms(config: ExperimentConfig, times, zone: str, rows) -> list:
+    """Radial norms over ``zone`` of ``rows`` (see :func:`_mode_field`) at
+    every time of ``times``, run in lockstep: one adaptive problem per time,
+    with that time's oscillation caps, and one root solve per field call
+    of up to ``quadrature.LOCKSTEP_NODES`` radii.  A quadrature failure
+    names its time."""
+    return l2_norms_radial(
+        _mode_field(config, times, rows), [_osc_segments(config, t) for t in times],
+        config.n, config.s, zone, eps_cut=config.eps_cut, n_cut=config.n_cut,
+        names=[f"t={t:g}" for t in times])
+
+
+def _norm_series(config: ExperimentConfig, times=None) -> np.ndarray:
+    """(u, ut) norm series, shape (2, T), at ``times`` (default the t_grid).
+
+    The norms of all times run in lockstep (:func:`_radial_norms`); each
+    time integrates u and u_t in one adaptive problem, so both share nodes
+    and mode tables, and a panel is accepted only when both have
+    converged.  Every time's norms equal a run at that time alone.
+    """
+    times = config.t_grid if times is None else times
+    return np.array(_radial_norms(config, times, "all",
+                                  lambda t, r, u, ut: np.concatenate((u, ut)))).T
+
+
+def solution_norm(config: ExperimentConfig, t: float) -> np.ndarray:
+    """(|| |D|^s u(t) ||, || |D|^s u_t(t) ||) over all frequencies: the
+    one-time case of :func:`_norm_series`."""
+    return _norm_series(config, [t])[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -403,22 +445,16 @@ def profile_error_experiment(config: ExperimentConfig) -> ProfileResult:
     m0, m1 = config.u0.moment, config.u1.moment
     eps = config.eps_cut
 
-    def error_norm(t: float) -> float:
-        field = _field_factory(config, t)
-
-        def f(r):
-            prof = leading_profiles(params, r, t, eps_cut=eps * (1 + 1e-9))
-            return field(r)[0] - prof.j0 * m0 - prof.j1 * m1
-
-        return l2_norm_radial(f, n=config.n, s=config.s, zone_filter="small",
-                              eps_cut=eps, cap_segments=_osc_segments(config, t))
+    def error_rows(t, r, u, ut):
+        prof = leading_profiles(params, r, t, eps_cut=eps * (1 + 1e-9))
+        return u[0] - prof.j0 * m0 - prof.j1 * m1
 
     if config.u0.is_zero and config.u1.is_zero:
         zeros = np.zeros_like(config.t_grid)
         fit0 = RateFit(0.0, -math.inf, 1.0, config.fit_window)
         return ProfileResult(config.t_grid, zeros, zeros, fit0, fit0, 0.0, zeros)
 
-    err = np.array(thread_map(error_norm, config.t_grid))
+    err = np.array(_radial_norms(config, config.t_grid, "small", error_rows))
     sol = _norm_series(config)[0]
     err_window = (max(config.error_fit_window[0], config.t_grid[0]),
                   min(config.error_fit_window[1], config.t_grid[-1]))

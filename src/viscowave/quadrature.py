@@ -21,6 +21,13 @@ rule of Shampine, "Vectorized adaptive quadrature in MATLAB", J. Comput.
 Appl. Math. 211, 2008), so the components share one set of nodes, and
 each is refined at least as far as it would be on its own.
 
+Many integrals can run in lockstep (:func:`adaptive_integrals`): each
+keeps its own panels and checks, and a round's nodes of all of them are
+packed into few integrand calls, whole integrals at a time.  The integrand
+then pays its fixed cost per call, such as a root solve, once for many
+integrals, and each integral still sees the values a call of its own would
+give.  One adaptive integral is the case of one problem.
+
 The smooth frequency cut-offs of the underlying estimates are replaced by
 sharp cuts at the zone boundaries; every rate is insensitive to that
 choice, and the three zones then partition the radial domain exactly.  A
@@ -80,6 +87,9 @@ _G10_W[1::2] = np.concatenate([_WG, _WG[::-1]])
 SPECTRUM_KINDS = ("gaussian", "gaussian_diff", "linear_gaussian", "tabulated")
 #: panel budget of one adaptive_integral call
 MAX_PANELS = 60000
+#: most nodes of one integrand call of adaptive_integrals, unless a single
+#: problem's round needs more
+LOCKSTEP_NODES = 4096
 
 
 def sphere_area(n: int) -> float:
@@ -228,33 +238,14 @@ def _unbox(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
-                      cap_segments=None, max_depth: int = 30):
-    """Globally adaptive panel quadrature of a vectorised integrand.
+def _panel_rounds(a: float, b: float, rel_tol: float, cap_segments, max_depth: int):
+    """The adaptive panel loop of one integral, as a generator.
 
-    ``f`` maps P nodes to P values, or to a (k, P) stack of k components.
-    Returns (value, error_estimate) with the integrand's leading shape:
-    floats for a 1-d integrand, (k,) arrays for a stack.  Each round
-    evaluates the 21 Kronrod nodes of every open panel in one call of
-    ``f``; a panel is accepted once, for every component, its K21 value
-    and the G10 value on the same nodes agree locally, and otherwise it is
-    halved.  Accepted K21 contributions are summed left to right for
-    reproducibility.  The error estimate sums |K21 - G10| over the panels:
-    it bounds the error of the G10 values and is pessimistic for the K21
-    value returned.
-
-    ``cap_segments`` is an iterable of (lo, hi, width) triples bounding
-    the initial panel width on oscillatory subintervals.  Raises
-    :class:`DomainError` unless ``a < b`` are finite, and
-    :class:`TruncationError` as soon as ``f`` returns a non-finite value,
-    past ``MAX_PANELS`` panels, or when the panels accepted only at
-    ``max_depth`` leave some component an error above ``rel_tol`` times
-    its own value.
+    Each round yields the 21 Kronrod nodes of every open panel as one 1-d
+    array and receives the integrand's values there, P values or a (k, P)
+    stack; it returns (value, error_estimate) unboxed as in
+    :func:`adaptive_integral`.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"integration bounds must be finite, got [{a}, {b}]")
-    if not b > a:
-        raise DomainError(f"empty integration range [{a}, {b}]")
     edges = _initial_edges(a, b, cap_segments)
     lefts = edges[:-1]
     rights = edges[1:]
@@ -274,7 +265,7 @@ def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
         mids = 0.5 * (lefts + rights)
         half = 0.5 * (rights - lefts)
         nodes = mids[:, None] + half[:, None] * _KR_X
-        vals = np.asarray(f(nodes.ravel()), dtype=float)
+        vals = np.asarray((yield nodes.ravel()), dtype=float)
         if not np.isfinite(vals).all():
             bad = ~np.isfinite(vals).reshape(-1, nodes.size).all(axis=0)
             raise TruncationError(
@@ -311,9 +302,145 @@ def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
     return _unbox(value), _unbox(err_total)
 
 
+def adaptive_integrals(f, bounds, *, rel_tol: float = 1e-9, cap_segments=None,
+                       max_depth: int = 30, names=None) -> list:
+    """K adaptive integrals in lockstep, sharing the integrand's calls.
+
+    Problem k integrates over ``bounds[k] = (a, b)`` with the panel caps
+    ``cap_segments[k]`` (None: no caps), and keeps its own panels, depth
+    checks and tolerance reference: it is the panel loop of
+    :func:`adaptive_integral`, which is the one-problem case.  Each round,
+    the Kronrod nodes of the problems still open are packed, whole problems
+    in order, into calls ``f(ks, nodes)`` of at most ``LOCKSTEP_NODES``
+    nodes (a problem with more gets a call of its own); ``ks`` lists the
+    problem indices and ``nodes`` their 1-d node arrays, and ``f`` returns
+    one value array per problem, as :func:`adaptive_integral`'s integrand
+    would for those nodes.  So every problem sees the values a separate
+    call would see, and returns its (value, error_estimate) bit for bit.
+
+    A :class:`TruncationError` of problem k is prefixed ``names[k]`` when
+    ``names`` is given; a :class:`DomainError` rejects a pair of bounds
+    unless ``a < b`` are finite.
+    """
+    for a, b in bounds:
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise DomainError(f"integration bounds must be finite, got [{a}, {b}]")
+        if not b > a:
+            raise DomainError(f"empty integration range [{a}, {b}]")
+    caps = cap_segments or [None] * len(bounds)
+    problems = [_panel_rounds(a, b, rel_tol, cap, max_depth)
+                for (a, b), cap in zip(bounds, caps)]
+    results = [None] * len(problems)
+    nodes = {}
+
+    def advance(k, vals):
+        try:
+            nodes[k] = problems[k].send(vals)
+        except StopIteration as stop:
+            nodes.pop(k, None)
+            results[k] = stop.value
+        except TruncationError as exc:
+            if names is None:
+                raise
+            raise TruncationError(f"{names[k]}: {exc}") from None
+
+    for k in range(len(problems)):
+        advance(k, None)
+    while nodes:
+        calls, size = [[]], 0
+        for k, x in nodes.items():
+            if calls[-1] and size + x.size > LOCKSTEP_NODES:
+                calls.append([])
+                size = 0
+            calls[-1].append(k)
+            size += x.size
+        for ks in calls:
+            for k, vals in zip(ks, f(ks, [nodes[k] for k in ks])):
+                advance(k, vals)
+    return results
+
+
+def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
+                      cap_segments=None, max_depth: int = 30):
+    """Globally adaptive panel quadrature of a vectorised integrand.
+
+    ``f`` maps P nodes to P values, or to a (k, P) stack of k components.
+    Returns (value, error_estimate) with the integrand's leading shape:
+    floats for a 1-d integrand, (k,) arrays for a stack.  Each round
+    evaluates the 21 Kronrod nodes of every open panel in one call of
+    ``f``; a panel is accepted once, for every component, its K21 value
+    and the G10 value on the same nodes agree locally, and otherwise it is
+    halved.  Accepted K21 contributions are summed left to right for
+    reproducibility.  The error estimate sums |K21 - G10| over the panels:
+    it bounds the error of the G10 values and is pessimistic for the K21
+    value returned.  This is the one-problem case of
+    :func:`adaptive_integrals`.
+
+    ``cap_segments`` is an iterable of (lo, hi, width) triples bounding
+    the initial panel width on oscillatory subintervals.  Raises
+    :class:`DomainError` unless ``a < b`` are finite, and
+    :class:`TruncationError` as soon as ``f`` returns a non-finite value,
+    past ``MAX_PANELS`` panels, or when the panels accepted only at
+    ``max_depth`` leave some component an error above ``rel_tol`` times
+    its own value.
+    """
+    return adaptive_integrals(lambda ks, nodes: [f(nodes[0])], [(a, b)],
+                              rel_tol=rel_tol, cap_segments=[cap_segments],
+                              max_depth=max_depth)[0]
+
+
 # ---------------------------------------------------------------------------
 # Sobolev norms
 # ---------------------------------------------------------------------------
+
+def _radial_problem(n: int, s: float, zone_filter, eps_cut: float, n_cut: float):
+    """Check the arguments of a radial norm; returns its interval in y and
+    the power of r that weighs |f|^2."""
+    if int(n) != n or n < 1:
+        raise DomainError(f"dimension must be a positive integer, got {n}")
+    if s < 0:
+        raise DomainError(f"Sobolev order must be >= 0, got {s}")
+    # an empty small zone would read 0, and the map needs a finite n_cut
+    if not 0 < eps_cut < n_cut < math.inf:
+        raise DomainError(
+            f"need 0 < eps_cut < n_cut < inf, got eps_cut={eps_cut}, n_cut={n_cut}")
+    zones = {"small": (0.0, eps_cut), "bounded": (eps_cut, n_cut),
+             "large": (n_cut, n_cut + 1.0), "all": (0.0, n_cut + 1.0)}
+    if zone_filter not in (None, *zones):
+        raise DomainError(f"unknown zone filter {zone_filter!r}")
+    return zones[zone_filter or "all"], 2.0 * s + n - 1.0
+
+
+def _zone_caps(cap_segments, eps_cut: float, n_cut: float) -> list:
+    """The caller's caps plus the zone cuts as initial panel edges; a cut
+    outside the integration interval is dropped."""
+    return [*(cap_segments or ()), (eps_cut, n_cut, n_cut - eps_cut)]
+
+
+def _mapped_field(field, n_cut: float, exponent: float):
+    """The lockstep integrand on y of a lockstep ``field(ks, radii)`` on r:
+    y = r up to ``n_cut``, the ``qagi`` map above it, and each problem's
+    values turned into |f|^2 r^exponent times the Jacobian."""
+    def integrand(ks, ys):
+        radii, jacobians = [], []
+        for y in ys:
+            mapped = y > n_cut
+            gap = n_cut + 1.0 - y
+            r = np.where(mapped, n_cut / gap, y)
+            radii.append(r)
+            jacobians.append(np.where(mapped, r / gap, 1.0))
+        return [np.abs(np.asarray(vals)) ** 2 * r ** exponent * jacobian
+                for vals, r, jacobian in zip(field(ks, radii), radii, jacobians)]
+    return integrand
+
+
+def _radial_norm(total, err, n: int, full_output: bool):
+    norm = np.sqrt(sphere_area(n) * total)
+    if full_output:
+        half_rel = 0.5 * err / np.maximum(total, 1e-300)
+        return _unbox(norm), _unbox(norm * half_rel)
+    return _unbox(norm)
+
 
 def l2_norm_radial(spectrum, n: int, s: float = 0.0, zone_filter=None, *,
                    eps_cut: float = DEFAULT_EPS_CUT, n_cut: float = DEFAULT_N_CUT,
@@ -323,7 +450,9 @@ def l2_norm_radial(spectrum, n: int, s: float = 0.0, zone_filter=None, *,
 
     The integral runs over y in [0, n_cut + 1]: y = r up to ``n_cut``, and
     the large zone is mapped by the ``qagi`` substitution
-    r = n_cut / (n_cut + 1 - y) (see the module docstring).
+    r = n_cut / (n_cut + 1 - y) (see the module docstring).  It is one
+    :func:`adaptive_integral`; :func:`l2_norms_radial` runs many such
+    norms in lockstep.
 
     Parameters
     ----------
@@ -363,38 +492,32 @@ def l2_norm_radial(spectrum, n: int, s: float = 0.0, zone_filter=None, *,
         y = n_cut + 1, and the panels there hit the depth cap or the
         panel budget.
     """
-    if int(n) != n or n < 1:
-        raise DomainError(f"dimension must be a positive integer, got {n}")
-    if s < 0:
-        raise DomainError(f"Sobolev order must be >= 0, got {s}")
-    # an empty small zone would read 0, and the map needs a finite n_cut
-    if not 0 < eps_cut < n_cut < math.inf:
-        raise DomainError(
-            f"need 0 < eps_cut < n_cut < inf, got eps_cut={eps_cut}, n_cut={n_cut}")
-    exponent = 2.0 * s + n - 1.0
+    (lo, hi), exponent = _radial_problem(n, s, zone_filter, eps_cut, n_cut)
+    integrand = _mapped_field(lambda ks, radii: [spectrum(radii[0])], n_cut, exponent)
+    total, err = adaptive_integral(lambda y: integrand([0], [y])[0], lo, hi,
+                                   rel_tol=rel_tol,
+                                   cap_segments=_zone_caps(cap_segments, eps_cut, n_cut))
+    return _radial_norm(total, err, n, full_output)
 
-    def integrand(y):
-        mapped = y > n_cut
-        gap = n_cut + 1.0 - y
-        r = np.where(mapped, n_cut / gap, y)
-        jacobian = np.where(mapped, r / gap, 1.0)
-        vals = np.asarray(spectrum(r))
-        return np.abs(vals) ** 2 * r ** exponent * jacobian
 
-    zones = {"small": (0.0, eps_cut), "bounded": (eps_cut, n_cut),
-             "large": (n_cut, n_cut + 1.0), "all": (0.0, n_cut + 1.0)}
-    if zone_filter not in (None, *zones):
-        raise DomainError(f"unknown zone filter {zone_filter!r}")
-    lo, hi = zones[zone_filter or "all"]
-    # the zone cuts are initial panel edges; a cut outside [lo, hi] is dropped
-    cuts = [*(cap_segments or ()), (eps_cut, n_cut, n_cut - eps_cut)]
-    total, err = adaptive_integral(integrand, lo, hi, rel_tol=rel_tol,
-                                   cap_segments=cuts)
-    norm = np.sqrt(sphere_area(n) * total)
-    if full_output:
-        half_rel = 0.5 * err / np.maximum(total, 1e-300)
-        return _unbox(norm), _unbox(norm * half_rel)
-    return _unbox(norm)
+def l2_norms_radial(field, cap_segments, n: int, s: float = 0.0, zone_filter=None, *,
+                    eps_cut: float = DEFAULT_EPS_CUT, n_cut: float = DEFAULT_N_CUT,
+                    names=None) -> list:
+    """K :func:`l2_norm_radial` norms over one zone, in lockstep.
+
+    Norm k has the panel caps ``cap_segments[k]``; ``n``, ``s``, the zone
+    and the cuts are shared, as in :func:`l2_norm_radial`.  ``field(ks,
+    radii)`` returns, for each problem index in ``ks``, the spectrum values
+    on its radii, as that norm's ``spectrum`` would; one call serves the
+    open panels of many norms (see :func:`adaptive_integrals`, which also
+    describes ``names``).  Norm k equals :func:`l2_norm_radial` of its own
+    spectrum bit for bit.
+    """
+    (lo, hi), exponent = _radial_problem(n, s, zone_filter, eps_cut, n_cut)
+    results = adaptive_integrals(
+        _mapped_field(field, n_cut, exponent), [(lo, hi)] * len(cap_segments),
+        cap_segments=[_zone_caps(c, eps_cut, n_cut) for c in cap_segments], names=names)
+    return [_radial_norm(total, err, n, False) for total, err in results]
 
 
 # ---------------------------------------------------------------------------

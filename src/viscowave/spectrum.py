@@ -377,10 +377,13 @@ def _quartic_seed(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _polyval_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Horner evaluation of per-row polynomials at per-row points."""
-    acc = np.zeros_like(z)
-    for k in range(coeffs.shape[-1]):
-        acc = acc * z + coeffs[..., k, None]
+    """Horner evaluation of per-row polynomials of degree >= 1 at per-row
+    points, in place on one accumulator."""
+    acc = coeffs[..., 0, None] * z
+    acc += coeffs[..., 1, None]
+    for k in range(2, coeffs.shape[-1]):
+        acc *= z
+        acc += coeffs[..., k, None]
     return acc
 
 
@@ -407,32 +410,43 @@ def _newton_polish(coeffs: np.ndarray,
     return np.where(better, polished, roots), np.where(better, p_polished, p)
 
 
-def _canonical_order(roots: np.ndarray) -> np.ndarray:
-    """Indices that sort each row of roots by (real, imag)."""
-    return np.lexsort((roots.imag, roots.real), axis=-1)
+def _sorted_rows(roots: np.ndarray, *values: np.ndarray) -> tuple:
+    """Rows of roots sorted by (real, imag), and each of ``values``
+    permuted with them.  A bubble-sort network of compare-exchanges of
+    neighbours ((0, 1), (1, 2), (0, 1) for three roots) swaps only a
+    strictly greater pair, so ties keep their order as in a stable sort."""
+    cols = [list(np.moveaxis(x, -1, 0)) for x in (roots, *values)]
+    for top in range(len(cols[0]) - 1, 0, -1):
+        for i in range(top):
+            lo, hi = cols[0][i], cols[0][i + 1]
+            swap = (lo.real > hi.real) | ((lo.real == hi.real) & (lo.imag > hi.imag))
+            for col in cols:
+                col[i], col[i + 1] = (np.where(swap, col[i + 1], col[i]),
+                                      np.where(swap, col[i], col[i + 1]))
+    return tuple(np.stack(col, axis=-1) for col in cols)
 
 
-def _min_separation_rel(roots: np.ndarray) -> np.ndarray:
-    """Smallest pairwise root distance relative to max(1, |root|)."""
-    diff = np.abs(roots[..., :, None] - roots[..., None, :])
-    scale = np.maximum(1.0, np.maximum(
-        np.abs(roots)[..., :, None], np.abs(roots)[..., None, :]))
-    rel = diff / scale
+def _min_separation_rel(roots: np.ndarray, mags: np.ndarray) -> np.ndarray:
+    """Smallest pairwise root distance relative to max(1, |root|) of the
+    pair; ``mags`` are the moduli |roots|."""
     deg = roots.shape[-1]
-    iu = np.triu_indices(deg, k=1)
-    return rel[..., iu[0], iu[1]].min(axis=-1)
+    return functools.reduce(np.minimum, (
+        np.abs(roots[..., i] - roots[..., j])
+        / np.maximum(1.0, np.maximum(mags[..., i], mags[..., j]))
+        for i, j in itertools.combinations(range(deg), 2)))
 
 
 def _disc_terms_cubic(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The discriminant and the sum of the moduli of its five terms, each
+    summed left to right."""
     a, b, c, d = (coeffs[..., k] for k in range(4))
-    terms = np.stack([
-        18.0 * a * b * c * d,
-        -4.0 * b ** 3 * d,
-        b ** 2 * c ** 2,
-        -4.0 * a * c ** 3,
-        -27.0 * a ** 2 * d ** 2,
-    ], axis=-1)
-    return terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
+    terms = (18.0 * a * b * c * d,
+             -4.0 * b ** 3 * d,
+             b ** 2 * c ** 2,
+             -4.0 * a * c ** 3,
+             -27.0 * a ** 2 * d ** 2)
+    return (functools.reduce(np.add, terms),
+            functools.reduce(np.add, (np.abs(x) for x in terms)))
 
 
 def _disc_terms_quartic(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -495,10 +509,10 @@ def solve_polynomial_batch(coeffs: np.ndarray):
     cubic = coeffs.shape[-1] == 4
     roots, p = _newton_polish(
         coeffs, _cubic_seed(coeffs) if cubic else _quartic_seed(coeffs))
-    order = _canonical_order(roots)
-    roots = np.take_along_axis(roots, order, axis=-1)
-    residuals = np.abs(np.take_along_axis(p, order, axis=-1))
-    scales = np.maximum(1.0, _polyval_many(np.abs(coeffs), np.abs(roots)))
+    roots, p = _sorted_rows(roots, p)
+    residuals = np.abs(p)
+    mags = np.abs(roots)
+    scales = np.maximum(1.0, _polyval_many(np.abs(coeffs), mags))
     disc_terms = _disc_terms_cubic if cubic else _disc_terms_quartic
     # the terms are products of 4 (cubic) or 6 (quartic) coefficients and
     # overflow at large r; a power-of-two row scale keeps them in range and
@@ -507,7 +521,7 @@ def solve_polynomial_batch(coeffs: np.ndarray):
     row_max = functools.reduce(np.maximum, np.moveaxis(np.abs(coeffs), -1, 0))
     row_scale = np.ldexp(1.0, -np.frexp(row_max)[1])[..., None]
     disc, disc_scale = disc_terms(coeffs * row_scale)
-    flags = ((_min_separation_rel(roots) < MULTIPLICITY_RTOL)
+    flags = ((_min_separation_rel(roots, mags) < MULTIPLICITY_RTOL)
              | (np.abs(disc) <= DISC_RTOL * disc_scale))
     return roots, residuals, scales, flags
 
@@ -641,8 +655,7 @@ def asymptotic_roots(params: ModelParams, r: float, zone: str, equation: str,
                      complex(-(1.0 + g - root_disc) / 2.0),
                      complex(pair_re, s * r), complex(pair_re, -s * r)]
         coeffs = quartic_coefficients(g, tau, r)
-    roots = np.asarray(roots, dtype=complex)
-    roots = roots[_canonical_order(roots)]
+    (roots,) = _sorted_rows(np.asarray(roots, dtype=complex))
     residuals = np.abs(_polyval_many(coeffs[None, :], roots[None, :]))[0]
     return RootSet(float(r), roots, residuals, False, approximate=True)
 

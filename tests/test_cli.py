@@ -203,11 +203,13 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path, "g.cfg", "gamma = 0.5\n")
         assert run_command(["roots", "--config", cfg]) == 2
 
+    # every command checks the worker count, threaded or not
+    @pytest.mark.parametrize("command", list(COMMAND_KEYS))
     def test_non_integer_thread_count_is_config_error(self, tmp_path,
-                                                      monkeypatch, capsys):
+                                                      monkeypatch, capsys, command):
         cfg = write_cfg(tmp_path, "w.cfg", "gamma = 2.0\nn = 3\n")
         monkeypatch.setenv("VISCOWAVE_THREADS", "two")
-        assert run_command(["decay", "--config", cfg]) == 2
+        assert run_command([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err
         assert "VISCOWAVE_THREADS" in err

@@ -10,10 +10,10 @@ import pytest
 from viscowave import (DataSpectrum, DomainError, ExperimentConfig,
                        InsufficientDataError, InvalidParameterError,
                        ModelParams, PreconditionError, RefinementError,
-                       decay_experiment, envelope_check, optimality_check,
+                       TruncationError, decay_experiment, envelope_check, optimality_check,
                        profile_error_experiment, rate_fit,
                        singular_limit_energy, singular_limit_solution,
-                       sphere_area)
+                       solution_norm, sphere_area)
 from viscowave.experiments import (_memory_kernel, _memory_series, _tau_sweep,
                                    _vdw_tables, oracle_mode_comparison,
                                    predicted_decay, thread_map)
@@ -458,6 +458,16 @@ class TestProfileLogBranch:
         assert np.all(np.diff(late) < 0)
 
 
+class TestProfileCuts:
+    def test_error_norms_take_the_config_cuts(self):
+        # the error norms run on the config's n_cut, as the solution norms
+        # do; on the default n_cut = 10 an eps_cut of 12 was refused
+        cfg = ExperimentConfig(params=ModelParams(2.0), n=3, eps_cut=12.0,
+                               n_cut=20.0, t_grid=np.geomspace(50.0, 1.2e5, 10))
+        res = profile_error_experiment(cfg)
+        assert np.all(res.error_norms > 0) and np.all(np.isfinite(res.error_norms))
+
+
 class TestPredictedDecayPresence:
     def test_absent_data_drops_terms(self):
         # only the first datum, with vanishing moment: the slow u1 terms
@@ -481,23 +491,54 @@ class TestFirstDatumDecay:
         assert res.fit_ut.slope == pytest.approx(res.predicted_ut.exponent, abs=0.07)
 
 
-class TestOneQuadraturePass:
-    def test_decay_calls_solution_norm_once_per_time(self, monkeypatch):
-        # u and u_t come out of one adaptive pass per time
+class TestLockstepNorms:
+    """The norms of all times of a run share each round's field calls."""
+
+    @staticmethod
+    def _bench_config():
+        # the benchmark's decay config: C05, n = 3, at its five fit times
+        return ExperimentConfig(params=ModelParams(2.0), n=3,
+                                t_grid=np.geomspace(100.0, 1e4, 5))
+
+    def test_bench_decay_config_takes_three_field_calls(self, monkeypatch):
+        # one field call, and one root solve, per round for all five times
+        # (7,182 rows in 3 calls); one adaptive pass per time makes 7
         import viscowave.experiments as ex
 
-        seen = []
-        original = ex.solution_norm
+        rows = []
+        original = ex.cubic_char_roots_batch
 
-        def counted(config, t, *args, **kwargs):
-            seen.append(t)
-            return original(config, t, *args, **kwargs)
+        def counted(params, r):
+            rows.append(np.size(r))
+            return original(params, r)
 
-        monkeypatch.setattr(ex, "solution_norm", counted)
-        cfg = ExperimentConfig(params=ModelParams(2.0), n=3,
-                               t_grid=np.geomspace(100.0, 1e4, 5))
-        decay_experiment(cfg)
-        assert sorted(seen) == list(cfg.t_grid)
+        monkeypatch.setattr(ex, "cubic_char_roots_batch", counted)
+        decay_experiment(self._bench_config())
+        assert 0 < len(rows) <= 3
+
+    def test_each_time_equals_its_own_run(self):
+        # the lockstep series equals a run at each time alone, bit for bit
+        cfg = self._bench_config()
+        res = decay_experiment(cfg)
+        for k, t in enumerate(cfg.t_grid):
+            u, ut = solution_norm(cfg, t)
+            assert u == res.u_norms[k] and ut == res.ut_norms[k]
+
+    def test_failure_names_its_time(self, monkeypatch):
+        # a quadrature failure at one time of the series names that time
+        import viscowave.experiments as ex
+
+        original = ex._basis_tables
+
+        def poisoned(params, basis, t_grid, *args, **kwargs):
+            tables = original(params, basis, t_grid, *args, **kwargs)
+            if t_grid[0] == 1e3:
+                tables[0][...] = np.nan
+            return tables
+
+        monkeypatch.setattr(ex, "_basis_tables", poisoned)
+        with pytest.raises(TruncationError, match=r"^t=1000: integrand returned"):
+            decay_experiment(self._bench_config())
 
 
 class TestIndependentEnergyRoute:

@@ -9,7 +9,7 @@ from viscowave import (DataSpectrum, DomainError, ExperimentConfig,
                        integrate_mgt_mode, integrate_vdw_mode, mgt_mode_solution,
                        vdw_kernels, vdw_mode_solution)
 from viscowave import oracle
-from viscowave.experiments import _field_factory, _vdw_tables
+from viscowave.experiments import _mode_field, _vdw_tables
 from viscowave.oracle import default_step, integrate_mgt_many, integrate_vdw_many
 from viscowave.spectrum import (cubic_char_roots_batch, discriminant_zero_radii,
                                 quartic_char_roots_batch)
@@ -334,7 +334,7 @@ def test_coalescence_radius_matches_closed_form(g):
 @pytest.mark.parametrize("g", [1.3, 1.97, 2.18, 4.5, 9.0])
 def test_fallback_route_matches_closed_form(g):
     # flagged nodes reach the oracle through the mode tables and through
-    # the pointwise field that adaptive quadrature samples
+    # the lockstep field that adaptive quadrature samples
     p = ModelParams(g)
     radii = discriminant_zero_radii(p)
     assert cubic_char_roots_batch(p, radii)[3].all()
@@ -344,8 +344,10 @@ def test_fallback_route_matches_closed_form(g):
         p, radii, t, np.full(radii.shape, u0), np.full(radii.shape, u1))))
     config = ExperimentConfig(p, u0=DataSpectrum.gaussian(1.0, 1.0),
                               u1=DataSpectrum.gaussian(0.5, 2.0))
+    # one lockstep field call at every time, with one root solve for all
     t_field = t[::10]
-    rows = np.array([_field_factory(config, tk)(radii) for tk in t_field])
+    field = _mode_field(config, t_field, lambda tk, r, u, ut: np.concatenate((u, ut)))
+    rows = np.array(field(range(t_field.size), [radii] * t_field.size))
     for j, name in enumerate(("u", "ut")):
         field = rows[:, j]
         for k, r in enumerate(radii):

@@ -10,8 +10,8 @@ from viscowave import (DataSpectrum, DomainError, InvalidParameterError,
                        ModelParams, TruncationError, kernel_norm,
                        l2_norm_radial, rate_function, sphere_area)
 from viscowave import quadrature
-from viscowave.experiments import ExperimentConfig, solution_norm
-from viscowave.quadrature import adaptive_integral
+from viscowave.experiments import ExperimentConfig, _norm_series, solution_norm
+from viscowave.quadrature import adaptive_integral, adaptive_integrals, l2_norms_radial
 
 
 def gaussian_norm_exact(amplitude, width, n, s):
@@ -351,26 +351,86 @@ class TestVectorIntegrand:
 
 class TestNodeBudget:
     def test_decay_norms_use_one_kronrod_pass_per_panel(self, monkeypatch):
-        # the bench decay config (C05, n = 3) at its five fit-window times;
-        # one 21-node evaluation per panel and round gives 8,127 nodes; a
-        # rule that evaluates panels again (45 nodes a panel: 16,425) fails
-        inner = quadrature.adaptive_integral
+        # the bench decay config (C05, n = 3) at its five fit-window times,
+        # whose norms share each round's field calls; one 21-node evaluation
+        # per panel and round gives 7,182 nodes; a rule that evaluates
+        # panels again (45 nodes a panel) fails
+        inner = quadrature.adaptive_integrals
         sizes = []
 
         def counting(f, *args, **kwargs):
-            counted, nodes = _counted(f)
-            out = inner(counted, *args, **kwargs)
-            sizes.extend(nodes)
-            return out
+            def counted(ks, nodes):
+                sizes.extend(x.size for x in nodes)
+                return f(ks, nodes)
+            return inner(counted, *args, **kwargs)
 
-        monkeypatch.setattr(quadrature, "adaptive_integral", counting)
+        monkeypatch.setattr(quadrature, "adaptive_integrals", counting)
         cfg = ExperimentConfig(params=ModelParams(2.0), n=3,
                                t_grid=np.geomspace(100.0, 1e4, 5))
-        for t in cfg.t_grid:
-            norms = solution_norm(cfg, t)
-            assert norms.shape == (2,) and np.all(norms > 0)
+        norms = _norm_series(cfg)
+        assert norms.shape == (2, 5) and np.all(norms > 0)
         assert sizes and all(k % 21 == 0 for k in sizes)
         assert sum(sizes) <= 9000
+
+
+class TestLockstep:
+    """adaptive_integrals: K problems sharing the integrand's calls."""
+
+    BOUNDS = [(0.0, 1.0), (0.0, 2.0), (-1.0, 3.0), (0.5, 0.75), (0.0, math.pi)]
+    CAPS = [None, [(0.0, 2.0, 0.1)], None, [(0.5, 0.6, 0.01)], [(1.0, 2.0, 0.5)]]
+    FREQ = [1.0, 7.0, 40.0, 3.0, 0.5]
+
+    @classmethod
+    def _integrand(cls, k):
+        # a (2, P) stack: each problem refines as far as its own needs
+        return lambda x: np.stack([np.sin(cls.FREQ[k] * x) ** 2,
+                                   np.exp(-cls.FREQ[k] * x * x)])
+
+    @pytest.mark.parametrize("budget", [21, 200, 4096])
+    def test_problems_equal_separate_calls(self, monkeypatch, budget):
+        # whatever the packing, every problem sees the values a call of
+        # its own would see, and no problem is split across calls
+        monkeypatch.setattr(quadrature, "LOCKSTEP_NODES", budget)
+        calls = []
+
+        def f(ks, nodes):
+            calls.append([x.size for x in nodes])
+            return [self._integrand(k)(x) for k, x in zip(ks, nodes)]
+
+        got = adaptive_integrals(f, self.BOUNDS, cap_segments=self.CAPS)
+        for k, (a, b) in enumerate(self.BOUNDS):
+            alone = adaptive_integral(self._integrand(k), a, b,
+                                      cap_segments=self.CAPS[k])
+            for x, y in zip(got[k], alone):
+                assert np.array_equal(x, y)
+        assert all(len(c) == 1 or sum(c) <= budget for c in calls)
+        if budget == 4096:
+            assert len(calls[0]) == len(self.BOUNDS)
+
+    def test_truncation_names_its_problem(self):
+        def f(ks, nodes):
+            return [np.full_like(x, math.nan) if k == 1 else np.ones_like(x)
+                    for k, x in zip(ks, nodes)]
+
+        with pytest.raises(TruncationError, match="^t=2: integrand returned non-finite"):
+            adaptive_integrals(f, [(0.0, 1.0)] * 3, names=["t=1", "t=2", "t=3"])
+
+    def test_bad_bounds_raise(self):
+        with pytest.raises(DomainError, match="empty"):
+            adaptive_integrals(lambda ks, nodes: nodes, [(0.0, 1.0), (1.0, 1.0)])
+
+    def test_radial_norms_equal_separate_norms(self):
+        # l2_norms_radial equals l2_norm_radial of each spectrum, bit for bit
+        widths = [1.0, 0.05, 3.0]
+        caps = [None, [(0.0, 5.0, 0.2)], [(0.0, 0.1, 0.01)]]
+
+        def field(ks, radii):
+            return [DataSpectrum.gaussian(1.0, widths[k])(r) for k, r in zip(ks, radii)]
+
+        got = l2_norms_radial(field, caps, 3, 0.5)
+        for k, width in enumerate(widths):
+            assert got[k] == l2_norm_radial(DataSpectrum.gaussian(1.0, width), 3, 0.5,
+                                            cap_segments=caps[k])
 
 
 class TestFarTail:

@@ -1,5 +1,7 @@
 """Characteristic-root solver, discriminant and branch-tracking tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,9 @@ from viscowave import (DomainError, InvalidParameterError,
                        asymptotic_roots, cubic_char_roots, cubic_discriminant,
                        cubic_discriminant_expanded, discriminant_zero_radii,
                        quartic_char_roots, track_branches)
-from viscowave.spectrum import (RESIDUAL_RTOL, cubic_char_roots_batch,
+from viscowave.spectrum import (RESIDUAL_RTOL, _cubic_seed, _disc_terms_cubic,
+                                _min_separation_rel, _newton_polish, _polyval_many,
+                                _quartic_seed, _sorted_rows, cubic_char_roots_batch,
                                 cubic_coefficients, quartic_char_roots_batch,
                                 quartic_coefficients, solve_polynomial_batch)
 
@@ -430,6 +434,98 @@ class TestPerRowSolve:
         assert cubic_coefficients(2.0, 1.0).shape == (4,)
         np.testing.assert_array_equal(cubic_coefficients(g, r)[1],
                                       cubic_coefficients(4.0, r))
+
+
+class TestSolveTrims:
+    """The lean passes of solve_polynomial_batch equal the reference
+    formulas they replace, bit for bit."""
+
+    @staticmethod
+    def _unsorted_cubic_roots():
+        # the seeded and polished roots before sorting, at gamma = 2: the
+        # r = 0 double root, the triple root at r = 1, conjugate pairs
+        # below and real triples above
+        coeffs = cubic_coefficients(2.0, np.concatenate([[0.0, 1.0], np.geomspace(1e-3, 1e3, 60)]))
+        return _newton_polish(coeffs, _cubic_seed(coeffs))
+
+    @staticmethod
+    def _bits(x):
+        # bit patterns, so that -0.0 and +0.0 differ
+        return np.ascontiguousarray(x).view(np.int64)
+
+    def _check_network(self, roots, values):
+        got_roots, got_values = _sorted_rows(roots, values)
+        order = np.lexsort((roots.imag, roots.real), axis=-1)
+        assert np.array_equal(self._bits(got_roots),
+                              self._bits(np.take_along_axis(roots, order, axis=-1)))
+        assert np.array_equal(self._bits(got_values),
+                              self._bits(np.take_along_axis(values, order, axis=-1)))
+
+    @staticmethod
+    def _permuted(bases):
+        # every order of each base row, with distinct values that show
+        # where each root went, ties included
+        rows = np.array([p for base in bases for p in itertools.permutations(base)],
+                        dtype=complex)
+        return rows, np.arange(rows.size).reshape(rows.shape) + 0j
+
+    def test_network_sorts_cubic_rows_as_lexsort(self):
+        tied, tied_values = self._permuted((
+            [1.0, 1.0, 1.0], [0.0, -0.0, 0.0], [-1 + 2j, -1 - 2j, -3.0],
+            [-1 + 2j, -1 - 2j, -1.0], [2.0, 2.0, -5.0], [-1 + 2j, -1 + 2j, -1 - 2j]))
+        roots, values = self._unsorted_cubic_roots()
+        assert roots[0, 1] == roots[0, 2] == 0.0                  # r = 0
+        assert np.allclose(roots[1], -1.0, atol=1e-4)            # r = 1
+        assert (roots.imag != 0.0).any()
+        self._check_network(np.concatenate([tied, roots]),
+                            np.concatenate([tied_values, values]))
+
+    def test_network_sorts_quartic_rows_as_lexsort(self):
+        tied, tied_values = self._permuted((
+            [1.0, 1.0, 1.0, 1.0], [0.0, -0.0, 0.0, -2.0], [-1 + 2j, -1 - 2j, -3.0, -3.0],
+            [-1 + 2j, -1 - 2j, -1.0, -1 + 1j]))
+        coeffs = quartic_coefficients(2.0, 0.1, np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 60)]))
+        roots, values = _newton_polish(coeffs, _quartic_seed(coeffs))
+        assert (roots[0] == 0.0).sum() == 2                       # r = 0
+        self._check_network(np.concatenate([tied, roots]),
+                            np.concatenate([tied_values, values]))
+
+    def test_min_separation_over_pairs(self):
+        cubic = solve_polynomial_batch(cubic_coefficients(2.0, np.geomspace(1e-4, 1e4, 301)))[0]
+        quartic = solve_polynomial_batch(quartic_coefficients(
+            2.0, np.array([[0.1], [1e-3]]), np.geomspace(1e-4, 1e4, 301)))[0]
+        tied = np.array([[1.0, 1.0, -2.0], [0.0, 0.0, 0.0], [-1 + 1j, -1 - 1j, 3.0]])
+        for roots in (cubic, quartic, tied, self._unsorted_cubic_roots()[0]):
+            mags = np.abs(roots)
+            diff = np.abs(roots[..., :, None] - roots[..., None, :])
+            rel = diff / np.maximum(1.0, np.maximum(mags[..., :, None], mags[..., None, :]))
+            upper = np.triu_indices(roots.shape[-1], k=1)
+            want = rel[..., upper[0], upper[1]].min(axis=-1)
+            assert np.array_equal(_min_separation_rel(roots, mags), want)
+
+    def test_horner_in_place(self):
+        # the accumulator starts at c0 z, where Horner from 0 starts at
+        # 0 z + c0 and multiplies that by z
+        roots, _ = self._unsorted_cubic_roots()
+        coeffs = cubic_coefficients(2.0, np.concatenate([[0.0, 1.0], np.geomspace(1e-3, 1e3, 60)]))
+        for c, z in ((coeffs, roots), (np.abs(coeffs), np.abs(roots)),
+                     (coeffs[:, :-1] * [3.0, 2.0, 1.0], roots)):
+            want = np.zeros_like(z)
+            for k in range(c.shape[-1]):
+                want = want * z + c[..., k, None]
+            assert np.array_equal(self._bits(_polyval_many(c, z)), self._bits(want))
+
+    def test_cubic_discriminant_terms_as_stacked_sum(self):
+        rng = np.random.default_rng(5)
+        for coeffs in (cubic_coefficients(2.0, np.geomspace(1e-4, 1e4, 301)),
+                       cubic_coefficients(rng.uniform(1.0, 10.0, 1000), rng.uniform(0.0, 20.0, 1000)),
+                       rng.standard_normal((1000, 4)) * 10.0 ** rng.integers(-6, 6, (1000, 4))):
+            a, b, c, d = (coeffs[..., k] for k in range(4))
+            terms = np.stack([18.0 * a * b * c * d, -4.0 * b ** 3 * d, b ** 2 * c ** 2,
+                              -4.0 * a * c ** 3, -27.0 * a ** 2 * d ** 2], axis=-1)
+            disc, size = _disc_terms_cubic(coeffs)
+            assert np.array_equal(disc, terms.sum(axis=-1))
+            assert np.array_equal(size, np.abs(terms).sum(axis=-1))
 
 
 class TestDiscriminant:

@@ -17,10 +17,6 @@ each), and one writer streams them as CSV (full 17-digit precision, LF
 endings) preceded by ``# key=value`` metadata lines echoing the
 configuration; one PASS/FAIL line per built-in assertion goes to stdout.
 Exit code: 0 all pass, 1 any fail, 2 configuration or usage error.
-
-Worker threads are capped by the VISCOWAVE_THREADS environment variable;
-every command checks it first, and a value that is not an integer is a
-configuration error, whether or not the command uses threads.
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ from .experiments import (DECAY_FIT_WINDOW, PROFILE_ERROR_FIT_WINDOW,
                           ExperimentConfig, decay_experiment, envelope_check,
                           kernel_tables, optimality_check,
                           profile_error_experiment, singular_limit_energy,
-                          singular_limit_solution, thread_count)
+                          singular_limit_solution)
 from .kernels import vdw_kernel_basis
 from .params import ModelParams
 from .quadrature import DataSpectrum
@@ -291,9 +287,17 @@ def _handle_roots(opts, config):
     columns["mult_flag"] = flags
     table = ResultTable(columns)
     bound = RESIDUAL_RTOL * scales
+    # past the double range a bound is inf, and every residual would pass it
+    unbounded = ~np.isfinite(bound).all(axis=1)
+    if unbounded.any():
+        residual = Check("roots.residual", False,
+                         f"{int(unbounded.sum())} rows from r = "
+                         f"{sweep[unbounded][0]:.3e} have no finite bound")
+    else:
+        residual = Check("roots.residual", bool(np.all(resid < bound)),
+                         f"max residual/bound = {float((resid / bound).max()):.3e} (< 1)")
     conj_gap = np.abs(np.sort_complex(roots) - np.sort_complex(np.conj(roots))).max()
-    checks = [Check("roots.residual", bool(np.all(resid < bound)),
-                    f"max residual/bound = {float((resid / bound).max()):.3e} (< 1)"),
+    checks = [residual,
               Check("roots.conjugate_symmetry", bool(conj_gap <= 1e-12),
                     f"max conjugation gap = {conj_gap:.3e} (<= 1e-12)")]
     zone = (sweep >= config.eps_cut) & (sweep <= config.n_cut)
@@ -481,7 +485,6 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        thread_count()
         sections = parse_config_file(args.config)
         opts = merged_options(sections, args.command)
         config = build_config(opts, args.command)

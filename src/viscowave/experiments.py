@@ -20,18 +20,17 @@ its own |K21 - G10| estimate (:func:`_refined_sweep`).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, DomainError, InsufficientDataError,
-                     InvalidParameterError, PreconditionError, RefinementError)
+from .errors import (DomainError, InsufficientDataError, InvalidParameterError,
+                     PreconditionError, RefinementError)
 # mgt_mode_basis, vdw_mode_solution, mgt_mode_solution, l2_norm_radial and
-# quartic_char_roots_batch are unused here, kept only for bench/tracing.py,
-# which wraps them under these names; the norm series reach quadrature
-# through l2_norms_radial, which it does not wrap
+# quartic_char_roots_batch are unused here, and thread_map (below) is a plain
+# map, kept only for bench/tracing.py, which wraps them under these names;
+# the norm series reach quadrature through l2_norms_radial, which it does not
+# wrap
 from .kernels import (_mgt_basis, _vdw_basis, leading_profiles, mgt_mode_basis,
                       mgt_mode_solution, vdw_kernel_basis, vdw_mode_solution)
 from .oracle import (_stiffness, default_step, integrate_mgt_many,
@@ -58,25 +57,9 @@ SWEEP_PANELS, SWEEP_MAX_PANELS = 16, 512
 SWEEP_RTOL = 1e-9
 
 
-def thread_count() -> int:
-    """Worker count of :func:`thread_map`: VISCOWAVE_THREADS, else the CPU
-    count; a value that is not an integer is a :class:`ConfigError`."""
-    raw = os.environ.get("VISCOWAVE_THREADS", "").strip()
-    try:
-        return int(raw) if raw else (os.cpu_count() or 1)
-    except ValueError:
-        raise ConfigError(
-            f"VISCOWAVE_THREADS must be an integer, got {raw!r}") from None
-
-
 def thread_map(fn, items):
-    """Order-preserving map with a worker count capped by VISCOWAVE_THREADS."""
-    items = list(items)
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as ex:
-        return list(ex.map(fn, items))
+    """``[fn(x) for x in items]``."""
+    return [fn(x) for x in items]
 
 
 # ---------------------------------------------------------------------------
@@ -626,10 +609,8 @@ def _tau_sweep(config: ExperimentConfig, r: np.ndarray, steps: int, one_tau) -> 
     of them.  The limit tables do not depend on tau, so they are built once.
     The quartics of every tau are solved in one call, each row on its own,
     so a tau's roots and flags are those of a solve at that tau alone; the
-    amplitudes, tables and oracle fallback stay per tau.  Each task
-    subtracts into the relaxed tables it has just built: the tau tasks
-    share the limit tables and the roots across threads and never write
-    them.
+    amplitudes, tables and oracle fallback stay per tau.  Each tau
+    subtracts the limit tables from the relaxed tables it has just built.
     """
     t_grid, step = _sweep_grid(config, steps)
     u0v, u1v = config.u0(r), config.u1(r)

@@ -135,6 +135,19 @@ class TestRunCommand:
                   if not ln.startswith("#")][0]
         assert "re_l4" in header
 
+    # the fast root is about -r^2, so the cubic's scale |root|^3 passes the
+    # double range from r ~ 2.4e51 (28 of the 200 sweep radii) and the
+    # polish warns of the overflow; rows with no finite bound are not checked
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_roots_past_double_range_fail(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "big.cfg", "gamma = 2.0\nsweep.rmax = 1e60\n")
+        out = tmp_path / "big.csv"
+        assert run_command(["roots", "--config", cfg, "--out", str(out)]) == 1
+        printed = capsys.readouterr().out.splitlines()
+        assert ("roots.residual: 28 rows from r = 2.833e+51 have no finite "
+                "bound FAIL") in printed
+        assert _csv_rows(out).shape[0] == 200
+
     def test_kernels_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "k.cfg", "gamma = 2.0\n")
         rc = run_command(["kernels", "--config", cfg,
@@ -202,17 +215,6 @@ class TestRunCommand:
     def test_gamma_validation_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, "g.cfg", "gamma = 0.5\n")
         assert run_command(["roots", "--config", cfg]) == 2
-
-    # every command checks the worker count, threaded or not
-    @pytest.mark.parametrize("command", list(COMMAND_KEYS))
-    def test_non_integer_thread_count_is_config_error(self, tmp_path,
-                                                      monkeypatch, capsys, command):
-        cfg = write_cfg(tmp_path, "w.cfg", "gamma = 2.0\nn = 3\n")
-        monkeypatch.setenv("VISCOWAVE_THREADS", "two")
-        assert run_command([command, "--config", cfg]) == 2
-        err = capsys.readouterr().err
-        assert "config error:" in err
-        assert "VISCOWAVE_THREADS" in err
 
 
 _BASE_CFG = "gamma = 2.0\nn = 3\ndata.v2 = consistent\ntau.points = 5\n"
@@ -392,8 +394,8 @@ def strip_timestamp(raw: bytes) -> bytes:
                       if not ln.startswith(b"# timestamp="))
 
 
-#: one small config per pool-using command family: times of a decay run,
-#: times of both profile norms, tau values sharing the limit tables
+#: one small config per command family: times of a decay run, times of
+#: both profile norms, a tau sweep sharing the limit tables
 DETERMINISM_CONFIGS = {
     "decay": "gamma = 2.0\nn = 3\nt.points = 10\nt.min = 60\nt.max = 1.5e4\n"
              "data.u1 = gaussian:1.0,1.0\n",
@@ -406,13 +408,11 @@ DETERMINISM_CONFIGS = {
 
 class TestDeterminism:
     @pytest.mark.parametrize("command", sorted(DETERMINISM_CONFIGS))
-    def test_byte_identical_across_worker_counts(self, tmp_path, monkeypatch,
-                                                 command):
+    def test_byte_identical_across_reruns(self, tmp_path, command):
         cfg = write_cfg(tmp_path, "d.cfg", DETERMINISM_CONFIGS[command])
         outputs = []
-        for workers in ("1", "8"):
-            monkeypatch.setenv("VISCOWAVE_THREADS", workers)
-            out = tmp_path / f"d{workers}.csv"
+        for run in (1, 2):
+            out = tmp_path / f"d{run}.csv"
             rc = run_command([command, "--config", cfg, "--out", str(out)])
             assert rc == 0
             outputs.append(strip_timestamp(out.read_bytes()))

@@ -16,7 +16,7 @@ from viscowave import (DataSpectrum, DomainError, ExperimentConfig,
                        solution_norm, sphere_area)
 from viscowave.experiments import (_memory_kernel, _memory_series, _tau_sweep,
                                    _vdw_tables, oracle_mode_comparison,
-                                   predicted_decay, thread_map)
+                                   predicted_decay)
 from viscowave.kernels import leading_profiles
 from viscowave.oracle import default_step, integrate_vdw_many
 from viscowave.quadrature import panel_rule
@@ -414,20 +414,6 @@ class TestEnvelope:
                                                n=3))
         assert rep.all_finite()
         assert rep.large.constant_u == pytest.approx(near.large.constant_u, rel=0.01)
-
-
-class TestThreadMap:
-    def test_results_independent_of_worker_count(self, monkeypatch):
-        items = list(range(40))
-
-        def fn(i):
-            return np.sin(np.linspace(0, i, 50)).sum()
-
-        monkeypatch.setenv("VISCOWAVE_THREADS", "1")
-        a = thread_map(fn, items)
-        monkeypatch.setenv("VISCOWAVE_THREADS", "8")
-        b = thread_map(fn, items)
-        assert a == b
 
 
 class TestRefinementGuard:

@@ -48,7 +48,7 @@ _LIMIT = ("gamma n data.u0 data.u1 data.v2 tau.list tau.min tau.max tau.points "
 
 #: the config keys each command reads, in the order of the command list
 COMMAND_KEYS = {command: frozenset(keys.split()) for command, keys in (
-    ("roots", "gamma tau equation sweep.rmin sweep.rmax sweep.points r.eps r.cut"),
+    ("roots", "gamma tau sweep.rmin sweep.rmax sweep.points r.eps r.cut"),
     ("kernels", "gamma sweep.rmin sweep.rmax sweep.points"),
     ("decay", _DECAY),
     ("profile", _DECAY + " errfit.min errfit.max"),
@@ -268,17 +268,12 @@ def _metadata(opts: dict[str, str], command: str) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 def _handle_roots(opts, config):
-    equation = opts.get("equation", "mgt" if config.params.tau else "vdw")
     sweep = np.geomspace(_get_positive(opts, "sweep.rmin", 1e-3),
                          _get_positive(opts, "sweep.rmax", 2 * config.n_cut),
                          _get_int(opts, "sweep.points", 200))
-    if equation == "vdw":
-        roots, resid, scales, flags = cubic_char_roots_batch(
-            config.params.without_tau(), sweep)
-    elif equation == "mgt":
-        roots, resid, scales, flags = quartic_char_roots_batch(config.params, sweep)
-    else:
-        raise ConfigError(f"equation must be vdw or mgt, got {equation!r}")
+    # the relaxed quartic when tau is set, the memory-only cubic otherwise
+    solve = quartic_char_roots_batch if config.params.tau else cubic_char_roots_batch
+    roots, resid, scales, flags = solve(config.params, sweep)
     columns = {"r": sweep}
     for j in range(roots.shape[1]):
         columns[f"re_l{j + 1}"] = roots[:, j].real
@@ -313,9 +308,9 @@ def _handle_kernels(opts, config):
                           _get_positive(opts, "sweep.rmax", 5.0),
                           _get_int(opts, "sweep.points", 12))
     t_vals = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0])
-    params = config.params.without_tau()
     # (T, B) tables, t_vals[0] = 0; flagged radii come from the oracle
-    k0, dk0, k1, dk1 = kernel_tables(params, vdw_kernel_basis(params, r_vals), t_vals)
+    basis = vdw_kernel_basis(config.params, r_vals)
+    k0, dk0, k1, dk1 = kernel_tables(config.params, basis, t_vals)
     columns = {"r": np.tile(r_vals, len(t_vals)), "t": np.repeat(t_vals, len(r_vals))}
     for name, k in (("k0", k0), ("k1", k1), ("dk0", dk0), ("dk1", dk1)):
         columns[f"{name}_re"] = k.real.ravel()
@@ -401,6 +396,11 @@ def _handle_envelope(opts, config):
     return table, checks
 
 
+#: the slope-check detail of the singular-limit commands on trivial data:
+#: a model difference that is identically zero meets any predicted rate
+_ZERO_DIFFERENCE = "the difference is identically zero (trivial data)"
+
+
 def _handle_sl_energy(opts, config):
     res = singular_limit_energy(config)
     series = res.series
@@ -422,8 +422,9 @@ def _handle_sl_energy(opts, config):
     else:
         rel = float(np.max(np.abs(res.es0_values)))
     checks = [
-        Check("sl_energy.slope", abs(res.fit_sup.slope - predicted) <= 0.1,
-              f"sup-energy slope={res.fit_sup.slope:.4f} expected={predicted} tol=0.1"),
+        Check("sl_energy.slope", res.meets_prediction,
+              f"sup-energy slope={res.fit_sup.slope:.4f} expected={predicted} tol=0.1"
+              if table.columns["e_total"].any() else _ZERO_DIFFERENCE),
         Check("sl_energy.initial_value", rel <= 1e-8,
               f"E(0) vs tau*||w2||^2 rel err = {rel:.3e} (<= 1e-8)"),
     ]
@@ -437,10 +438,10 @@ def _handle_sl_solution(opts, config):
     res = singular_limit_solution(config, allow_outside=allow == "true")
     table = ResultTable({"tau": res.tau, "w_l2_sq": res.w_l2_sq},
                         {"fit.slope": _fmt(res.fit.slope)})
-    checks = [Check(
-        "sl_solution.slope", res.meets_prediction,
-        f"slope={res.fit.slope:.4f} (>= {res.predicted_exponent - 0.1:.1f}, "
-        "upper-bound estimate: larger is fine)")]
+    checks = [Check("sl_solution.slope", res.meets_prediction,
+                    f"slope={res.fit.slope:.4f} (>= {res.predicted_exponent - 0.1:.1f}, "
+                    "upper-bound estimate: larger is fine)"
+                    if res.w_l2_sq.any() else _ZERO_DIFFERENCE)]
     return table, checks
 
 

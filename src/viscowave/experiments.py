@@ -244,16 +244,18 @@ def _vdw_tables(params: ModelParams, r: np.ndarray, t_grid: np.ndarray,
     """(u, ut, utt) tables of shape (T, B) of the memory-only model; pass
     ``step`` when ``t_grid`` is the uniform grid ``k * step``; the tables
     are then real, and the data must be real."""
-    params = params.without_tau()
     return _basis_tables(params, vdw_kernel_basis(params, r), t_grid, u0v, u1v, step)
 
 
 def _basis_tables(params: ModelParams, basis, t_grid: np.ndarray, u0v: np.ndarray,
                   u1v: np.ndarray, step=None):
-    """:func:`_vdw_tables` on a solved memory-only kernel ``basis``;
-    ``params`` carry no tau."""
+    """:func:`_vdw_tables` on a solved memory-only kernel ``basis``.  The
+    tables read only the gamma of ``params``; the tau of ``params``, if any,
+    is dropped here, where the oracle fallback would otherwise take it into
+    its step."""
     return _oracle_fallback(basis.mode_tables(t_grid, u0v, u1v, step), basis.flags,
-                            integrate_vdw_mode, params, basis.r, t_grid, (u0v, u1v))
+                            integrate_vdw_mode, params.without_tau(), basis.r, t_grid,
+                            (u0v, u1v))
 
 
 def _mgt_tables(params: ModelParams, r: np.ndarray, roots: np.ndarray,
@@ -269,16 +271,11 @@ def _mgt_tables(params: ModelParams, r: np.ndarray, roots: np.ndarray,
 
 def kernel_tables(params: ModelParams, basis, t: np.ndarray):
     """(k0, dk0, k1, dk1) tables (T, B) of the memory-only kernel ``basis``
-    at the times ``t``: the modes of the data (1, 0), then of (0, 1), with
-    the flagged columns from the oracle."""
-    params = params.without_tau()
-    pair = basis.eval(t)
+    at the times ``t``: the (u, ut) mode tables of :func:`_basis_tables` for
+    the unit data (1, 0), then (0, 1), flagged columns from the oracle."""
     one, zero = np.ones(basis.r.shape), np.zeros(basis.r.shape)
-    k0, dk0 = _oracle_fallback((pair.k0, pair.dk0), basis.flags, integrate_vdw_mode,
-                               params, basis.r, t, (one, zero))
-    k1, dk1 = _oracle_fallback((pair.k1, pair.dk1), basis.flags, integrate_vdw_mode,
-                               params, basis.r, t, (zero, one))
-    return k0, dk0, k1, dk1
+    return (*_basis_tables(params, basis, t, one, zero)[:2],
+            *_basis_tables(params, basis, t, zero, one)[:2])
 
 
 def _osc_segments(config: ExperimentConfig, t: float):
@@ -307,10 +304,9 @@ def _mode_field(config: ExperimentConfig, times, rows):
     gets those of a solve of its own radii.  The amplitudes, the mode
     tables with their oracle fallback, and ``rows(t, r, u, ut)`` run per
     time on that time's radii ``r``, with ``u`` and ``ut`` the (1, B) mode
-    tables at ``t``: batched across times the amplitudes can move in the
-    last bit.
+    tables at ``t``.
     """
-    params, u0, u1 = config.params.without_tau(), config.u0, config.u1
+    params, u0, u1 = config.params, config.u0, config.u1
 
     def field(ks, radii):
         roots, _, _, flags = cubic_char_roots_batch(params, np.concatenate(radii))
@@ -424,12 +420,11 @@ def profile_error_experiment(config: ExperimentConfig) -> ProfileResult:
     therefore subtract nothing and the error equals the zone-restricted
     solution norm.
     """
-    params = config.params.without_tau()
     m0, m1 = config.u0.moment, config.u1.moment
     eps = config.eps_cut
 
     def error_rows(t, r, u, ut):
-        prof = leading_profiles(params, r, t, eps_cut=eps * (1 + 1e-9))
+        prof = leading_profiles(config.params, r, t, eps_cut=eps * (1 + 1e-9))
         return u[0] - prof.j0 * m0 - prof.j1 * m1
 
     if config.u0.is_zero and config.u1.is_zero:
@@ -508,7 +503,7 @@ def envelope_check(config: ExperimentConfig) -> EnvelopeReport:
     oracle fallback instead of the unit-gap amplitudes of a flagged row.
     One kernel basis per zone gives its tables and its roots.
     """
-    params = config.params.without_tau()
+    params = config.params
     g, gt, pd = params.gamma, params.gamma_tilde, params.parabolic_decay
     eps, n_cut = config.eps_cut, config.n_cut
 
@@ -586,11 +581,16 @@ class SingularEnergyResult:
     es0_values: np.ndarray    # E_S at t = 0 per tau
     w2_norm_sq: float         # ||v2 - (Delta u0 + Delta u1)||^2
     predicted_exponent: float  # power of tau the sup energy should follow
+    meets_prediction: bool    # fit_sup within 0.1 of it (see _tau_fit)
 
 
 def _require_tau_list(config: ExperimentConfig) -> None:
+    """The tau fits need at least 5 values spanning two decades."""
     if config.tau_list is None or len(config.tau_list) < 5:
         raise PreconditionError("singular-limit runs need a tau_list (>= 5 values)")
+    span = math.log10(config.tau_list.max() / config.tau_list.min())
+    if span < 2.0 - 1e-9:
+        raise PreconditionError(f"tau_list spans {span:.3g} decades, needs at least 2")
 
 
 def _sweep_grid(config: ExperimentConfig, steps: int):
@@ -609,13 +609,13 @@ def _tau_sweep(config: ExperimentConfig, r: np.ndarray, steps: int, one_tau) -> 
     of them.  The limit tables do not depend on tau, so they are built once.
     The quartics of every tau are solved in one call, each row on its own,
     so a tau's roots and flags are those of a solve at that tau alone; the
-    amplitudes, tables and oracle fallback stay per tau.  Each tau
+    amplitudes, tables and oracle fallback are per tau, and each tau
     subtracts the limit tables from the relaxed tables it has just built.
     """
     t_grid, step = _sweep_grid(config, steps)
     u0v, u1v = config.u0(r), config.u1(r)
     v2v = config.v2_values(r)
-    limit = _vdw_tables(config.params.without_tau(), r, t_grid, u0v, u1v, step)
+    limit = _vdw_tables(config.params, r, t_grid, u0v, u1v, step)
     taus = config.tau_list
     roots, _, _, flags = solve_polynomial_batch(
         quartic_coefficients(config.params.gamma, taus[:, None], r))
@@ -686,13 +686,17 @@ def _tau_exponent(config: ExperimentConfig) -> float:
     return 2.0 if config.v2 == "consistent" else 1.0
 
 
-def _tau_fit(config: ExperimentConfig, values: np.ndarray) -> RateFit:
-    """Log-log fit of ``values`` against tau over the whole list; flat for
-    an identically zero difference (trivial data)."""
+def _tau_fit(config: ExperimentConfig, values: np.ndarray, two_sided: bool):
+    """Log-log fit of ``values`` against tau over the whole list, and
+    whether its slope meets :func:`_tau_exponent` to 0.1: on both sides, or
+    from below only for an upper-bound estimate.  An identically zero
+    difference (trivial data) gets a flat fit and meets any prediction."""
     window = (config.tau_list.min(), config.tau_list.max())
     if values.max() == 0.0:
-        return RateFit(0.0, -math.inf, 1.0, window)
-    return rate_fit(config.tau_list, values, window)
+        return RateFit(0.0, -math.inf, 1.0, window), True
+    fit, predicted = rate_fit(config.tau_list, values, window), _tau_exponent(config)
+    return fit, bool(abs(fit.slope - predicted) <= 0.1 if two_sided
+                     else fit.slope >= predicted - 0.1)
 
 
 def _memory_kernel(t_grid: np.ndarray, gamma: float, stride: int = 1):
@@ -743,9 +747,6 @@ def singular_limit_energy(config: ExperimentConfig) -> SingularEnergyResult:
     the initial layer would measure the tau^2 remainder only.
     """
     _require_tau_list(config)
-    span = math.log10(config.tau_list.max() / config.tau_list.min())
-    if span < 2.0 - 1e-9:
-        raise PreconditionError("tau_list must span at least two decades")
     t_grid, _ = _sweep_grid(config, config.history_points)
     kernel = _memory_kernel(t_grid, config.params.gamma)
     kernel_coarse = _memory_kernel(t_grid, config.params.gamma, stride=2)
@@ -776,11 +777,11 @@ def singular_limit_energy(config: ExperimentConfig) -> SingularEnergyResult:
     series, r, weights = _refined_sweep(config, config.history_points, one_tau)
     w2_modes = config.v2_values(r) + r * r * (config.u0(r) + config.u1(r))
     w2_norm_sq = float(w2_modes ** 2 @ weights[:, 0])
-    sup_vals = np.array([s.total.max() for s in series])
-    return SingularEnergyResult(series=series, fit_sup=_tau_fit(config, sup_vals),
-                                es0_values=np.array([s.total[0] for s in series]),
-                                w2_norm_sq=w2_norm_sq,
-                                predicted_exponent=_tau_exponent(config))
+    fit, meets = _tau_fit(config, np.array([s.total.max() for s in series]), True)
+    return SingularEnergyResult(
+        series=series, fit_sup=fit, es0_values=np.array([s.total[0] for s in series]),
+        w2_norm_sq=w2_norm_sq, predicted_exponent=_tau_exponent(config),
+        meets_prediction=meets)
 
 
 @dataclass
@@ -812,12 +813,10 @@ def singular_limit_solution(config: ExperimentConfig,
         return float(sums[0]), _kg_gap(sums)
 
     vals = np.array(_refined_sweep(config, 1, one_tau)[0])
-    fit = _tau_fit(config, vals)
-    predicted = _tau_exponent(config)
-    return SingularSolutionResult(
-        tau=config.tau_list, w_l2_sq=vals, fit=fit, predicted_exponent=predicted,
-        # an identically zero difference (trivial data) meets any prediction
-        meets_prediction=bool(vals.max() == 0.0 or fit.slope >= predicted - 0.1))
+    fit, meets = _tau_fit(config, vals, False)
+    return SingularSolutionResult(tau=config.tau_list, w_l2_sq=vals, fit=fit,
+                                  predicted_exponent=_tau_exponent(config),
+                                  meets_prediction=meets)
 
 
 # ---------------------------------------------------------------------------
@@ -857,8 +856,9 @@ def oracle_mode_comparison(count: int = 50, seed: int = 20240808) -> OracleCompa
     complex random data, evaluates the closed-form path at one random
     sample time each, and integrates the whole batch with an
     accuracy-targeted step.  Every mode carries its own (gamma, tau, r), so
-    each rejection round is one batched root solve and the closed form is
-    one amplitude solve and one exp-sum per model.
+    each rejection round is one batched root solve, the kept modes are one
+    more, and the closed form is one amplitude solve and one exp-sum per
+    model.
     """
     if count < 1:
         raise DomainError(f"need at least one mode per model, got count={count}")
@@ -870,27 +870,23 @@ def oracle_mode_comparison(count: int = 50, seed: int = 20240808) -> OracleCompa
     def rel(a, b):
         return float(abs(a - b) / max(abs(a), abs(b), 1e-290))
 
+    def solve(kind, g, r, tau):
+        return solve_polynomial_batch(cubic_coefficients(g, r) if kind == "vdw"
+                                      else quartic_coefficients(g, tau, r))
+
     for kind in ("vdw", "mgt"):
-        g = np.empty(0)
-        r = np.empty(0)
-        tau = np.empty(0)
-        roots = np.empty((0, 3 if kind == "vdw" else 4), dtype=complex)
-        while g.size < count:
-            need = count - g.size
-            gi = rng.uniform(1.0 + 1e-3, 10.0, need)
-            if kind == "vdw":
-                ri = rng.uniform(0.01, 20.0, need)
-                ti = np.ones(need)
-                coeffs = cubic_coefficients(gi, ri)
-            else:
-                ri = rng.uniform(0.01, 10.0, need)
-                ti = rng.uniform(0.3, 0.9, need)
-                coeffs = quartic_coefficients(gi, ti, ri)
-            drawn, _, _, flags = solve_polynomial_batch(coeffs)
-            g = np.concatenate([g, gi[~flags]])
-            r = np.concatenate([r, ri[~flags]])
-            tau = np.concatenate([tau, ti[~flags]])
-            roots = np.concatenate([roots, drawn[~flags]])
+        # (gamma, r, tau) of the unflagged draws; each row is solved on its
+        # own, so the kept rows solved again give the loop's roots
+        kept = np.empty((3, 0))
+        while kept.shape[1] < count:
+            need = count - kept.shape[1]
+            drawn = (rng.uniform(1.0 + 1e-3, 10.0, need),
+                     rng.uniform(0.01, 20.0 if kind == "vdw" else 10.0, need),
+                     np.ones(need) if kind == "vdw" else rng.uniform(0.3, 0.9, need))
+            flags = solve(kind, *drawn)[3]
+            kept = np.concatenate([kept, np.array(drawn)[:, ~flags]], axis=1)
+        g, r, tau = kept
+        roots = solve(kind, g, r, tau)[0]
         u0 = rng.standard_normal(count) + 1j * rng.standard_normal(count)
         u1 = rng.standard_normal(count) + 1j * rng.standard_normal(count)
         v2 = rng.standard_normal(count) + 1j * rng.standard_normal(count)

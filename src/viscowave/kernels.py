@@ -93,14 +93,19 @@ def _amplitudes(roots: np.ndarray, data: tuple, flags: np.ndarray) -> np.ndarray
     ``prod_{k != j} (x - lambda_k)`` for every j.  The work runs on (deg, B)
     arrays, so the elementwise loops run along B.  Flagged rows get unit
     gaps: finite values that callers discard.
+
+    The two products whose second operand is a temporary write to a new
+    array: past 256 KiB numpy would otherwise reuse the temporary and swap
+    the operands, and a complex product rounds differently with its
+    operands swapped, so a row's amplitudes would depend on the batch size.
     """
     deg = roots.shape[-1]
     lam = np.ascontiguousarray(roots.T)
     poly, gap = [1.0], 1.0
     for s in range(1, deg):
         other = np.roll(lam, -s, axis=0)
-        gap = gap * (lam - other)
-        poly = ([other * -poly[0]]
+        gap = np.multiply(gap, lam - other, out=np.empty_like(lam))
+        poly = ([np.multiply(other, -poly[0], out=np.empty_like(lam))]
                 + [poly[m - 1] - other * poly[m] for m in range(1, s)]
                 + [poly[-1]])
     amp = data[0][..., None, :] * poly[0]

@@ -135,6 +135,17 @@ class TestRunCommand:
                   if not ln.startswith("#")][0]
         assert "re_l4" in header
 
+    @pytest.mark.parametrize("equation", ["mgt", "vdw"])
+    def test_equation_key_is_unread(self, tmp_path, capsys, equation):
+        # tau alone picks the quartic or the cubic
+        cfg = write_cfg(tmp_path, "eq.cfg",
+                        f"gamma = 2.0\ntau = 0.1\nequation = {equation}\n")
+        out = tmp_path / "eq.csv"
+        assert run_command(["roots", "--config", cfg, "--out", str(out)]) == 2
+        assert (capsys.readouterr().err
+                == "config error: nothing reads key 'equation'\n")
+        assert not out.exists()
+
     # the fast root is about -r^2, so the cubic's scale |root|^3 passes the
     # double range from r ~ 2.4e51 (28 of the 200 sweep radii) and the
     # polish warns of the overflow; rows with no finite bound are not checked
@@ -269,7 +280,7 @@ class TestUnknownOptions:
         # file serves every command), in [decay] they are an error
         unread = {"tau.list": "0.1,0.01", "data.v2": "consistent",
                   "allow_outside": "true", "probe.time": "3", "history.points": "7", "tau.points": "9",
-                  "modes.count": "4", "equation": "mgt"}
+                  "modes.count": "4"}
         base = "gamma = 2.0\nt.min = 100\nt.max = 1e4\nt.points = 5\n"
         extra = "".join(f"{k} = {v}\n" for k, v in unread.items())
         bodies = []
@@ -496,6 +507,34 @@ tau.points = 5
         assert rc == 2
         assert err.startswith("error:")
         assert "tau_list" in err
+
+    @pytest.mark.parametrize("command",
+                             ["singular-limit-energy", "singular-limit-solution"])
+    @pytest.mark.parametrize("lo, hi, span",
+                             [("0.01", "0.01", "0"), ("0.4", "0.5", "0.0969")])
+    def test_narrow_tau_list_is_error(self, tmp_path, capsys, command, lo, hi, span):
+        # a slope fitted on one tau, or on a tenth of a decade, shows nothing
+        cfg = write_cfg(tmp_path, "narrow.cfg", "gamma = 6.0\nn = 3\n"
+                        "data.u0 = gaussian:1.0,1.0\ndata.v2 = zero\n"
+                        f"tau.min = {lo}\ntau.max = {hi}\n")
+        out = tmp_path / "narrow.csv"
+        assert run_command([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: tau_list spans {span} decades, needs at least 2\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, check",
+                             [("singular-limit-energy", "sl_energy.slope"),
+                              ("singular-limit-solution", "sl_solution.slope")])
+    def test_zero_data_passes_both_limits(self, tmp_path, capsys, command, check):
+        # an identically zero difference meets any predicted rate
+        cfg = write_cfg(tmp_path, "zero.cfg", "gamma = 6.0\nn = 3\ndata.u0 = zero\n"
+                        "data.u1 = zero\ndata.v2 = zero\n")
+        rc = run_command([command, "--config", cfg, "--out", str(tmp_path / "z.csv")])
+        printed = capsys.readouterr().out.splitlines()
+        assert rc == 0, printed
+        assert (f"{check}: the difference is identically zero (trivial data) PASS"
+                in printed)
 
     @pytest.mark.parametrize("command",
                              ["singular-limit-energy", "singular-limit-solution"])

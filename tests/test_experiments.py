@@ -352,6 +352,48 @@ class TestSingularLimitEnergy:
         with pytest.raises(PreconditionError):
             singular_limit_energy(cfg2)             # span < 2 decades
 
+    @pytest.mark.parametrize("run", [singular_limit_energy, singular_limit_solution])
+    def test_enough_values_over_too_short_a_span(self, run):
+        cfg = ExperimentConfig(params=ModelParams(6.0), n=3,
+                               tau_list=np.geomspace(0.1, 0.002, 5))
+        with pytest.raises(PreconditionError, match="spans 1.7 decades"):
+            run(cfg)
+
+
+def _same_bits(a, b) -> bool:
+    """Dataclass results equal field by field, arrays bit for bit."""
+    if dataclasses.is_dataclass(a):
+        return all(_same_bits(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    return np.array_equal(a, b)
+
+
+class TestMemoryOnlyRunsIgnoreTau:
+    """The memory-only runs read gamma alone: a tau in their params moves
+    no bit, not even at a flagged radius, where the oracle fallback would
+    take that tau into its step."""
+
+    WITH, WITHOUT = ModelParams(2.0, 0.1), ModelParams(2.0)
+
+    def test_kernel_tables(self):
+        from viscowave.experiments import kernel_tables
+        from viscowave.kernels import vdw_kernel_basis
+
+        r, t = np.array([0.3, 1.0, 2.5]), np.array([0.0, 0.5, 3.0])
+        tables = []
+        for p in (self.WITH, self.WITHOUT):
+            basis = vdw_kernel_basis(p, r)
+            assert basis.flags.tolist() == [False, True, False]   # triple root
+            tables.append(kernel_tables(p, basis, t))
+        assert all(np.array_equal(a, b) for a, b in zip(*tables))
+
+    @pytest.mark.parametrize("run", [decay_experiment, profile_error_experiment,
+                                     envelope_check])
+    def test_runs(self, run):
+        results = [run(ExperimentConfig(params=p, t_grid=np.geomspace(1e2, 1e4, 9)))
+                   for p in (self.WITH, self.WITHOUT)]
+        assert _same_bits(*results)
+
 
 class TestSingularLimitSolution:
     def test_hypotheses_enforced(self):

@@ -392,3 +392,39 @@ class TestBlockedModeSums:
             scale = np.abs(terms * lam ** p).sum(axis=-1)
             # below the normal range a double holds no relative precision
             assert np.all(np.abs(g - ref) <= 4e-15 * scale + np.finfo(float).tiny)
+
+
+class TestAmplitudesBatchSize:
+    """A row's amplitudes do not depend on the batch it is solved in.
+
+    Past 16,384 complex values numpy reuses a temporary operand of a
+    product in place, swapping the operands, and a complex product rounds
+    differently with its operands swapped; both batches here cross that
+    size."""
+
+    def test_cubic_basis_equals_its_splits(self):
+        from viscowave.kernels import vdw_kernel_basis
+
+        p, r = ModelParams(2.0), np.geomspace(1e-3, 30.0, 7056)
+        whole = vdw_kernel_basis(p, r)
+        for parts in (2, 5, 17):
+            pieces = [vdw_kernel_basis(p, x) for x in np.array_split(r, parts)]
+            for name in ("coef0", "coef1"):
+                split = np.concatenate([getattr(b, name) for b in pieces])
+                assert np.array_equal(getattr(whole, name), split), (parts, name)
+
+    def test_quartic_amplitudes_batched_over_tau_equal_per_tau(self):
+        from viscowave.kernels import _mgt_basis
+        from viscowave.spectrum import quartic_coefficients, solve_polynomial_batch
+
+        taus, r = np.geomspace(1e-1, 1e-3, 7), np.geomspace(1e-3, 20.0, 2688)
+        roots, _, _, flags = solve_polynomial_batch(
+            quartic_coefficients(2.0, taus[:, None], r))
+        u0, u1, v2 = np.exp(-r * r), np.exp(-r * r), -r * r * 2.0 * np.exp(-r * r)
+        batched = _mgt_basis(np.repeat(taus, r.size), np.tile(r, taus.size),
+                             roots.reshape(-1, 4), flags.ravel(),
+                             *(np.tile(d, taus.size) for d in (u0, u1, v2))).amp
+        per_tau = np.concatenate([_mgt_basis(tau, r, roots[k], flags[k], u0, u1, v2).amp
+                                  for k, tau in enumerate(taus)])
+        assert batched.size == 7 * 2688 * 4
+        assert np.array_equal(batched, per_tau)

@@ -328,6 +328,10 @@ def _handle_decay(opts, config):
     table = ResultTable({"t": res.t, "norm_u": res.u_norms, "norm_ut": res.ut_norms},
                         {"fit.u.slope": _fmt(res.fit_u.slope),
                          "fit.ut.slope": _fmt(res.fit_ut.slope)})
+    if not (res.u_norms.any() or res.ut_norms.any()):
+        # identically zero norms (trivial data) meet any predicted rate
+        return table, [Check(name, True, "the norms are identically zero (trivial data)")
+                       for name in ("decay.u_slope", "decay.ut_slope")]
     if res.predicted_u.log_half:
         u_check = Check("decay.u_log_ratio", res.log_ratio_spread < 20.0,
                         f"norm/(ln(e+t))^0.5 spread = {res.log_ratio_spread:.3f} (< 20)")

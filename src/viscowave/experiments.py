@@ -145,7 +145,10 @@ class RateFit:
 
 
 def rate_fit(x, y, window) -> RateFit:
-    """Fit log y against log x on the points falling inside ``window``."""
+    """Fit log y against log x on the points falling inside ``window``.
+
+    A ``y`` that is identically zero there (trivial data) gets the flat
+    fit at log 0: slope 0, intercept -inf."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     lo, hi = window
@@ -153,6 +156,8 @@ def rate_fit(x, y, window) -> RateFit:
     if mask.sum() < 5:
         raise InsufficientDataError(
             f"need >= 5 points in window [{lo}, {hi}], found {int(mask.sum())}")
+    if np.all(x[mask] > 0) and not y[mask].any():
+        return RateFit(0.0, -math.inf, 1.0, (float(lo), float(hi)))
     if np.any(x[mask] <= 0) or np.any(y[mask] <= 0):
         raise DomainError("log-log fit needs positive x and y")
     lx, ly = np.log(x[mask]), np.log(y[mask])
@@ -690,11 +695,12 @@ def _tau_fit(config: ExperimentConfig, values: np.ndarray, two_sided: bool):
     """Log-log fit of ``values`` against tau over the whole list, and
     whether its slope meets :func:`_tau_exponent` to 0.1: on both sides, or
     from below only for an upper-bound estimate.  An identically zero
-    difference (trivial data) gets a flat fit and meets any prediction."""
-    window = (config.tau_list.min(), config.tau_list.max())
-    if values.max() == 0.0:
-        return RateFit(0.0, -math.inf, 1.0, window), True
-    fit, predicted = rate_fit(config.tau_list, values, window), _tau_exponent(config)
+    difference (trivial data) gets :func:`rate_fit`'s flat fit and meets
+    any prediction."""
+    fit = rate_fit(config.tau_list, values, (config.tau_list.min(), config.tau_list.max()))
+    if not values.any():
+        return fit, True
+    predicted = _tau_exponent(config)
     return fit, bool(abs(fit.slope - predicted) <= 0.1 if two_sided
                      else fit.slope >= predicted - 0.1)
 

@@ -33,7 +33,10 @@ complex arithmetic commutes with conjugation.
 coefficient builders take gamma and tau values that broadcast against the
 radii, so modes that each carry their own (gamma, tau, r), as in the random
 cross-checks, are solved as one batch; the ``*_char_roots`` functions are
-thin wrappers for one shared parameter set.  Printed low/high-frequency
+thin wrappers for one shared parameter set.  The solve moves the
+coefficient axis to the front once, so that every step works on one
+contiguous row per coefficient or root, and moves the roots, residuals
+and scales back to (..., deg) at the end.  Printed low/high-frequency
 truncations are available separately through :func:`asymptotic_roots`.
 """
 
@@ -125,12 +128,13 @@ def quartic_coefficients(gamma, tau, r) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _monic_scaled(coeffs: np.ndarray):
-    """Monic lower coefficients of each row, a_j of x^n + a_1 x^(n-1) + ...,
-    scaled by a power of two 2^-k (exact) so that every |a_j|^(1/j) < 1:
-    the roots shrink by 2^-k and all lie within 2 of the origin.  Returns
-    the scaled coefficients and 2^k."""
-    lead = coeffs[..., 0]
-    low = [coeffs[..., j] / lead for j in range(1, coeffs.shape[-1])]
+    """Monic lower coefficients of each polynomial, a_j of x^n + a_1 x^(n-1)
+    + ..., from the rows (n+1, ...) of its descending coefficients, scaled
+    by a power of two 2^-k (exact) so that every |a_j|^(1/j) < 1: the roots
+    shrink by 2^-k and all lie within 2 of the origin.  Returns the scaled
+    coefficient rows and 2^k."""
+    lead = coeffs[0]
+    low = [x / lead for x in coeffs[1:]]
     size = np.maximum(np.maximum(np.abs(low[0]), np.sqrt(np.abs(low[1]))),
                       np.cbrt(np.abs(low[2])))
     if len(low) == 4:
@@ -170,8 +174,8 @@ def _cubic_real_root(a, b, c):
 
 
 def _pair_roots(s1, s0, scale, out: np.ndarray) -> None:
-    """Write the roots of x^2 + s1 x + s0, times ``scale``, into the last
-    axis (length 2) of the complex array ``out``, by the cancellation-free
+    """Write the roots of x^2 + s1 x + s0, times ``scale``, into the two
+    rows of the complex array ``out`` (2, ...), by the cancellation-free
     quadratic formula: real roots have imaginary part exactly +0.0 and a
     complex pair is re +- i im, so it is exactly conjugate."""
     disc = s1 * s1 - 4.0 * s0
@@ -179,10 +183,10 @@ def _pair_roots(s1, s0, scale, out: np.ndarray) -> None:
     real = disc >= 0.0
     big = -0.5 * (s1 + np.copysign(root_disc, s1))
     small = s0 / np.where(big == 0.0, np.inf, big)
-    out.real[..., 0] = np.where(real, big, -0.5 * s1) * scale
-    out.real[..., 1] = np.where(real, small, -0.5 * s1) * scale
-    out.imag[..., 0] = np.where(real, 0.0, 0.5 * root_disc * scale)
-    out.imag[..., 1] = np.where(real, 0.0, -0.5 * root_disc * scale)
+    out.real[0] = np.where(real, big, -0.5 * s1) * scale
+    out.real[1] = np.where(real, small, -0.5 * s1) * scale
+    out.imag[0] = np.where(real, 0.0, 0.5 * root_disc * scale)
+    out.imag[1] = np.where(real, 0.0, -0.5 * root_disc * scale)
 
 
 def _cubic_seed(coeffs: np.ndarray) -> np.ndarray:
@@ -196,8 +200,9 @@ def _cubic_seed(coeffs: np.ndarray) -> np.ndarray:
     (Wilkinson, *Rounding Errors in Algebraic Processes*, 1963).  The
     leading end alone would lose the small pair next to a dominant root,
     as at r -> 0 and r >> 1 in the mode cubic.  The double root at 0 of
-    r = 0 comes out exactly.  Rows are scaled by :func:`_monic_scaled`,
-    which keeps a^3, R^2 and Q^3 in range.
+    r = 0 comes out exactly.  Each cubic is scaled by
+    :func:`_monic_scaled`, which keeps a^3, R^2 and Q^3 in range.  Takes
+    the coefficient rows (4, ...) and returns the root rows (3, ...).
     """
     (a, b, c), scale = _monic_scaled(coeffs)
     x = _cubic_real_root(a, b, c)
@@ -206,16 +211,10 @@ def _cubic_seed(coeffs: np.ndarray) -> np.ndarray:
     s0_back = -c / x_back
     s1 = np.where(back, (s0_back - b) / x_back, a + x)
     s0 = np.where(back, s0_back, b + x * s1)
-    roots = np.zeros(x.shape + (3,), dtype=complex)
-    roots.real[..., 0] = x * scale
-    _pair_roots(s1, s0, scale, roots[..., 1:])
+    roots = np.zeros((3,) + x.shape, dtype=complex)
+    roots.real[0] = x * scale
+    _pair_roots(s1, s0, scale, roots[1:])
     return roots
-
-
-def _column_min(x: np.ndarray) -> np.ndarray:
-    """Minimum over the short last axis, kept as an axis of length 1 (a
-    fold over the columns: ``min(axis=-1)`` on rows this short is slower)."""
-    return functools.reduce(np.minimum, np.moveaxis(x, -1, 0))[..., None]
 
 
 def _quartic_seed(coeffs: np.ndarray) -> np.ndarray:
@@ -245,12 +244,12 @@ def _quartic_seed(coeffs: np.ndarray) -> np.ndarray:
     kept.  Errors are relative to each coefficient, but never finer than
     the rounding of the products that form it, so that a coefficient far
     below them (a zero one included) cannot make a wrong split look best.
-    Each factor is solved by :func:`_pair_roots`.  Rows are scaled by
-    :func:`_monic_scaled`.
+    Each factor is solved by :func:`_pair_roots`.  Each quartic is scaled
+    by :func:`_monic_scaled`.  Takes the coefficient rows (5, ...) and
+    returns the root rows (4, ...); the candidate splits stack on a
+    leading axis.
     """
-    low, scale = _monic_scaled(coeffs)
-    # a trailing axis of length 1, along which the candidate splits stack
-    a, b, c, d = (x[..., None] for x in low)
+    (a, b, c, d), scale = _monic_scaled(coeffs)
     sizes = [np.maximum(np.abs(x), _TINY) for x in (a, b, c, d)]
 
     def misfit(a1, b1, a2, b2):
@@ -291,8 +290,8 @@ def _quartic_seed(coeffs: np.ndarray) -> np.ndarray:
     d3 = d - l3 * l3
     d2_1 = 2.0 * b / 3.0 - phi - l1 * l1
     l2_2 = 2.0 * d3 / np.where(del2 == 0.0, np.inf, del2)
-    d2 = np.concatenate([d2_1, del2 / np.where(l2_2 == 0.0, np.inf, 2.0 * l2_2)], axis=-1)
-    l2 = np.concatenate([del2 / np.where(d2_1 == 0.0, np.inf, 2.0 * d2_1), l2_2], axis=-1)
+    d2 = np.stack([d2_1, del2 / np.where(l2_2 == 0.0, np.inf, 2.0 * l2_2)])
+    l2 = np.stack([del2 / np.where(d2_1 == 0.0, np.inf, 2.0 * d2_1), l2_2])
     l1l3 = l1 * l3
     d2l2 = d2 * l2
     d2l22 = d2l2 * l2
@@ -302,10 +301,10 @@ def _quartic_seed(coeffs: np.ndarray) -> np.ndarray:
                 / np.maximum(2.0 * _EPS * (np.abs(d2l2) + np.abs(l1l3)), sizes[2])
                 + np.abs(d2l22 + (l3 * l3 - d))
                 / np.maximum(_EPS * (np.abs(d2l22) + l3 * l3), sizes[3]))
-    second = ldlt_err[..., 1:] < ldlt_err[..., :1]
-    d2 = np.where(second, d2[..., 1:], d2[..., :1])
+    second = ldlt_err[1] < ldlt_err[0]
+    d2 = np.where(second, d2[1], d2[0])
     gamma = np.sqrt(np.abs(d2))
-    gl = gamma * np.where(second, l2[..., 1:], l2[..., :1])
+    gl = gamma * np.where(second, l2[1], l2[0])
     a1, b1, a2, b2 = l1 + gamma, l3 + gl, l1 - gamma, l3 - gl
     conj = d2 > 0.0
     if conj.any():
@@ -328,17 +327,17 @@ def _quartic_seed(coeffs: np.ndarray) -> np.ndarray:
     small_b = np.where(swap, b1, b2)
     root_d3 = np.sqrt(np.maximum(-d3, 0.0))
     flat_b1, flat_b2 = split_beta(l3 + root_d3, l3 - root_d3)
-    cands = (np.concatenate([big, big, big, l1], axis=-1),
-             np.concatenate([big_b, big_b, big_b, flat_b1], axis=-1),
-             np.concatenate([a - big,
-                             (c - big * small_b) / np.where(big_b == 0.0, np.inf, big_b),
-                             (b - big_b - small_b) / np.where(big == 0.0, np.inf, big),
-                             l1], axis=-1),
-             np.concatenate([small_b, small_b, small_b, flat_b2], axis=-1))
+    cands = (np.stack([big, big, big, l1]),
+             np.stack([big_b, big_b, big_b, flat_b1]),
+             np.stack([a - big,
+                       (c - big * small_b) / np.where(big_b == 0.0, np.inf, big_b),
+                       (b - big_b - small_b) / np.where(big == 0.0, np.inf, big),
+                       l1]),
+             np.stack([small_b, small_b, small_b, flat_b2]))
     a1, b1, a2, b2 = cands
     err = misfit(*cands)[1]
-    # a row is done once one of its candidates is within rounding
-    live = _column_min(err) > _SPLIT_RTOL
+    # a quartic is done once one of its candidates is within rounding
+    live = err.min(axis=0) > _SPLIT_RTOL
     for _ in range(8):
         if not live.any():
             break
@@ -367,30 +366,25 @@ def _quartic_seed(coeffs: np.ndarray) -> np.ndarray:
             live &= new_err < err
             a1, b1, a2, b2 = (np.where(live, x, y) for x, y in zip(new, (a1, b1, a2, b2)))
             err = np.where(live, new_err, err)
-            live &= _column_min(err) > _SPLIT_RTOL
-    pick = np.argmin(err, axis=-1) + np.arange(0, err.size, 4).reshape(err.shape[:-1])
-    a1, b1, a2, b2 = (x.reshape(-1)[pick][..., None] for x in (a1, b1, a2, b2))
-    roots = np.empty(scale.shape + (2, 2), dtype=complex)
-    _pair_roots(np.concatenate([a1, a2], axis=-1), np.concatenate([b1, b2], axis=-1),
-                scale[..., None], roots)
-    return roots.reshape(scale.shape + (4,))
+            live &= err.min(axis=0) > _SPLIT_RTOL
+    pick = np.argmin(err, axis=0)[None]
+    a1, b1, a2, b2 = (np.take_along_axis(x, pick, axis=0)[0] for x in (a1, b1, a2, b2))
+    roots = np.empty((4,) + scale.shape, dtype=complex)
+    _pair_roots(a1, b1, scale, roots[:2])
+    _pair_roots(a2, b2, scale, roots[2:])
+    return roots
 
 
-def _polyval_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Horner evaluation of per-row polynomials of degree >= 1 at per-row
-    points, in place on one accumulator."""
-    acc = coeffs[..., 0, None] * z
-    acc += coeffs[..., 1, None]
-    for k in range(2, coeffs.shape[-1]):
+def _polyval_many(coeffs, z: np.ndarray) -> np.ndarray:
+    """Horner evaluation of polynomials of degree >= 1, given as rows
+    (n+1, ...) of descending coefficients, at the points z (deg, ...) of
+    each, in place on one accumulator."""
+    acc = coeffs[0] * z
+    acc += coeffs[1]
+    for x in coeffs[2:]:
         acc *= z
-        acc += coeffs[..., k, None]
+        acc += x
     return acc
-
-
-def _polyder(coeffs: np.ndarray) -> np.ndarray:
-    deg = coeffs.shape[-1] - 1
-    powers = np.arange(deg, 0, -1, dtype=float)
-    return coeffs[..., :-1] * powers
 
 
 def _newton_polish(coeffs: np.ndarray,
@@ -399,7 +393,7 @@ def _newton_polish(coeffs: np.ndarray,
     does not grow and the derivative is not collapsing (near-multiple
     roots).  Returns the kept roots and the polynomial's values at them."""
     p = _polyval_many(coeffs, roots)
-    deriv = _polyder(coeffs)
+    deriv = (coeffs[:-1].T * np.arange(len(coeffs) - 1, 0, -1, dtype=float)).T
     dp = _polyval_many(deriv, roots)
     dscale = _polyval_many(np.abs(deriv), np.abs(roots))
     safe = np.abs(dp) > 1e-8 * np.maximum(dscale, 1e-300)
@@ -411,11 +405,12 @@ def _newton_polish(coeffs: np.ndarray,
 
 
 def _sorted_rows(roots: np.ndarray, *values: np.ndarray) -> tuple:
-    """Rows of roots sorted by (real, imag), and each of ``values``
-    permuted with them.  A bubble-sort network of compare-exchanges of
-    neighbours ((0, 1), (1, 2), (0, 1) for three roots) swaps only a
-    strictly greater pair, so ties keep their order as in a stable sort."""
-    cols = [list(np.moveaxis(x, -1, 0)) for x in (roots, *values)]
+    """Root rows (deg, ...) sorted by (real, imag) along the first axis,
+    and each of ``values`` permuted with them.  A bubble-sort network of
+    compare-exchanges of neighbours ((0, 1), (1, 2), (0, 1) for three
+    roots) swaps only a strictly greater pair, so ties keep their order as
+    in a stable sort."""
+    cols = [list(x) for x in (roots, *values)]
     for top in range(len(cols[0]) - 1, 0, -1):
         for i in range(top):
             lo, hi = cols[0][i], cols[0][i + 1]
@@ -423,23 +418,21 @@ def _sorted_rows(roots: np.ndarray, *values: np.ndarray) -> tuple:
             for col in cols:
                 col[i], col[i + 1] = (np.where(swap, col[i + 1], col[i]),
                                       np.where(swap, col[i], col[i + 1]))
-    return tuple(np.stack(col, axis=-1) for col in cols)
+    return tuple(np.stack(col) for col in cols)
 
 
 def _min_separation_rel(roots: np.ndarray, mags: np.ndarray) -> np.ndarray:
     """Smallest pairwise root distance relative to max(1, |root|) of the
-    pair; ``mags`` are the moduli |roots|."""
-    deg = roots.shape[-1]
+    pair, over root rows (deg, ...); ``mags`` are the moduli |roots|."""
     return functools.reduce(np.minimum, (
-        np.abs(roots[..., i] - roots[..., j])
-        / np.maximum(1.0, np.maximum(mags[..., i], mags[..., j]))
-        for i, j in itertools.combinations(range(deg), 2)))
+        np.abs(roots[i] - roots[j]) / np.maximum(1.0, np.maximum(mags[i], mags[j]))
+        for i, j in itertools.combinations(range(len(roots)), 2)))
 
 
-def _disc_terms_cubic(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The discriminant and the sum of the moduli of its five terms, each
-    summed left to right."""
-    a, b, c, d = (coeffs[..., k] for k in range(4))
+def _disc_terms_cubic(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """The discriminant of the coefficient rows (4, ...) and the sum of the
+    moduli of its five terms, each summed left to right."""
+    a, b, c, d = coeffs
     terms = (18.0 * a * b * c * d,
              -4.0 * b ** 3 * d,
              b ** 2 * c ** 2,
@@ -449,13 +442,16 @@ def _disc_terms_cubic(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             functools.reduce(np.add, (np.abs(x) for x in terms)))
 
 
-def _disc_terms_quartic(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a, b, c, d, e = (coeffs[..., k] for k in range(5))
+def _disc_terms_quartic(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """The discriminant of the coefficient rows (5, ...) and the sum of the
+    moduli of its sixteen terms, each summed in numpy's pairwise order
+    for sixteen values: eight partial sums, then a balanced tree."""
+    a, b, c, d, e = coeffs
     # the power products the sixteen terms share, each formed once
     ae, ac, bd, ce = a * e, a * c, b * d, c * e
     b2, c2, d2 = b * b, c * c, d * d
     ae2, ad2, b2e, bd2 = ae * ae, a * d2, b2 * e, bd * bd
-    terms = np.stack([
+    terms = (
         256.0 * ae2 * ae,
         -192.0 * ae2 * bd,
         -128.0 * ae2 * c2,
@@ -472,8 +468,13 @@ def _disc_terms_quartic(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         -4.0 * bd2 * bd,
         -4.0 * b2e * c2 * c,
         bd2 * c2,
-    ], axis=-1)
-    return terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
+    )
+
+    def pairwise(x):
+        s = [x[k] + x[k + 8] for k in range(8)]
+        return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+
+    return pairwise(terms), pairwise([np.abs(x) for x in terms])
 
 
 def solve_polynomial_batch(coeffs: np.ndarray):
@@ -506,24 +507,25 @@ def solve_polynomial_batch(coeffs: np.ndarray):
     1e-12 |z| of the axis is closer than ``MULTIPLICITY_RTOL``, so its row
     is flagged.
     """
-    cubic = coeffs.shape[-1] == 4
+    # one contiguous row per coefficient (and below, per root) for every step
+    coeffs = np.ascontiguousarray(np.moveaxis(coeffs, -1, 0))
+    cubic = len(coeffs) == 4
     roots, p = _newton_polish(
         coeffs, _cubic_seed(coeffs) if cubic else _quartic_seed(coeffs))
     roots, p = _sorted_rows(roots, p)
     residuals = np.abs(p)
     mags = np.abs(roots)
-    scales = np.maximum(1.0, _polyval_many(np.abs(coeffs), mags))
+    sizes = np.abs(coeffs)
+    scales = np.maximum(1.0, _polyval_many(sizes, mags))
     disc_terms = _disc_terms_cubic if cubic else _disc_terms_quartic
     # the terms are products of 4 (cubic) or 6 (quartic) coefficients and
     # overflow at large r; a power-of-two row scale keeps them in range and
     # scales every product and sum exactly, so |disc| / disc_scale stays
-    # (a fold over the columns: max(axis=-1) on rows this short is slower)
-    row_max = functools.reduce(np.maximum, np.moveaxis(np.abs(coeffs), -1, 0))
-    row_scale = np.ldexp(1.0, -np.frexp(row_max)[1])[..., None]
+    row_scale = np.ldexp(1.0, -np.frexp(sizes.max(axis=0))[1])
     disc, disc_scale = disc_terms(coeffs * row_scale)
     flags = ((_min_separation_rel(roots, mags) < MULTIPLICITY_RTOL)
              | (np.abs(disc) <= DISC_RTOL * disc_scale))
-    return roots, residuals, scales, flags
+    return (*(np.moveaxis(x, 0, -1).copy() for x in (roots, residuals, scales)), flags)
 
 
 def cubic_char_roots_batch(params: ModelParams, r: np.ndarray):
@@ -572,7 +574,7 @@ def cubic_discriminant(params: ModelParams, r) -> float | np.ndarray:
     Computed from the generic resultant-based formula
     18abcd - 4b^3 d + b^2 c^2 - 4ac^3 - 27 a^2 d^2.
     """
-    disc, _ = _disc_terms_cubic(cubic_coefficients(params.gamma, r))
+    disc, _ = _disc_terms_cubic(np.moveaxis(cubic_coefficients(params.gamma, r), -1, 0))
     return disc if np.ndim(r) else float(disc)
 
 
@@ -656,7 +658,7 @@ def asymptotic_roots(params: ModelParams, r: float, zone: str, equation: str,
                      complex(pair_re, s * r), complex(pair_re, -s * r)]
         coeffs = quartic_coefficients(g, tau, r)
     (roots,) = _sorted_rows(np.asarray(roots, dtype=complex))
-    residuals = np.abs(_polyval_many(coeffs[None, :], roots[None, :]))[0]
+    residuals = np.abs(_polyval_many(coeffs, roots))
     return RootSet(float(r), roots, residuals, False, approximate=True)
 
 

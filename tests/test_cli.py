@@ -536,6 +536,21 @@ tau.points = 5
         assert (f"{check}: the difference is identically zero (trivial data) PASS"
                 in printed)
 
+    @pytest.mark.parametrize("u1", ["zero", "gaussian:0,1"])
+    def test_zero_data_passes_decay(self, tmp_path, capsys, u1):
+        # identically zero norms meet any predicted rate, as a zero
+        # difference does in the singular-limit runs
+        cfg = write_cfg(tmp_path, "zero.cfg",
+                        f"gamma = 2.0\nn = 3\ndata.u0 = zero\ndata.u1 = {u1}\n")
+        out = tmp_path / "z.csv"
+        rc = run_command(["decay", "--config", cfg, "--out", str(out)])
+        printed = capsys.readouterr().out.splitlines()
+        assert rc == 0, printed
+        for check in ("decay.u_slope", "decay.ut_slope"):
+            assert f"{check}: the norms are identically zero (trivial data) PASS" in printed
+        rows = _csv_rows(out)
+        assert rows.shape[0] == 28 and not rows[:, 1:].any()
+
     @pytest.mark.parametrize("command",
                              ["singular-limit-energy", "singular-limit-solution"])
     def test_tau_list_with_grid_keys_is_error(self, tmp_path, capsys, command):

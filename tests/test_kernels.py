@@ -428,3 +428,38 @@ class TestAmplitudesBatchSize:
                                   for k, tau in enumerate(taus)])
         assert batched.size == 7 * 2688 * 4
         assert np.array_equal(batched, per_tau)
+
+
+class TestModeSumsBatchSize:
+    """A node's mode sums do not depend on the batch they are summed in, on
+    either route: random roots and amplitudes against their 7-way splits.
+
+    The direct route's product ``a * exp(t lambda)`` is past 16,384
+    complex values at these sizes, but the exponential table carries a
+    time axis that the amplitude row lacks, so numpy does not reuse it in
+    place with the operands swapped; the stepped route writes every
+    product through ``out=``."""
+
+    @staticmethod
+    def _splits_match(nodes, t, step=None):
+        from viscowave.kernels import _mode_sums
+
+        rng = np.random.default_rng(nodes + t.size)
+        roots = -rng.uniform(0.0, 2.0, (nodes, 3)) + 1j * rng.standard_normal((nodes, 3))
+        amp = rng.standard_normal((nodes, 3)) + 1j * rng.standard_normal((nodes, 3))
+        whole = _mode_sums(amp, roots, t, step)
+        end = 0
+        for a, r in zip(np.array_split(amp, 7), np.array_split(roots, 7)):
+            own = slice(end, end + r.shape[0])
+            end = own.stop
+            for table, part in zip(whole, _mode_sums(a, r, t, step)):
+                assert table.shape == (t.size, nodes)
+                assert table[:, own].tobytes() == part.tobytes()
+
+    @pytest.mark.parametrize("nodes, times", [(20000, 1), (70000, 1), (20000, 3), (2000, 40)])
+    def test_direct_route_equals_its_splits(self, nodes, times):
+        self._splits_match(nodes, np.linspace(0.5, 30.0, times))
+
+    @pytest.mark.parametrize("nodes, times", [(20000, 201), (40000, 2)])
+    def test_stepped_route_equals_its_splits(self, nodes, times):
+        self._splits_match(nodes, np.arange(times) * 0.05, step=0.05)

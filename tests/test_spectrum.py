@@ -12,10 +12,13 @@ from viscowave import (DomainError, InvalidParameterError,
                        cubic_discriminant_expanded, discriminant_zero_radii,
                        quartic_char_roots, track_branches)
 from viscowave.spectrum import (RESIDUAL_RTOL, _cubic_seed, _disc_terms_cubic,
+                                _disc_terms_quartic,
                                 _min_separation_rel, _newton_polish, _polyval_many,
                                 _quartic_seed, _sorted_rows, cubic_char_roots_batch,
                                 cubic_coefficients, quartic_char_roots_batch,
                                 quartic_coefficients, solve_polynomial_batch)
+
+from helpers import quartic_coalescence_radii
 
 
 def sorted_real(roots):
@@ -426,6 +429,29 @@ class TestPerRowSolve:
                 assert np.array_equal(got, np.concatenate(parts))
         assert batched[0][3][::5].all() and batched[1][3][3::17].all()
 
+    def test_splits_equal_the_whole_batch(self):
+        # 30,000 cubic rows and a (7, 4,000) quartic tau stack against
+        # their 17-way splits, bit pattern for bit pattern: at r = 0,
+        # at coalescence radii and at r up to 1e8
+        rng = np.random.default_rng(29)
+        g = rng.uniform(1.01, 10.0, 30000)
+        r = 10.0 ** rng.uniform(-6.0, 8.0, 30000)
+        r[::101] = 0.0
+        r[7::97] = [rng.choice(discriminant_zero_radii(ModelParams(x))) for x in g[7::97]]
+        taus = np.geomspace(1e-1, 1e-3, 7)
+        radii = [discriminant_zero_radii(ModelParams(6.0))]
+        radii += [quartic_coalescence_radii(ModelParams(6.0, tau)) for tau in taus]
+        rq = np.concatenate([[0.0], *radii, 10.0 ** rng.uniform(-6.0, 8.0, 4000)])[:4000]
+        for coeffs, axis in ((cubic_coefficients(g, r), 0),
+                             (quartic_coefficients(6.0, taus[:, None], rq), 1)):
+            whole = solve_polynomial_batch(coeffs)
+            parts = [solve_polynomial_batch(c) for c in np.array_split(coeffs, 17, axis=axis)]
+            assert whole[3].any()
+            for got, pieces in zip(whole, zip(*parts)):
+                want = np.concatenate(pieces, axis=axis)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
     def test_parameters_broadcast_against_radii(self):
         g = np.array([[1.5], [4.0]])
         r = np.linspace(0.1, 3.0, 5)
@@ -445,8 +471,15 @@ class TestSolveTrims:
         # the seeded and polished roots before sorting, at gamma = 2: the
         # r = 0 double root, the triple root at r = 1, conjugate pairs
         # below and real triples above
-        coeffs = cubic_coefficients(2.0, np.concatenate([[0.0, 1.0], np.geomspace(1e-3, 1e3, 60)]))
-        return _newton_polish(coeffs, _cubic_seed(coeffs))
+        coeffs = TestSolveTrims._rows(
+            cubic_coefficients(2.0, np.concatenate([[0.0, 1.0], np.geomspace(1e-3, 1e3, 60)])))
+        return tuple(x.T for x in _newton_polish(coeffs, _cubic_seed(coeffs)))
+
+    @staticmethod
+    def _rows(x):
+        # the solver's internals take and return one row per coefficient
+        # or root: the last axis moved to the front
+        return np.moveaxis(x, -1, 0)
 
     @staticmethod
     def _bits(x):
@@ -454,7 +487,7 @@ class TestSolveTrims:
         return np.ascontiguousarray(x).view(np.int64)
 
     def _check_network(self, roots, values):
-        got_roots, got_values = _sorted_rows(roots, values)
+        got_roots, got_values = (x.T for x in _sorted_rows(roots.T, values.T))
         order = np.lexsort((roots.imag, roots.real), axis=-1)
         assert np.array_equal(self._bits(got_roots),
                               self._bits(np.take_along_axis(roots, order, axis=-1)))
@@ -485,7 +518,8 @@ class TestSolveTrims:
             [1.0, 1.0, 1.0, 1.0], [0.0, -0.0, 0.0, -2.0], [-1 + 2j, -1 - 2j, -3.0, -3.0],
             [-1 + 2j, -1 - 2j, -1.0, -1 + 1j]))
         coeffs = quartic_coefficients(2.0, 0.1, np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 60)]))
-        roots, values = _newton_polish(coeffs, _quartic_seed(coeffs))
+        roots, values = (x.T for x in _newton_polish(self._rows(coeffs),
+                                                      _quartic_seed(self._rows(coeffs))))
         assert (roots[0] == 0.0).sum() == 2                       # r = 0
         self._check_network(np.concatenate([tied, roots]),
                             np.concatenate([tied_values, values]))
@@ -501,7 +535,7 @@ class TestSolveTrims:
             rel = diff / np.maximum(1.0, np.maximum(mags[..., :, None], mags[..., None, :]))
             upper = np.triu_indices(roots.shape[-1], k=1)
             want = rel[..., upper[0], upper[1]].min(axis=-1)
-            assert np.array_equal(_min_separation_rel(roots, mags), want)
+            assert np.array_equal(_min_separation_rel(self._rows(roots), self._rows(mags)), want)
 
     def test_horner_in_place(self):
         # the accumulator starts at c0 z, where Horner from 0 starts at
@@ -513,7 +547,8 @@ class TestSolveTrims:
             want = np.zeros_like(z)
             for k in range(c.shape[-1]):
                 want = want * z + c[..., k, None]
-            assert np.array_equal(self._bits(_polyval_many(c, z)), self._bits(want))
+            got = _polyval_many(self._rows(c), self._rows(z))
+            assert np.array_equal(self._bits(got.T), self._bits(want))
 
     def test_cubic_discriminant_terms_as_stacked_sum(self):
         rng = np.random.default_rng(5)
@@ -523,10 +558,35 @@ class TestSolveTrims:
             a, b, c, d = (coeffs[..., k] for k in range(4))
             terms = np.stack([18.0 * a * b * c * d, -4.0 * b ** 3 * d, b ** 2 * c ** 2,
                               -4.0 * a * c ** 3, -27.0 * a ** 2 * d ** 2], axis=-1)
-            disc, size = _disc_terms_cubic(coeffs)
+            disc, size = _disc_terms_cubic(self._rows(coeffs))
             assert np.array_equal(disc, terms.sum(axis=-1))
             assert np.array_equal(size, np.abs(terms).sum(axis=-1))
 
+
+    def test_quartic_discriminant_terms_as_stacked_sum(self):
+        # the sixteen terms stacked on a last axis and summed there, in
+        # numpy's pairwise order, which the row sums write out
+        rng = np.random.default_rng(6)
+        for coeffs in (quartic_coefficients(2.0, np.array([[0.1], [1e-3]]),
+                                            np.geomspace(1e-4, 1e4, 301)),
+                       quartic_coefficients(rng.uniform(1.0, 10.0, 1000),
+                                            rng.uniform(1e-3, 1.0, 1000),
+                                            rng.uniform(0.0, 20.0, 1000)),
+                       rng.standard_normal((1000, 5)) * 10.0 ** rng.integers(-6, 6, (1000, 5))):
+            a, b, c, d, e = (coeffs[..., k] for k in range(5))
+            ae, ac, bd, ce = a * e, a * c, b * d, c * e
+            b2, c2, d2 = b * b, c * c, d * d
+            ae2, ad2, b2e, bd2 = ae * ae, a * d2, b2 * e, bd * bd
+            terms = np.stack([
+                256.0 * ae2 * ae, -192.0 * ae2 * bd, -128.0 * ae2 * c2,
+                144.0 * ae * ac * d2, -27.0 * ad2 * ad2, 144.0 * ae * b2 * ce,
+                -6.0 * ae * b2 * d2, -80.0 * ae * bd * c2, 18.0 * ac * bd * d2,
+                16.0 * ae * c2 * c2, -4.0 * ac * c2 * d2, -27.0 * b2e * b2e,
+                18.0 * b2 * bd * ce, -4.0 * bd2 * bd, -4.0 * b2e * c2 * c,
+                bd2 * c2], axis=-1)
+            disc, size = _disc_terms_quartic(self._rows(coeffs))
+            assert np.array_equal(disc, terms.sum(axis=-1))
+            assert np.array_equal(size, np.abs(terms).sum(axis=-1))
 
 class TestDiscriminant:
     def test_sign_small_and_large(self):

@@ -423,14 +423,15 @@ def _handle_sl_energy(opts, config):
     es0_pred = np.asarray(config.tau_list) * res.w2_norm_sq
     if res.w2_norm_sq > 0:
         rel = float(np.max(np.abs(res.es0_values - es0_pred) / es0_pred))
+        detail = f"E(0) vs tau*||w2||^2 rel err = {rel:.3e} (<= 1e-8)"
     else:
         rel = float(np.max(np.abs(res.es0_values)))
+        detail = f"|E(0)| = {rel:.3e} (<= 1e-8; tau*||w2||^2 = 0)"
     checks = [
         Check("sl_energy.slope", res.meets_prediction,
               f"sup-energy slope={res.fit_sup.slope:.4f} expected={predicted} tol=0.1"
               if table.columns["e_total"].any() else _ZERO_DIFFERENCE),
-        Check("sl_energy.initial_value", rel <= 1e-8,
-              f"E(0) vs tau*||w2||^2 rel err = {rel:.3e} (<= 1e-8)"),
+        Check("sl_energy.initial_value", rel <= 1e-8, detail),
     ]
     return table, checks
 

@@ -407,7 +407,7 @@ class ProfileResult:
     fit_solution: RateFit
     fit_error: RateFit
     rate_gain: float
-    #: error/solution ratios on the grid
+    #: error/solution ratios on the grid, 0 where the solution norm is 0
     ratios: np.ndarray
 
     def ratio_monotone_beyond(self, t0: float) -> bool:
@@ -433,12 +433,11 @@ def profile_error_experiment(config: ExperimentConfig) -> ProfileResult:
         return u[0] - prof.j0 * m0 - prof.j1 * m1
 
     if config.u0.is_zero and config.u1.is_zero:
-        zeros = np.zeros_like(config.t_grid)
-        fit0 = RateFit(0.0, -math.inf, 1.0, config.fit_window)
-        return ProfileResult(config.t_grid, zeros, zeros, fit0, fit0, 0.0, zeros)
-
-    err = np.array(_radial_norms(config, config.t_grid, "small", error_rows))
-    sol = _norm_series(config)[0]
+        # both norms are zero, with no quadrature
+        err = sol = np.zeros_like(config.t_grid)
+    else:
+        err = np.array(_radial_norms(config, config.t_grid, "small", error_rows))
+        sol = _norm_series(config)[0]
     err_window = (max(config.error_fit_window[0], config.t_grid[0]),
                   min(config.error_fit_window[1], config.t_grid[-1]))
     fit_err = rate_fit(config.t_grid, err, err_window)
@@ -446,7 +445,7 @@ def profile_error_experiment(config: ExperimentConfig) -> ProfileResult:
     return ProfileResult(t=config.t_grid, solution_norms=sol, error_norms=err,
                          fit_solution=fit_sol, fit_error=fit_err,
                          rate_gain=fit_sol.slope - fit_err.slope,
-                         ratios=err / sol)
+                         ratios=np.divide(err, sol, out=np.zeros_like(err), where=sol != 0))
 
 
 @dataclass

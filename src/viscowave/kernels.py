@@ -30,6 +30,12 @@ returns the real part of each sum, which is the whole sum for real data
 (the roots and amplitudes then come in conjugate pairs), so the basis
 methods that take a step refuse complex data with a
 :class:`~viscowave.errors.DomainError`.
+
+Every complex product over a batch of nodes with a temporary operand is
+written through ``out=``.  When both operands have one shape and pass
+256 KiB, numpy would otherwise reuse the temporary in place with the
+operands swapped, and a complex product rounds differently swapped, so a
+node's values would depend on the batch size.
 """
 
 from __future__ import annotations
@@ -93,11 +99,6 @@ def _amplitudes(roots: np.ndarray, data: tuple, flags: np.ndarray) -> np.ndarray
     ``prod_{k != j} (x - lambda_k)`` for every j.  The work runs on (deg, B)
     arrays, so the elementwise loops run along B.  Flagged rows get unit
     gaps: finite values that callers discard.
-
-    The two products whose second operand is a temporary write to a new
-    array: past 256 KiB numpy would otherwise reuse the temporary and swap
-    the operands, and a complex product rounds differently with its
-    operands swapped, so a row's amplitudes would depend on the batch size.
     """
     deg = roots.shape[-1]
     lam = np.ascontiguousarray(roots.T)
@@ -143,7 +144,8 @@ def _mode_sums(amp: np.ndarray, roots: np.ndarray, t, step=None):
         return _blocked_mode_sums(amp, roots, t.size, step)
     u = ut = utt = 0.0
     for lam, a in zip(np.moveaxis(roots, -1, 0), np.moveaxis(amp, -1, 0)):
-        term = a * np.exp(np.multiply.outer(t, lam))
+        term = np.asarray(np.exp(np.multiply.outer(t, lam)))
+        np.multiply(a, term, out=term)
         u = u + term
         term *= lam
         ut = ut + term

@@ -370,8 +370,9 @@ def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
     evaluates the 21 Kronrod nodes of every open panel in one call of
     ``f``; a panel is accepted once, for every component, its K21 value
     and the G10 value on the same nodes agree locally, and otherwise it is
-    halved.  Accepted K21 contributions are summed left to right for
-    reproducibility.  The error estimate sums |K21 - G10| over the panels:
+    halved.  Accepted K21 contributions are sorted by position and summed
+    with numpy's pairwise ``sum``, so the value does not depend on the order
+    of acceptance.  The error estimate sums |K21 - G10| over the panels:
     it bounds the error of the G10 values and is pessimistic for the K21
     value returned.  This is the one-problem case of
     :func:`adaptive_integrals`.
@@ -451,8 +452,8 @@ def l2_norm_radial(spectrum, n: int, s: float = 0.0, zone_filter=None, *,
     The integral runs over y in [0, n_cut + 1]: y = r up to ``n_cut``, and
     the large zone is mapped by the ``qagi`` substitution
     r = n_cut / (n_cut + 1 - y) (see the module docstring).  It is one
-    :func:`adaptive_integral`; :func:`l2_norms_radial` runs many such
-    norms in lockstep.
+    adaptive pass, the one-norm case of :func:`l2_norms_radial`, which
+    runs many such norms in lockstep.
 
     Parameters
     ----------
@@ -492,21 +493,20 @@ def l2_norm_radial(spectrum, n: int, s: float = 0.0, zone_filter=None, *,
         y = n_cut + 1, and the panels there hit the depth cap or the
         panel budget.
     """
-    (lo, hi), exponent = _radial_problem(n, s, zone_filter, eps_cut, n_cut)
-    integrand = _mapped_field(lambda ks, radii: [spectrum(radii[0])], n_cut, exponent)
-    total, err = adaptive_integral(lambda y: integrand([0], [y])[0], lo, hi,
-                                   rel_tol=rel_tol,
-                                   cap_segments=_zone_caps(cap_segments, eps_cut, n_cut))
-    return _radial_norm(total, err, n, full_output)
+    return l2_norms_radial(lambda ks, radii: [spectrum(radii[0])], [cap_segments], n, s,
+                           zone_filter, eps_cut=eps_cut, n_cut=n_cut, rel_tol=rel_tol,
+                           full_output=full_output)[0]
 
 
 def l2_norms_radial(field, cap_segments, n: int, s: float = 0.0, zone_filter=None, *,
                     eps_cut: float = DEFAULT_EPS_CUT, n_cut: float = DEFAULT_N_CUT,
+                    rel_tol: float = 1e-9, full_output: bool = False,
                     names=None) -> list:
     """K :func:`l2_norm_radial` norms over one zone, in lockstep.
 
-    Norm k has the panel caps ``cap_segments[k]``; ``n``, ``s``, the zone
-    and the cuts are shared, as in :func:`l2_norm_radial`.  ``field(ks,
+    Norm k has the panel caps ``cap_segments[k]``; ``n``, ``s``, the zone,
+    the cuts, ``rel_tol`` and ``full_output`` are shared, as in
+    :func:`l2_norm_radial`, which is the case of one norm.  ``field(ks,
     radii)`` returns, for each problem index in ``ks``, the spectrum values
     on its radii, as that norm's ``spectrum`` would; one call serves the
     open panels of many norms (see :func:`adaptive_integrals`, which also
@@ -516,8 +516,9 @@ def l2_norms_radial(field, cap_segments, n: int, s: float = 0.0, zone_filter=Non
     (lo, hi), exponent = _radial_problem(n, s, zone_filter, eps_cut, n_cut)
     results = adaptive_integrals(
         _mapped_field(field, n_cut, exponent), [(lo, hi)] * len(cap_segments),
-        cap_segments=[_zone_caps(c, eps_cut, n_cut) for c in cap_segments], names=names)
-    return [_radial_norm(total, err, n, False) for total, err in results]
+        rel_tol=rel_tol, cap_segments=[_zone_caps(c, eps_cut, n_cut) for c in cap_segments],
+        names=names)
+    return [_radial_norm(total, err, n, full_output) for total, err in results]
 
 
 # ---------------------------------------------------------------------------

@@ -140,9 +140,7 @@ def _monic_scaled(coeffs: np.ndarray):
     if len(low) == 4:
         size = np.maximum(size, np.sqrt(np.sqrt(np.abs(low[3]))))
     k = np.frexp(size)[1]
-    for j, x in enumerate(low, 1):
-        np.ldexp(x, -j * k, out=x)
-    return low, np.ldexp(1.0, k)
+    return [np.ldexp(x, -j * k) for j, x in enumerate(low, 1)], np.ldexp(1.0, k)
 
 
 def _cubic_real_root(a, b, c):
@@ -429,29 +427,33 @@ def _min_separation_rel(roots: np.ndarray, mags: np.ndarray) -> np.ndarray:
         for i, j in itertools.combinations(range(len(roots)), 2)))
 
 
-def _disc_terms_cubic(coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """The discriminant of the coefficient rows (4, ...) and the sum of the
-    moduli of its five terms, each summed left to right."""
-    a, b, c, d = coeffs
-    terms = (18.0 * a * b * c * d,
-             -4.0 * b ** 3 * d,
-             b ** 2 * c ** 2,
-             -4.0 * a * c ** 3,
-             -27.0 * a ** 2 * d ** 2)
+def _disc_sums(terms) -> tuple[np.ndarray, np.ndarray]:
+    """The sum of the discriminant ``terms`` and the sum of their moduli,
+    each summed left to right."""
     return (functools.reduce(np.add, terms),
             functools.reduce(np.add, (np.abs(x) for x in terms)))
 
 
+def _disc_terms_cubic(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """The discriminant of the coefficient rows (4, ...) and the sum of the
+    moduli of its five terms (:func:`_disc_sums`)."""
+    a, b, c, d = coeffs
+    return _disc_sums((18.0 * a * b * c * d,
+                       -4.0 * b ** 3 * d,
+                       b ** 2 * c ** 2,
+                       -4.0 * a * c ** 3,
+                       -27.0 * a ** 2 * d ** 2))
+
+
 def _disc_terms_quartic(coeffs) -> tuple[np.ndarray, np.ndarray]:
     """The discriminant of the coefficient rows (5, ...) and the sum of the
-    moduli of its sixteen terms, each summed in numpy's pairwise order
-    for sixteen values: eight partial sums, then a balanced tree."""
+    moduli of its sixteen terms (:func:`_disc_sums`)."""
     a, b, c, d, e = coeffs
     # the power products the sixteen terms share, each formed once
     ae, ac, bd, ce = a * e, a * c, b * d, c * e
     b2, c2, d2 = b * b, c * c, d * d
     ae2, ad2, b2e, bd2 = ae * ae, a * d2, b2 * e, bd * bd
-    terms = (
+    return _disc_sums((
         256.0 * ae2 * ae,
         -192.0 * ae2 * bd,
         -128.0 * ae2 * c2,
@@ -468,13 +470,7 @@ def _disc_terms_quartic(coeffs) -> tuple[np.ndarray, np.ndarray]:
         -4.0 * bd2 * bd,
         -4.0 * b2e * c2 * c,
         bd2 * c2,
-    )
-
-    def pairwise(x):
-        s = [x[k] + x[k + 8] for k in range(8)]
-        return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
-
-    return pairwise(terms), pairwise([np.abs(x) for x in terms])
+    ))
 
 
 def solve_polynomial_batch(coeffs: np.ndarray):

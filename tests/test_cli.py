@@ -466,6 +466,49 @@ data.v2 = consistent
                           "--out", str(tmp_path / "low.csv")])
         assert rc == 0
 
+    @staticmethod
+    def _checks(tmp_path, capsys, command, text):
+        """Run ``command`` on the config ``text``; its printed check lines."""
+        cfg = write_cfg(tmp_path, "run.cfg", text)
+        rc = run_command([command, "--config", cfg, "--out", str(tmp_path / "run.csv")])
+        printed = capsys.readouterr().out.splitlines()
+        assert rc == 0, printed
+        return printed
+
+    def test_decay_log_branch(self, tmp_path, capsys):
+        # at n = 2 with a moment the u norm grows like (ln(e + t))^(1/2):
+        # its ratio to that factor is checked, not a slope
+        printed = self._checks(tmp_path, capsys, "decay", "gamma = 2.0\nn = 2\n"
+                               "data.u1 = gaussian:1.0,1.0\nt.max = 1e5\nt.points = 30\n")
+        (line,) = [ln for ln in printed if ln.startswith("decay.u_")]
+        match = re.fullmatch(r"decay\.u_log_ratio: norm/\(ln\(e\+t\)\)\^0\.5 "
+                             r"spread = (\S+) \(< 20\) PASS", line)
+        assert match and float(match[1]) == pytest.approx(1.043, abs=2e-3)
+
+    def test_decay_bounds_for_moment_free_data(self, tmp_path, capsys):
+        # a moment-free datum decays faster than the moment rate, which
+        # only bounds its slopes from above
+        printed = self._checks(tmp_path, capsys, "decay", "gamma = 2.0\nn = 3\n"
+                               "data.u1 = gaussian_diff:1.0,1.0,2.0\n")
+        slopes = {}
+        for name, bound, tol in (("u", "-0.7500", "0.05"), ("ut", "-1.2500", "0.07")):
+            (line,) = [ln for ln in printed if ln.startswith(f"decay.{name}_slope: ")]
+            match = re.fullmatch(rf"decay\.{name}_slope: slope=(\S+) <= bound {bound}"
+                                 rf"\+{tol} \(non-saturating data\) PASS", line)
+            assert match
+            slopes[name] = float(match[1])
+        assert slopes["u"] == pytest.approx(-1.2462, abs=2e-3)
+        assert slopes["ut"] == pytest.approx(-1.7447, abs=2e-3)
+
+    def test_profile_on_moment_free_data(self, tmp_path, capsys):
+        # nothing to subtract: the gain check says so, and no ratio check
+        printed = self._checks(tmp_path, capsys, "profile", "gamma = 2.0\nn = 3\n"
+                               "data.u1 = gaussian_diff:1.0,1.0,2.0\n")
+        checks = [ln for ln in printed if ln.startswith("profile.")]
+        assert len(checks) == 1
+        assert checks[0].startswith("profile.rate_gain: no moments to subtract")
+        assert checks[0].endswith(" PASS")
+
     def test_optimality_log_rate_domain_is_error(self, tmp_path, capsys):
         # at n = 2 the rate sqrt(log t) is undefined for t <= 1
         cfg = write_cfg(tmp_path, "n2.cfg", "gamma = 2.0\nn = 2\n"
@@ -496,6 +539,22 @@ tau.points = 5
         header = [ln for ln in out.read_text().splitlines()
                   if not ln.startswith("#")][0]
         assert header.split(",")[:4] == ["tau", "t", "e_wtt", "e_grad_wt"]
+
+    @pytest.mark.parametrize("v2, detail", [
+        # w2 = 0: E(0) is compared with 1e-8 itself, and the line says so
+        ("consistent", r"\|E\(0\)\| = \S+ \(<= 1e-8; tau\*\|\|w2\|\|\^2 = 0\)"),
+        ("zero", r"E\(0\) vs tau\*\|\|w2\|\|\^2 rel err = \S+ \(<= 1e-8\)")])
+    def test_initial_value_prints_what_it_compares(self, tmp_path, capsys, v2, detail):
+        cfg = write_cfg(tmp_path, "sle.cfg", "gamma = 2.0\nn = 3\n"
+                        "data.u0 = gaussian:1.0,1.0\ndata.u1 = gaussian:1.0,1.0\n"
+                        f"data.v2 = {v2}\ntau.points = 5\n")
+        rc = run_command(["singular-limit-energy", "--config", cfg,
+                          "--out", str(tmp_path / "sle.csv")])
+        printed = capsys.readouterr().out.splitlines()
+        assert rc == 0, printed
+        lines = [ln for ln in printed if ln.startswith("sl_energy.initial_value: ")]
+        assert len(lines) == 1
+        assert re.fullmatch(f"sl_energy.initial_value: {detail} PASS", lines[0])
 
     @pytest.mark.parametrize("command",
                              ["singular-limit-energy", "singular-limit-solution"])

@@ -293,6 +293,13 @@ class TestProfileExperiment:
         res = profile_error_experiment(cfg)
         assert np.all(res.error_norms == 0.0)
         assert np.all(res.solution_norms == 0.0)
+        assert np.all(res.ratios == 0.0) and res.rate_gain == 0.0
+        # both fits are rate_fit's flat fit, each over its own window
+        err_window = (max(cfg.error_fit_window[0], cfg.t_grid[0]),
+                      min(cfg.error_fit_window[1], cfg.t_grid[-1]))
+        assert res.fit_error == rate_fit(cfg.t_grid, res.error_norms, err_window)
+        assert res.fit_solution == rate_fit(cfg.t_grid, res.solution_norms, cfg.fit_window)
+        assert res.fit_error.window == err_window != res.fit_solution.window
 
 
 class TestOptimality:
@@ -785,9 +792,10 @@ class TestQuarticSolveOnce:
                 assert np.array_equal(a, b)
 
     def test_bit_identical_past_the_ufunc_buffer(self):
-        # 128 panels of 21 nodes and 7 tau values: 18,816 quartic rows, past
-        # numpy's 8,192-element ufunc buffer, where amplitudes batched over
-        # tau moved in the last bit
+        # 128 panels of 21 nodes and 7 tau values: 18,816 quartic rows, whose
+        # (4, 18,816) complex amplitude rows pass the 256 KiB from which numpy
+        # reuses a temporary operand in place with the operands swapped;
+        # there amplitudes batched over tau moved in the last bit
         cfg = _benchmark_relaxation_config(6.0)
         r, _, _ = panel_rule(np.linspace(0.0, cfg.u0.tail_radius(), 129))
         assert r.size * cfg.tau_list.size == 18816

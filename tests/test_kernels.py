@@ -434,11 +434,9 @@ class TestModeSumsBatchSize:
     """A node's mode sums do not depend on the batch they are summed in, on
     either route: random roots and amplitudes against their 7-way splits.
 
-    The direct route's product ``a * exp(t lambda)`` is past 16,384
-    complex values at these sizes, but the exponential table carries a
-    time axis that the amplitude row lacks, so numpy does not reuse it in
-    place with the operands swapped; the stepped route writes every
-    product through ``out=``."""
+    The products are past 16,384 complex values at these sizes, where
+    numpy would reuse a temporary operand in place with the operands
+    swapped; both routes write every product through ``out=``."""
 
     @staticmethod
     def _splits_match(nodes, t, step=None):
@@ -453,12 +451,24 @@ class TestModeSumsBatchSize:
             own = slice(end, end + r.shape[0])
             end = own.stop
             for table, part in zip(whole, _mode_sums(a, r, t, step)):
-                assert table.shape == (t.size, nodes)
-                assert table[:, own].tobytes() == part.tobytes()
+                assert table.shape == t.shape + (nodes,)
+                assert table[..., own].tobytes() == part.tobytes()
 
     @pytest.mark.parametrize("nodes, times", [(20000, 1), (70000, 1), (20000, 3), (2000, 40)])
     def test_direct_route_equals_its_splits(self, nodes, times):
         self._splits_match(nodes, np.linspace(0.5, 30.0, times))
+
+    def test_direct_route_at_one_time_equals_its_splits(self):
+        # a 0-d t gives the amplitude row and the exponential table one
+        # shape, so only a product written through out= keeps its operand
+        # order past 16,384 complex values
+        self._splits_match(70000, np.asarray(12.5))
+
+    def test_one_node_at_one_time_gives_scalars(self):
+        state = vdw_mode_solution(ModelParams(2.0), 0.5, 2.0, 1.0, 0.5)
+        relaxed = mgt_mode_solution(ModelParams(2.0, 0.1), 0.5, 2.0, 1.0, 0.5, 0.0)
+        for value in (state.u, state.ut, state.utt, relaxed.u, relaxed.ut, relaxed.utt):
+            assert isinstance(value, np.complex128)
 
     @pytest.mark.parametrize("nodes, times", [(20000, 201), (40000, 2)])
     def test_stepped_route_equals_its_splits(self, nodes, times):

@@ -115,17 +115,21 @@ class TestRadialNorm:
     @pytest.mark.parametrize("zone", [None, "all", "small", "bounded", "large"])
     def test_one_adaptive_pass_per_norm(self, monkeypatch, zone):
         # the zone cuts are panel edges of one pass, not separate integrals
-        inner = quadrature.adaptive_integral
+        inner = quadrature.adaptive_integrals
         calls = []
 
-        def counting(f, a, b, **kwargs):
-            calls.append((a, b))
-            return inner(f, a, b, **kwargs)
+        def counting(f, bounds, **kwargs):
+            calls.append((list(bounds), kwargs["cap_segments"]))
+            return inner(f, bounds, **kwargs)
 
-        monkeypatch.setattr(quadrature, "adaptive_integral", counting)
+        monkeypatch.setattr(quadrature, "adaptive_integrals", counting)
         sp = DataSpectrum.gaussian(1.0, 0.05)     # tail radius 20 > n_cut
         l2_norm_radial(sp, n=3, s=0, zone_filter=zone)
         assert len(calls) == 1
+        (bounds, caps), = calls
+        assert len(bounds) == len(caps) == 1
+        eps, cut = quadrature.DEFAULT_EPS_CUT, quadrature.DEFAULT_N_CUT
+        assert (eps, cut, cut - eps) in caps[0]
 
     def test_refinement_changes_less_than_reported_error(self):
         sp = DataSpectrum.gaussian(1.0, 1.0)

@@ -452,6 +452,22 @@ class TestPerRowSolve:
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("coeffs", [cubic_coefficients(2.0, 0.7),
+                                        quartic_coefficients(2.0, 0.1, 0.7),
+                                        cubic_coefficients(2.0, 1.0),
+                                        quartic_coefficients(6.0, 1e-3, 0.0)])
+    def test_unbatched_polynomial_equals_a_batch_of_one(self, coeffs):
+        # shape (deg + 1,) as the builders give for scalars: roots,
+        # residuals and scales (deg,) and a 0-d flag, each row 0 of the
+        # batch of one bit for bit
+        deg = coeffs.size - 1
+        one = solve_polynomial_batch(coeffs)
+        batch = solve_polynomial_batch(coeffs[None])
+        for got, want in zip(one, batch):
+            assert got.shape == want.shape[1:] == ((deg,) if want.ndim == 2 else ())
+            assert got.dtype == want.dtype
+            assert np.asarray(got).tobytes() == want[0].tobytes()
+
     def test_parameters_broadcast_against_radii(self):
         g = np.array([[1.5], [4.0]])
         r = np.linspace(0.1, 3.0, 5)
@@ -564,8 +580,8 @@ class TestSolveTrims:
 
 
     def test_quartic_discriminant_terms_as_stacked_sum(self):
-        # the sixteen terms stacked on a last axis and summed there, in
-        # numpy's pairwise order, which the row sums write out
+        # the sixteen terms stacked on a last axis and summed there left to
+        # right, as a running sum is (numpy's sum would add them pairwise)
         rng = np.random.default_rng(6)
         for coeffs in (quartic_coefficients(2.0, np.array([[0.1], [1e-3]]),
                                             np.geomspace(1e-4, 1e4, 301)),
@@ -585,8 +601,8 @@ class TestSolveTrims:
                 18.0 * b2 * bd * ce, -4.0 * bd2 * bd, -4.0 * b2e * c2 * c,
                 bd2 * c2], axis=-1)
             disc, size = _disc_terms_quartic(self._rows(coeffs))
-            assert np.array_equal(disc, terms.sum(axis=-1))
-            assert np.array_equal(size, np.abs(terms).sum(axis=-1))
+            assert np.array_equal(disc, np.cumsum(terms, axis=-1)[..., -1])
+            assert np.array_equal(size, np.cumsum(np.abs(terms), axis=-1)[..., -1])
 
 class TestDiscriminant:
     def test_sign_small_and_large(self):
@@ -673,6 +689,16 @@ class TestAsymptoticRoots:
             q = [self._max_gap(p, r, "large", "vdw") * r
                  for r in (1e2, 1e3)]
             assert q[1] < 3.0 * q[0]
+
+    def test_mgt_large_zone_remainder_falls_like_one_over_r(self):
+        # the printed slow pair and fast pair, sorted as the exact roots
+        # are, sit within about 4.47 / r of them at gamma = 2, tau = 0.1
+        p = ModelParams(2.0, 0.1)
+        for r in (20.0, 100.0, 1000.0):
+            approx = asymptotic_roots(p, r, "large", "mgt")
+            assert approx.approximate and approx.roots.shape == (4,)
+            gap = np.abs(approx.roots - quartic_char_roots(p, r).roots).max()
+            assert gap * r == pytest.approx(4.47, rel=2e-3)
 
     def test_mgt_small_zone_pair_order(self):
         p = ModelParams(2.0, 0.2)

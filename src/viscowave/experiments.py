@@ -308,8 +308,9 @@ def _mode_field(config: ExperimentConfig, times, rows):
     :func:`cubic_char_roots_batch`; the roots are row-wise, so each time
     gets those of a solve of its own radii.  The amplitudes, the mode
     tables with their oracle fallback, and ``rows(t, r, u, ut)`` run per
-    time on that time's radii ``r``, with ``u`` and ``ut`` the (1, B) mode
-    tables at ``t``.
+    time on that time's radii ``r`` in the call (its round, or a piece of
+    it), with ``u`` and ``ut`` the (1, B) mode tables at ``t``; every step
+    is row-wise, so the field is pointwise in r.
     """
     params, u0, u1 = config.params, config.u0, config.u1
 
@@ -327,14 +328,33 @@ def _mode_field(config: ExperimentConfig, times, rows):
     return field
 
 
+def _data_kinks(spectra, n_cut: float = math.inf) -> np.ndarray:
+    """The nodes r > 0 of every tabulated datum among ``spectra``, sorted:
+    its kinks, and its last node, past which it drops to 0.  Both radial
+    routes make them panel edges, since a panel across a kink or the drop
+    converges only linearly in its width.  A node above ``n_cut`` is
+    returned as y = n_cut + 1 - n_cut / r, the ``qagi`` variable of the
+    adaptive norms."""
+    r = np.unique([x for sp in spectra if isinstance(sp, DataSpectrum)
+                   and sp.kind == "tabulated" for x in sp.params[0] if x > 0.0])
+    mapped = r > n_cut
+    r[mapped] = n_cut + 1.0 - n_cut / r[mapped]
+    return r
+
+
 def _radial_norms(config: ExperimentConfig, times, zone: str, rows) -> list:
     """Radial norms over ``zone`` of ``rows`` (see :func:`_mode_field`) at
     every time of ``times``, run in lockstep: one adaptive problem per time,
     with that time's oscillation caps, and one root solve per field call
-    of up to ``quadrature.LOCKSTEP_NODES`` radii.  A quadrature failure
-    names its time."""
+    of at most ``quadrature.LOCKSTEP_NODES`` radii, a round of many times
+    or a piece of one large-t round.  The data's kinks (:func:`_data_kinks`)
+    are initial panel edges of every time: each gap between consecutive
+    kinks, the last one closed by y = n_cut + 1, is a cap as wide as
+    itself.  A quadrature failure names its time."""
+    kinks = [*_data_kinks((config.u0, config.u1), config.n_cut), config.n_cut + 1.0]
+    edges = [(lo, hi, hi - lo) for lo, hi in zip(kinks, kinks[1:])]
     return l2_norms_radial(
-        _mode_field(config, times, rows), [_osc_segments(config, t) for t in times],
+        _mode_field(config, times, rows), [_osc_segments(config, t) + edges for t in times],
         config.n, config.s, zone, eps_cut=config.eps_cut, n_cut=config.n_cut,
         names=[f"t={t:g}" for t in times])
 
@@ -654,9 +674,7 @@ def _refined_sweep(config: ExperimentConfig, steps: int, one_tau):
     r_max = max(sp.tail_radius() for sp in spectra)
     if not r_max > 0:
         raise InvalidParameterError("the data spectra vanish for every r > 0")
-    kinks = [x for sp in spectra if sp.kind == "tabulated"
-             for x in sp.params[0] if 0.0 < x < r_max]
-    edges = np.union1d(np.linspace(0.0, r_max, SWEEP_PANELS + 1), kinks)
+    edges = np.union1d(np.linspace(0.0, r_max, SWEEP_PANELS + 1), _data_kinks(spectra))
     while True:
         r, k21, g10 = panel_rule(edges)
         weights = (sphere_area(config.n) * r ** (config.n - 1))[:, None] \
@@ -897,8 +915,11 @@ def oracle_mode_comparison(count: int = 50, seed: int = 20240808) -> OracleCompa
         v2 = rng.standard_normal(count) + 1j * rng.standard_normal(count)
         t_idx = rng.integers(1, len(t_eval), count)
         distinct = np.zeros(count, dtype=bool)
-        # the basis builders of the scalar path, so each row matches
-        # vdw_mode_solution / mgt_mode_solution exactly
+        # the basis builders of the scalar path, so each row's amplitudes
+        # equal those of vdw_mode_solution / mgt_mode_solution bit for bit;
+        # the table values may differ in the last bits (3 of 150 for 50 vdW
+        # modes at 3 times), as numpy's vectorised complex multiply and exp
+        # round differently from its scalar path
         step = _accuracy_step(roots, float(np.max(
             _stiffness(g, r, tau if kind == "mgt" else None))))
         if kind == "vdw":

@@ -22,11 +22,15 @@ Appl. Math. 211, 2008), so the components share one set of nodes, and
 each is refined at least as far as it would be on its own.
 
 Many integrals can run in lockstep (:func:`adaptive_integrals`): each
-keeps its own panels and checks, and a round's nodes of all of them are
-packed into few integrand calls, whole integrals at a time.  The integrand
-then pays its fixed cost per call, such as a root solve, once for many
-integrals, and each integral still sees the values a call of its own would
-give.  One adaptive integral is the case of one problem.
+keeps its own panels and checks, and a round's nodes of all of them, in
+order, are cut into integrand calls of at most ``LOCKSTEP_NODES`` nodes,
+an integral's nodes across consecutive calls where the cut falls inside
+them (the vectorised rounds of Shampine, above).  The integrand then pays
+its fixed cost per call, such as a root solve, once for many integrals,
+its working set stays within the budget at any node count, and each
+integral still sees the values a call of its own would give, because the
+integrand is pointwise in the node.  One adaptive integral is the case of
+one problem.
 
 The smooth frequency cut-offs of the underlying estimates are replaced by
 sharp cuts at the zone boundaries; every rate is insensitive to that
@@ -87,9 +91,9 @@ _G10_W[1::2] = np.concatenate([_WG, _WG[::-1]])
 SPECTRUM_KINDS = ("gaussian", "gaussian_diff", "linear_gaussian", "tabulated")
 #: panel budget of one adaptive_integral call
 MAX_PANELS = 60000
-#: most nodes of one integrand call of adaptive_integrals, unless a single
-#: problem's round needs more
-LOCKSTEP_NODES = 4096
+#: most nodes of one integrand call of adaptive_integrals; a round with more
+#: nodes, of one problem or of many, is cut into several calls
+LOCKSTEP_NODES = 8192
 
 
 def sphere_area(n: int) -> float:
@@ -310,13 +314,17 @@ def adaptive_integrals(f, bounds, *, rel_tol: float = 1e-9, cap_segments=None,
     ``cap_segments[k]`` (None: no caps), and keeps its own panels, depth
     checks and tolerance reference: it is the panel loop of
     :func:`adaptive_integral`, which is the one-problem case.  Each round,
-    the Kronrod nodes of the problems still open are packed, whole problems
-    in order, into calls ``f(ks, nodes)`` of at most ``LOCKSTEP_NODES``
-    nodes (a problem with more gets a call of its own); ``ks`` lists the
-    problem indices and ``nodes`` their 1-d node arrays, and ``f`` returns
-    one value array per problem, as :func:`adaptive_integral`'s integrand
-    would for those nodes.  So every problem sees the values a separate
-    call would see, and returns its (value, error_estimate) bit for bit.
+    the Kronrod nodes of the problems still open, in problem order, are cut
+    into calls ``f(ks, nodes)`` of at most ``LOCKSTEP_NODES`` nodes, so a
+    problem's nodes may be split across consecutive calls; ``ks`` lists the
+    distinct problem indices of a call and ``nodes`` their 1-d node arrays
+    (a problem's whole round or a contiguous piece of it), and ``f``
+    returns one value array per entry, as :func:`adaptive_integral`'s
+    integrand would for those nodes.  A problem's pieces are joined along
+    the last axis before its panel loop sees them.  ``f`` must be pointwise
+    in the node, a value not depending on which other nodes share its
+    call; every problem then sees the values a separate call would see,
+    and returns its (value, error_estimate) bit for bit.
 
     A :class:`TruncationError` of problem k is prefixed ``names[k]`` when
     ``names`` is given; a :class:`DomainError` rejects a pair of bounds
@@ -347,16 +355,28 @@ def adaptive_integrals(f, bounds, *, rel_tol: float = 1e-9, cap_segments=None,
     for k in range(len(problems)):
         advance(k, None)
     while nodes:
-        calls, size = [[]], 0
+        # the round's nodes of the open problems, in problem order, cut into
+        # calls of at most LOCKSTEP_NODES; a problem cut across calls is
+        # advanced on its pieces joined, once its last piece is in
+        calls, room = [[]], LOCKSTEP_NODES
         for k, x in nodes.items():
-            if calls[-1] and size + x.size > LOCKSTEP_NODES:
-                calls.append([])
-                size = 0
-            calls[-1].append(k)
-            size += x.size
-        for ks in calls:
-            for k, vals in zip(ks, f(ks, [nodes[k] for k in ks])):
-                advance(k, vals)
+            start = 0
+            while start < x.size:
+                if not room:
+                    calls.append([])
+                    room = LOCKSTEP_NODES
+                stop = min(x.size, start + room)
+                calls[-1].append((k, x[start:stop], stop == x.size))
+                room -= stop - start
+                start = stop
+        pieces = []
+        for call in calls:
+            ks = [k for k, _, _ in call]
+            for (k, _, last), vals in zip(call, f(ks, [x for _, x, _ in call])):
+                pieces.append(vals)
+                if last:
+                    advance(k, np.concatenate(pieces, axis=-1))
+                    pieces = []
     return results
 
 
@@ -367,10 +387,11 @@ def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
     ``f`` maps P nodes to P values, or to a (k, P) stack of k components.
     Returns (value, error_estimate) with the integrand's leading shape:
     floats for a 1-d integrand, (k,) arrays for a stack.  Each round
-    evaluates the 21 Kronrod nodes of every open panel in one call of
-    ``f``; a panel is accepted once, for every component, its K21 value
-    and the G10 value on the same nodes agree locally, and otherwise it is
-    halved.  Accepted K21 contributions are sorted by position and summed
+    evaluates the 21 Kronrod nodes of every open panel in calls of ``f`` of
+    at most ``LOCKSTEP_NODES`` nodes each, so ``f`` must be pointwise in the
+    node (see :func:`adaptive_integrals`); a panel is accepted once, for
+    every component, its K21 value and the G10 value on the same nodes
+    agree locally, and otherwise it is halved.  Accepted K21 contributions are sorted by position and summed
     with numpy's pairwise ``sum``, so the value does not depend on the order
     of acceptance.  The error estimate sums |K21 - G10| over the panels:
     it bounds the error of the G10 values and is pessimistic for the K21
@@ -508,7 +529,8 @@ def l2_norms_radial(field, cap_segments, n: int, s: float = 0.0, zone_filter=Non
     the cuts, ``rel_tol`` and ``full_output`` are shared, as in
     :func:`l2_norm_radial`, which is the case of one norm.  ``field(ks,
     radii)`` returns, for each problem index in ``ks``, the spectrum values
-    on its radii, as that norm's ``spectrum`` would; one call serves the
+    on its radii (a round's radii of that norm, or a piece of them), as
+    that norm's ``spectrum`` would, pointwise in r; one call serves the
     open panels of many norms (see :func:`adaptive_integrals`, which also
     describes ``names``).  Norm k equals :func:`l2_norm_radial` of its own
     spectrum bit for bit.

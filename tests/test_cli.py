@@ -159,6 +159,22 @@ class TestRunCommand:
                 "bound FAIL") in printed
         assert _csv_rows(out).shape[0] == 200
 
+    def test_decay_on_a_tabulated_drop_reports_its_slopes(self, tmp_path, capsys):
+        # the datum drops to 0 past its last node; with that node a panel
+        # edge the norms converge, so the run reports its slope checks
+        # (both FAIL on this early window) instead of refusing with exit 2
+        cfg = write_cfg(tmp_path, "tab.cfg", "gamma = 2.0\nn = 1\ns = 2.5\n"
+                        "data.u0 = tabulated:1:1;47.43:2.921\ndata.u1 = zero\n"
+                        "t.min = 0.296\nt.max = 98.8\nt.points = 17\n"
+                        "fit.min = 1\nfit.max = 98\n")
+        out = tmp_path / "tab.csv"
+        assert run_command(["decay", "--config", cfg, "--out", str(out)]) == 1
+        printed = capsys.readouterr().out.splitlines()
+        assert [ln.split(":")[0] for ln in printed] == ["decay.u_slope", "decay.ut_slope"]
+        assert all(ln.endswith(" FAIL") for ln in printed)
+        rows = _csv_rows(out)
+        assert rows.shape[0] == 17 and np.isfinite(rows).all()
+
     def test_kernels_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "k.cfg", "gamma = 2.0\n")
         rc = run_command(["kernels", "--config", cfg,

@@ -14,6 +14,7 @@ from viscowave import (DataSpectrum, DomainError, ExperimentConfig,
                        profile_error_experiment, rate_fit,
                        singular_limit_energy, singular_limit_solution,
                        solution_norm, sphere_area)
+from viscowave import quadrature
 from viscowave.experiments import (_memory_kernel, _memory_series, _tau_sweep,
                                    _vdw_tables, oracle_mode_comparison,
                                    predicted_decay)
@@ -257,7 +258,26 @@ class TestNormReferences:
                                t_grid=np.geomspace(50.0, 1.2e5, 30))
         res = profile_error_experiment(cfg)
         np.testing.assert_allclose(res.error_norms, _reference_error_norms(cfg),
-                                   rtol=1e-6)
+                                   rtol=1e-9)
+
+    def test_tabulated_datum_with_a_drop_matches_its_panel_sums(self):
+        # a tabulated u0 drops from 2.921 to 0 past its last node, and the
+        # weight r^5 makes that drop heavy: its nodes are panel edges, so
+        # every norm converges (a panel across the drop hit the depth cap
+        # and refused), and matches Gauss panels that break there too
+        cfg = ExperimentConfig(params=ModelParams(2.0), n=1, s=2.5,
+                               u0=DataSpectrum.tabulated((1.0, 47.43), (1.0, 2.921)),
+                               u1=DataSpectrum.zero(),
+                               t_grid=np.geomspace(0.296, 98.8, 17),
+                               fit_window=(1.0, 98.0))
+        res = decay_experiment(cfg)
+        r, grid_weights = _gauss_rule(np.union1d(np.linspace(0.0, 1.0, 51),
+                                                 np.linspace(1.0, 47.43, 2001)), 8)
+        weights = sphere_area(cfg.n) * grid_weights * r ** (2.0 * cfg.s + cfg.n - 1.0)
+        tables = _vdw_tables(cfg.params, r, cfg.t_grid, cfg.u0(r) + 0j, cfg.u1(r) + 0j)
+        for norms, tab in zip((res.u_norms, res.ut_norms), tables):
+            np.testing.assert_allclose(
+                norms, np.sqrt((np.abs(tab) ** 2 * weights).sum(axis=-1)), rtol=1e-9)
 
     @staticmethod
     def check_against_references(cfg: ExperimentConfig,
@@ -266,8 +286,8 @@ class TestNormReferences:
         res = decay_experiment(cfg)
         for route in routes:
             u, ut = _reference_norms(cfg, route)
-            np.testing.assert_allclose(res.u_norms, u, rtol=1e-6)
-            np.testing.assert_allclose(res.ut_norms, ut, rtol=1e-6)
+            np.testing.assert_allclose(res.u_norms, u, rtol=1e-9)
+            np.testing.assert_allclose(res.ut_norms, ut, rtol=1e-9)
             # swapping the route moves the fitted slopes by < 0.01
             for norms, fit in ((u, res.fit_u), (ut, res.fit_ut)):
                 slope = rate_fit(cfg.t_grid, norms, cfg.fit_window).slope
@@ -283,7 +303,7 @@ class TestCrossSolverEquivalence:
         norms = optimality_check(cfg).norms
         assert np.array_equal(norms, decay_experiment(cfg).u_norms)
         np.testing.assert_allclose(norms, _reference_norms(cfg, route)[0],
-                                   rtol=1e-6)
+                                   rtol=1e-9)
 
 
 class TestProfileExperiment:
@@ -535,9 +555,9 @@ class TestLockstepNorms:
         return ExperimentConfig(params=ModelParams(2.0), n=3,
                                 t_grid=np.geomspace(100.0, 1e4, 5))
 
-    def test_bench_decay_config_takes_three_field_calls(self, monkeypatch):
-        # one field call, and one root solve, per round for all five times
-        # (7,182 rows in 3 calls); one adaptive pass per time makes 7
+    @staticmethod
+    def _field_rows(monkeypatch) -> list:
+        """The radii of every field call from here on, one root solve each."""
         import viscowave.experiments as ex
 
         rows = []
@@ -548,8 +568,29 @@ class TestLockstepNorms:
             return original(params, r)
 
         monkeypatch.setattr(ex, "cubic_char_roots_batch", counted)
+        return rows
+
+    def test_bench_decay_config_takes_two_field_calls(self, monkeypatch):
+        # one root solve per field call for all five times: the first
+        # round (7,056 radii) fits one call, the second (126) takes another
+        # (7,182 rows in 2 calls); one adaptive pass per time makes 7
+        rows = self._field_rows(monkeypatch)
         decay_experiment(self._bench_config())
-        assert 0 < len(rows) <= 3
+        assert rows == [7056, 126]
+
+    def test_large_t_round_is_cut_into_budget_calls(self, monkeypatch):
+        # one norm at t = 1e7 has a first round of 122,976 radii: it is cut
+        # into calls of at most LOCKSTEP_NODES, and equals the norm from
+        # one call per round bit for bit, since the field is pointwise in r
+        cfg = ExperimentConfig(params=ModelParams(2.0), n=3)
+        rows = self._field_rows(monkeypatch)
+        cut = solution_norm(cfg, 1e7)
+        assert len(rows) > 1 and max(rows) <= quadrature.LOCKSTEP_NODES
+        rows.clear()
+        monkeypatch.setattr(quadrature, "LOCKSTEP_NODES", 10 ** 6)
+        whole = solution_norm(cfg, 1e7)
+        assert max(rows) == 122976
+        assert np.array_equal(cut, whole)
 
     def test_each_time_equals_its_own_run(self):
         # the lockstep series equals a run at each time alone, bit for bit

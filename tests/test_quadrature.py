@@ -392,13 +392,14 @@ class TestLockstep:
 
     @pytest.mark.parametrize("budget", [21, 200, 4096])
     def test_problems_equal_separate_calls(self, monkeypatch, budget):
-        # whatever the packing, every problem sees the values a call of
-        # its own would see, and no problem is split across calls
+        # whatever the cut, every problem sees the values a call of its own
+        # would see (the integrand is pointwise), and no call exceeds the
+        # budget, so a problem's round may span several calls
         monkeypatch.setattr(quadrature, "LOCKSTEP_NODES", budget)
         calls = []
 
         def f(ks, nodes):
-            calls.append([x.size for x in nodes])
+            calls.append([(k, x.size) for k, x in zip(ks, nodes)])
             return [self._integrand(k)(x) for k, x in zip(ks, nodes)]
 
         got = adaptive_integrals(f, self.BOUNDS, cap_segments=self.CAPS)
@@ -407,7 +408,14 @@ class TestLockstep:
                                       cap_segments=self.CAPS[k])
             for x, y in zip(got[k], alone):
                 assert np.array_equal(x, y)
-        assert all(len(c) == 1 or sum(c) <= budget for c in calls)
+        assert all(sum(size for _, size in c) <= budget for c in calls)
+        if budget == 21:
+            # round 1: problem 0's one panel, then the twenty capped panels
+            # of problem 1, one call each
+            assert calls[:21] == [[(0, 21)]] + [[(1, 21)]] * 20
+        if budget == 200:
+            # the cut falls inside a panel, and the rest of it opens the next call
+            assert calls[0] == [(0, 21), (1, 179)] and calls[1][0] == (1, 200)
         if budget == 4096:
             assert len(calls[0]) == len(self.BOUNDS)
 

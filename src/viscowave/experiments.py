@@ -335,8 +335,8 @@ def _data_kinks(spectra, n_cut: float = math.inf) -> np.ndarray:
     converges only linearly in its width.  A node above ``n_cut`` is
     returned as y = n_cut + 1 - n_cut / r, the ``qagi`` variable of the
     adaptive norms."""
-    r = np.unique([x for sp in spectra if isinstance(sp, DataSpectrum)
-                   and sp.kind == "tabulated" for x in sp.params[0] if x > 0.0])
+    r = np.unique([x for sp in spectra if sp.kind == "tabulated"
+                   for x in sp.params[0] if x > 0.0])
     mapped = r > n_cut
     r[mapped] = n_cut + 1.0 - n_cut / r[mapped]
     return r

@@ -36,8 +36,9 @@ from .kernels import (_mgt_basis, _vdw_basis, leading_profiles, mgt_mode_basis,
 from .oracle import (_stiffness, default_step, integrate_mgt_many,
                      integrate_mgt_mode, integrate_vdw_many, integrate_vdw_mode)
 from .params import ModelParams
-from .quadrature import (DataSpectrum, g_exponent, l2_norm_radial, l2_norms_radial,
-                         panel_rule, rate_function, sphere_area)
+from .quadrature import (REL_TOL, DataSpectrum, g_exponent, l2_norm_radial,
+                         l2_norms_radial, oscillation_caps, panel_rule, rate_function,
+                         sphere_area)
 from .spectrum import (DEFAULT_EPS_CUT, DEFAULT_N_CUT, cubic_char_roots_batch,
                        cubic_coefficients, quartic_char_roots_batch,
                        quartic_coefficients, solve_polynomial_batch)
@@ -50,11 +51,10 @@ KERNEL_NORM_FIT_WINDOW = (1e4, 1e6)
 PROFILE_ERROR_FIT_WINDOW = (1e3, 1e5)
 #: sample-time horizon of oracle_mode_comparison
 ORACLE_HORIZON = 20.0
-#: initial equal panels, and panel budget, of the singular-limit sums
+#: initial equal panels, and panel budget, of the singular-limit sums, whose
+#: |K21 - G10| bound, relative to the largest value of each column, is the
+#: adaptive norms' quadrature.REL_TOL
 SWEEP_PANELS, SWEEP_MAX_PANELS = 16, 512
-#: bound on |K21 - G10| of every singular-limit sum, relative to the largest
-#: value of its column (the adaptive norms' rel_tol)
-SWEEP_RTOL = 1e-9
 
 
 def thread_map(fn, items):
@@ -283,23 +283,6 @@ def kernel_tables(params: ModelParams, basis, t: np.ndarray):
             *_basis_tables(params, basis, t, zero, one)[:2])
 
 
-def _osc_segments(config: ExperimentConfig, t: float):
-    """Panel-width caps for the oscillatory low-frequency region at time t.
-
-    Beyond the radius where exp(-2c r^2 t) has reached ~1e-22 the mode
-    amplitudes are negligible and aliasing cannot contribute, so the caps
-    stop there (a dead panel and its halves all evaluate to ~0).
-    """
-    params = config.params
-    omega = params.gamma_tilde * max(t, 1.0)
-    eps, n_cut = config.eps_cut, config.n_cut
-    alive = math.sqrt(50.0 / (2.0 * params.parabolic_decay * max(t, 1.0)))
-    segs = [(0.0, min(eps, 1.3 * alive), math.pi / max(omega, math.pi / eps))]
-    if alive > eps:
-        segs.append((eps, min(alive, n_cut), 2.0 * math.pi / omega))
-    return segs
-
-
 def _mode_field(config: ExperimentConfig, times, rows):
     """The lockstep field of :func:`quadrature.l2_norms_radial` for norms
     of the memory-only modes at ``times``.
@@ -354,7 +337,9 @@ def _radial_norms(config: ExperimentConfig, times, zone: str, rows) -> list:
     kinks = [*_data_kinks((config.u0, config.u1), config.n_cut), config.n_cut + 1.0]
     edges = [(lo, hi, hi - lo) for lo, hi in zip(kinks, kinks[1:])]
     return l2_norms_radial(
-        _mode_field(config, times, rows), [_osc_segments(config, t) + edges for t in times],
+        _mode_field(config, times, rows),
+        [oscillation_caps(config.params, t, config.eps_cut, config.n_cut) + edges
+         for t in times],
         config.n, config.s, zone, eps_cut=config.eps_cut, n_cut=config.n_cut,
         names=[f"t={t:g}" for t in times])
 
@@ -665,7 +650,7 @@ def _refined_sweep(config: ExperimentConfig, steps: int, one_tau):
     of :func:`quadrature.panel_rule`.  The panels start as
     ``SWEEP_PANELS`` equal ones on [0, R], R the largest tail radius of the
     data, and every node of a tabulated datum is an edge too, so that its
-    kinks fall on edges.  While some tau's estimate is above ``SWEEP_RTOL``,
+    kinks fall on edges.  While some tau's estimate is above ``REL_TOL``,
     all panels are halved and the sweep runs again; past
     ``SWEEP_MAX_PANELS`` panels a :class:`RefinementError` names that tau.
     """
@@ -682,7 +667,7 @@ def _refined_sweep(config: ExperimentConfig, steps: int, one_tau):
         out = _tau_sweep(config, r, steps,
                          lambda *tables: one_tau(*tables, r, weights))
         bad = [(tau, gap) for tau, (_, gap) in zip(config.tau_list, out)
-               if not gap <= SWEEP_RTOL]          # NaN is not converged
+               if not gap <= REL_TOL]          # NaN is not converged
         if not bad:
             return [res for res, _ in out], r, weights
         if 2 * (edges.size - 1) > SWEEP_MAX_PANELS:
@@ -690,7 +675,7 @@ def _refined_sweep(config: ExperimentConfig, steps: int, one_tau):
             raise RefinementError(
                 f"singular-limit sums at tau={tau:g} not converged on "
                 f"{edges.size - 1} panels: |K21 - G10| is {gap:.2e} of the "
-                f"column maximum (needs <= {SWEEP_RTOL:g})")
+                f"column maximum (needs <= {REL_TOL:g})")
         edges = np.union1d(edges, 0.5 * (edges[:-1] + edges[1:]))
 
 

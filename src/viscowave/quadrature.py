@@ -9,10 +9,20 @@ with ``omega_n = 2 pi^(n/2) / Gamma(n/2)`` the unit-sphere area.  The
 integrator below subdivides panels adaptively with the embedded
 Gauss-Kronrod pair G10-K21 (QUADPACK ``qk21``): each panel costs its 21
 Kronrod nodes once, the 10-point Gauss rule reuses ten of them, K21 is the
-value and |K21 - G10| the error estimate.  Callers integrating oscillatory
-kernels pass explicit cap segments so that no panel ever spans more than a
-prescribed fraction of the oscillation period (otherwise K21 and G10 can
-alias together to the same wrong answer and stop the refinement early).
+value and |K21 - G10| the error estimate.  An oscillatory integrand takes
+cap segments (lo, hi, width) that bound its initial panel widths, since over
+many periods K21 and G10 can alias together to the same wrong answer and
+stop the refinement early.  The one cap rule of the radial norms, of the
+solutions and of the kernel envelopes alike, is :func:`oscillation_caps`:
+one period of cos^2(gt r t) below eps_cut, one of cos(gt r t) above it, and
+no cap past the radius where exp(-2c r^2 t) has died.
+
+Four constants hold for every integral: ``REL_TOL`` = 1e-9, the tolerance
+relative to the whole integral; ``MAX_DEPTH`` = 30 halvings, after which a
+panel is accepted as it stands (and the integral refused if such panels
+leave more than ``REL_TOL``); ``MAX_PANELS`` = 60000, the panel budget of
+one integral, whose initial panels are counted before they are built; and
+``LOCKSTEP_NODES`` = 8192, the most nodes of one integrand call.
 
 An integrand may return a (k, P) stack of k components sampled on the
 same P nodes, as the u and u_t modes of one time are.  A panel is then
@@ -89,7 +99,11 @@ _G10_W = np.zeros(21)
 _G10_W[1::2] = np.concatenate([_WG, _WG[::-1]])
 
 SPECTRUM_KINDS = ("gaussian", "gaussian_diff", "linear_gaussian", "tabulated")
-#: panel budget of one adaptive_integral call
+#: tolerance of every adaptive integral, relative to its whole value
+REL_TOL = 1e-9
+#: halvings of an initial panel after which it is accepted as it stands
+MAX_DEPTH = 30
+#: panel budget of one adaptive integral, its initial panels included
 MAX_PANELS = 60000
 #: most nodes of one integrand call of adaptive_integrals; a round with more
 #: nodes, of one problem or of many, is cut into several calls
@@ -215,7 +229,9 @@ def _initial_edges(a: float, b: float, cap_segments) -> np.ndarray:
         lo, hi = max(a, lo), min(b, hi)
         if hi <= lo or width <= 0:
             continue
-        count = int(math.ceil((hi - lo) / width))
+        # a segment past the budget is cut to one panel more than it, which
+        # _panel_rounds refuses before any node is built
+        count = math.ceil(min((hi - lo) / width, MAX_PANELS + 1))
         edges.update(np.linspace(lo, hi, count + 1).tolist())
     return np.array(sorted(edges))
 
@@ -242,7 +258,7 @@ def _unbox(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _panel_rounds(a: float, b: float, rel_tol: float, cap_segments, max_depth: int):
+def _panel_rounds(a: float, b: float, cap_segments):
     """The adaptive panel loop of one integral, as a generator.
 
     Each round yields the 21 Kronrod nodes of every open panel as one 1-d
@@ -281,10 +297,10 @@ def _panel_rounds(a: float, b: float, rel_tol: float, cap_segments, max_depth: i
         p = lefts.size
         total_ref = np.maximum(total_ref, np.abs(kronrod).sum(axis=-1))
         frac = (rights - lefts) / span
-        tol_local = rel_tol * np.maximum(
+        tol_local = REL_TOL * np.maximum(
             np.abs(kronrod), np.multiply.outer(total_ref, frac)) + 1e-300
         ok = err <= tol_local
-        done = ok.reshape(-1, p).all(axis=0) | (depths >= max_depth)
+        done = ok.reshape(-1, p).all(axis=0) | (depths >= MAX_DEPTH)
         capped_err = capped_err + np.where(done & ~ok, err, 0.0).sum(axis=-1)
         accepted_left.append(lefts[done])
         accepted_val.append(kronrod[..., done])
@@ -299,32 +315,32 @@ def _panel_rounds(a: float, b: float, rel_tol: float, cap_segments, max_depth: i
     value = np.concatenate(accepted_val, axis=-1)[..., order].sum(axis=-1)
     err_total = np.concatenate(accepted_err, axis=-1)[..., order].sum(axis=-1)
     for capped, v in zip(np.ravel(capped_err), np.ravel(value)):
-        if capped > rel_tol * abs(v):
+        if capped > REL_TOL * abs(v):
             raise TruncationError(
-                f"panels at max_depth={max_depth} left error {capped:.2e} "
+                f"panels at max_depth={MAX_DEPTH} left error {capped:.2e} "
                 f"on a value of {v:.2e}")
     return _unbox(value), _unbox(err_total)
 
 
-def adaptive_integrals(f, bounds, *, rel_tol: float = 1e-9, cap_segments=None,
-                       max_depth: int = 30, names=None) -> list:
+def adaptive_integrals(f, bounds, *, cap_segments=None, names=None) -> list:
     """K adaptive integrals in lockstep, sharing the integrand's calls.
 
     Problem k integrates over ``bounds[k] = (a, b)`` with the panel caps
     ``cap_segments[k]`` (None: no caps), and keeps its own panels, depth
     checks and tolerance reference: it is the panel loop of
     :func:`adaptive_integral`, which is the one-problem case.  Each round,
-    the Kronrod nodes of the problems still open, in problem order, are cut
-    into calls ``f(ks, nodes)`` of at most ``LOCKSTEP_NODES`` nodes, so a
-    problem's nodes may be split across consecutive calls; ``ks`` lists the
-    distinct problem indices of a call and ``nodes`` their 1-d node arrays
-    (a problem's whole round or a contiguous piece of it), and ``f``
-    returns one value array per entry, as :func:`adaptive_integral`'s
-    integrand would for those nodes.  A problem's pieces are joined along
-    the last axis before its panel loop sees them.  ``f`` must be pointwise
-    in the node, a value not depending on which other nodes share its
-    call; every problem then sees the values a separate call would see,
-    and returns its (value, error_estimate) bit for bit.
+    the Kronrod nodes of the problems still open are joined in problem
+    order and sliced every ``LOCKSTEP_NODES`` nodes, one call
+    ``f(ks, nodes)`` per slice, so a problem's nodes may be split across
+    consecutive calls; ``ks`` lists the distinct problem indices of a slice
+    and ``nodes`` their 1-d node arrays in it (a problem's whole round or a
+    contiguous piece of it), and ``f`` returns one value array per entry,
+    as :func:`adaptive_integral`'s integrand would for those nodes.  A
+    problem's pieces are joined along the last axis before its panel loop
+    sees them.  ``f`` must be pointwise in the node, a value not depending
+    on which other nodes share its call; every problem then sees the values
+    a separate call would see, and returns its (value, error_estimate) bit
+    for bit.
 
     A :class:`TruncationError` of problem k is prefixed ``names[k]`` when
     ``names`` is given; a :class:`DomainError` rejects a pair of bounds
@@ -336,8 +352,7 @@ def adaptive_integrals(f, bounds, *, rel_tol: float = 1e-9, cap_segments=None,
         if not b > a:
             raise DomainError(f"empty integration range [{a}, {b}]")
     caps = cap_segments or [None] * len(bounds)
-    problems = [_panel_rounds(a, b, rel_tol, cap, max_depth)
-                for (a, b), cap in zip(bounds, caps)]
+    problems = [_panel_rounds(a, b, cap) for (a, b), cap in zip(bounds, caps)]
     results = [None] * len(problems)
     nodes = {}
 
@@ -355,33 +370,24 @@ def adaptive_integrals(f, bounds, *, rel_tol: float = 1e-9, cap_segments=None,
     for k in range(len(problems)):
         advance(k, None)
     while nodes:
-        # the round's nodes of the open problems, in problem order, cut into
-        # calls of at most LOCKSTEP_NODES; a problem cut across calls is
-        # advanced on its pieces joined, once its last piece is in
-        calls, room = [[]], LOCKSTEP_NODES
-        for k, x in nodes.items():
-            start = 0
-            while start < x.size:
-                if not room:
-                    calls.append([])
-                    room = LOCKSTEP_NODES
-                stop = min(x.size, start + room)
-                calls[-1].append((k, x[start:stop], stop == x.size))
-                room -= stop - start
-                start = stop
-        pieces = []
-        for call in calls:
-            ks = [k for k, _, _ in call]
-            for (k, _, last), vals in zip(call, f(ks, [x for _, x, _ in call])):
-                pieces.append(vals)
-                if last:
-                    advance(k, np.concatenate(pieces, axis=-1))
-                    pieces = []
+        # np.unique sorts the owners of a slice: the keys of nodes increase,
+        # so that keeps each slice's problems, and pieces, in node order
+        ks = list(nodes)
+        joined = np.concatenate(list(nodes.values()))
+        owner = np.repeat(ks, [x.size for x in nodes.values()])
+        pieces = {k: [] for k in ks}
+        for start in range(0, joined.size, LOCKSTEP_NODES):
+            part = slice(start, start + LOCKSTEP_NODES)
+            call, first = np.unique(owner[part], return_index=True)
+            call = call.tolist()
+            for k, vals in zip(call, f(call, np.split(joined[part], first[1:]))):
+                pieces[k].append(vals)
+        for k in ks:
+            advance(k, np.concatenate(pieces[k], axis=-1))
     return results
 
 
-def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
-                      cap_segments=None, max_depth: int = 30):
+def adaptive_integral(f, a: float, b: float, *, cap_segments=None):
     """Globally adaptive panel quadrature of a vectorised integrand.
 
     ``f`` maps P nodes to P values, or to a (k, P) stack of k components.
@@ -391,10 +397,11 @@ def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
     at most ``LOCKSTEP_NODES`` nodes each, so ``f`` must be pointwise in the
     node (see :func:`adaptive_integrals`); a panel is accepted once, for
     every component, its K21 value and the G10 value on the same nodes
-    agree locally, and otherwise it is halved.  Accepted K21 contributions are sorted by position and summed
-    with numpy's pairwise ``sum``, so the value does not depend on the order
-    of acceptance.  The error estimate sums |K21 - G10| over the panels:
-    it bounds the error of the G10 values and is pessimistic for the K21
+    agree within ``REL_TOL`` (locally), and otherwise it is halved.
+    Accepted K21 contributions are sorted by position and summed with
+    numpy's pairwise ``sum``, so the value does not depend on the order of
+    acceptance.  The error estimate sums |K21 - G10| over the panels: it
+    bounds the error of the G10 values and is pessimistic for the K21
     value returned.  This is the one-problem case of
     :func:`adaptive_integrals`.
 
@@ -402,13 +409,12 @@ def adaptive_integral(f, a: float, b: float, *, rel_tol: float = 1e-9,
     the initial panel width on oscillatory subintervals.  Raises
     :class:`DomainError` unless ``a < b`` are finite, and
     :class:`TruncationError` as soon as ``f`` returns a non-finite value,
-    past ``MAX_PANELS`` panels, or when the panels accepted only at
-    ``max_depth`` leave some component an error above ``rel_tol`` times
-    its own value.
+    past ``MAX_PANELS`` panels (the initial ones are counted before they
+    are built), or when the panels accepted only at ``MAX_DEPTH`` halvings
+    leave some component an error above ``REL_TOL`` times its own value.
     """
     return adaptive_integrals(lambda ks, nodes: [f(nodes[0])], [(a, b)],
-                              rel_tol=rel_tol, cap_segments=[cap_segments],
-                              max_depth=max_depth)[0]
+                              cap_segments=[cap_segments])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +434,34 @@ def _radial_problem(n: int, s: float, zone_filter, eps_cut: float, n_cut: float)
             f"need 0 < eps_cut < n_cut < inf, got eps_cut={eps_cut}, n_cut={n_cut}")
     zones = {"small": (0.0, eps_cut), "bounded": (eps_cut, n_cut),
              "large": (n_cut, n_cut + 1.0), "all": (0.0, n_cut + 1.0)}
-    if zone_filter not in (None, *zones):
+    if zone_filter not in zones:
         raise DomainError(f"unknown zone filter {zone_filter!r}")
-    return zones[zone_filter or "all"], 2.0 * s + n - 1.0
+    return zones[zone_filter], 2.0 * s + n - 1.0
+
+
+def oscillation_caps(params: ModelParams, t: float, eps_cut: float, n_cut: float) -> list:
+    """Panel-width caps, in r, for the low-frequency oscillation at time t:
+    the one cap rule of the solution norms and the kernel-envelope norms.
+
+    Below ``eps_cut`` the modes and the kernel envelopes oscillate like
+    cos(gt r t) under exp(-c r^2 t) (gt = ``gamma_tilde``, c =
+    ``parabolic_decay``), so their squares have the period pi / (gt t);
+    the caps there are that wide, or ``eps_cut`` if that is narrower.
+    From ``eps_cut`` the caps are one period 2 pi / (gt t) of the
+    oscillation itself.  Past the "alive" radius, where exp(-2c r^2 t) has
+    fallen to exp(-50), about 2e-22, the amplitudes are negligible and
+    aliasing cannot contribute, so the small-zone caps stop at 1.3 times
+    that radius and the others at it (a dead panel and its halves all
+    evaluate to ~0); they stop at ``n_cut`` too, above which the norms
+    integrate in the mapped variable.  A time below 1 takes the caps of
+    t = 1.
+    """
+    omega = params.gamma_tilde * max(t, 1.0)
+    alive = math.sqrt(50.0 / (2.0 * params.parabolic_decay * max(t, 1.0)))
+    caps = [(0.0, min(eps_cut, 1.3 * alive), math.pi / max(omega, math.pi / eps_cut))]
+    if alive > eps_cut:
+        caps.append((eps_cut, min(alive, n_cut), 2.0 * math.pi / omega))
+    return caps
 
 
 def _zone_caps(cap_segments, eps_cut: float, n_cut: float) -> list:
@@ -464,10 +495,9 @@ def _radial_norm(total, err, n: int, full_output: bool):
     return _unbox(norm)
 
 
-def l2_norm_radial(spectrum, n: int, s: float = 0.0, zone_filter=None, *,
+def l2_norm_radial(spectrum, n: int, s: float = 0.0, zone_filter: str = "all", *,
                    eps_cut: float = DEFAULT_EPS_CUT, n_cut: float = DEFAULT_N_CUT,
-                   rel_tol: float = 1e-9, cap_segments=None,
-                   full_output: bool = False):
+                   cap_segments=None, full_output: bool = False):
     """Sobolev-weighted radial L2 norm of a spectrum.
 
     The integral runs over y in [0, n_cut + 1]: y = r up to ``n_cut``, and
@@ -487,14 +517,13 @@ def l2_norm_radial(spectrum, n: int, s: float = 0.0, zone_filter=None, *,
     n, s:
         Space dimension (positive integer) and Sobolev order (s >= 0).
     zone_filter:
-        One of None/"all"/"small"/"bounded"/"large"; sharp cuts at the
-        zone boundaries ``eps_cut`` and ``n_cut``, which must satisfy
+        One of "all"/"small"/"bounded"/"large"; sharp cuts at the zone
+        boundaries ``eps_cut`` and ``n_cut``, which must satisfy
         0 < eps_cut < n_cut < inf.  Every zone takes one adaptive pass,
         and the cuts inside it are initial panel edges, so the zone norms
-        add up in squares to the "all" norm to the quadrature tolerance.
-    rel_tol:
-        Relative tolerance of the integral over the chosen zone (the
-        squared norm), also when that spans several zones.
+        add up in squares to the "all" norm to the quadrature tolerance
+        ``REL_TOL``, which holds relative to the integral over the chosen
+        zone (the squared norm), also when that spans several zones.
     cap_segments:
         (lo, hi, width) panel-width caps of :func:`adaptive_integral`, in
         r; they must lie below ``n_cut``, where y = r.
@@ -515,18 +544,17 @@ def l2_norm_radial(spectrum, n: int, s: float = 0.0, zone_filter=None, *,
         panel budget.
     """
     return l2_norms_radial(lambda ks, radii: [spectrum(radii[0])], [cap_segments], n, s,
-                           zone_filter, eps_cut=eps_cut, n_cut=n_cut, rel_tol=rel_tol,
+                           zone_filter, eps_cut=eps_cut, n_cut=n_cut,
                            full_output=full_output)[0]
 
 
-def l2_norms_radial(field, cap_segments, n: int, s: float = 0.0, zone_filter=None, *,
-                    eps_cut: float = DEFAULT_EPS_CUT, n_cut: float = DEFAULT_N_CUT,
-                    rel_tol: float = 1e-9, full_output: bool = False,
-                    names=None) -> list:
+def l2_norms_radial(field, cap_segments, n: int, s: float = 0.0, zone_filter: str = "all",
+                    *, eps_cut: float = DEFAULT_EPS_CUT, n_cut: float = DEFAULT_N_CUT,
+                    full_output: bool = False, names=None) -> list:
     """K :func:`l2_norm_radial` norms over one zone, in lockstep.
 
     Norm k has the panel caps ``cap_segments[k]``; ``n``, ``s``, the zone,
-    the cuts, ``rel_tol`` and ``full_output`` are shared, as in
+    the cuts and ``full_output`` are shared, as in
     :func:`l2_norm_radial`, which is the case of one norm.  ``field(ks,
     radii)`` returns, for each problem index in ``ks``, the spectrum values
     on its radii (a round's radii of that norm, or a piece of them), as
@@ -538,7 +566,7 @@ def l2_norms_radial(field, cap_segments, n: int, s: float = 0.0, zone_filter=Non
     (lo, hi), exponent = _radial_problem(n, s, zone_filter, eps_cut, n_cut)
     results = adaptive_integrals(
         _mapped_field(field, n_cut, exponent), [(lo, hi)] * len(cap_segments),
-        rel_tol=rel_tol, cap_segments=[_zone_caps(c, eps_cut, n_cut) for c in cap_segments],
+        cap_segments=[_zone_caps(c, eps_cut, n_cut) for c in cap_segments],
         names=names)
     return [_radial_norm(total, err, n, full_output) for total, err in results]
 
@@ -558,6 +586,8 @@ def kernel_norm(t: float, s: float, n: int, part: str, params: ModelParams, *,
     gt t sinc(gt t r / pi) e^(-c r^2 t), continuous at r = 0, so its norm is
     finite for every s >= 0, n >= 1, which covers all four branches of the
     piecewise rate function G; a t that is not finite and > 0 is rejected.
+    The panels take the caps of :func:`oscillation_caps`, as the solution
+    norms' do.
     """
     if part not in ("cos_part", "sin_part"):
         raise DomainError(f"part must be cos_part or sin_part, got {part!r}")
@@ -565,7 +595,7 @@ def kernel_norm(t: float, s: float, n: int, part: str, params: ModelParams, *,
         raise DomainError(
             "kernel norms require a finite t > 0 (at t = 0 the sin weight "
             "r^(s-1) has a non-integrable envelope for 2s + n <= 2)")
-    if not eps_cut > 0:         # before the cap width divides by it
+    if not eps_cut > 0:         # before oscillation_caps divides by it
         raise DomainError(f"eps_cut must be > 0, got {eps_cut}")
     phase = params.gamma_tilde * t
     decay = params.parabolic_decay * t
@@ -575,8 +605,8 @@ def kernel_norm(t: float, s: float, n: int, part: str, params: ModelParams, *,
             else phase * np.sinc(phase * r / math.pi)
         return wave * np.exp(-decay * r * r)
 
-    cap = [(0.0, eps_cut, math.pi / max(phase, math.pi / eps_cut))]
-    return l2_norm_radial(envelope, n, s, "small", eps_cut=eps_cut, cap_segments=cap)
+    return l2_norm_radial(envelope, n, s, "small", eps_cut=eps_cut,
+                          cap_segments=oscillation_caps(params, t, eps_cut, DEFAULT_N_CUT))
 
 
 # ---------------------------------------------------------------------------

@@ -608,19 +608,18 @@ def discriminant_zero_radii(params: ModelParams) -> np.ndarray:
 # printed asymptotic truncations
 # ---------------------------------------------------------------------------
 
-def asymptotic_roots(params: ModelParams, r: float, zone: str, equation: str,
+def asymptotic_roots(params: ModelParams, r: float, zone: str,
                      eps_cut: float = DEFAULT_EPS_CUT,
                      n_cut: float = DEFAULT_N_CUT) -> RootSet:
     """Truncated low/high-frequency root expansions (printed orders only).
 
     ``zone`` is ``"small"`` (requires r < eps_cut) or ``"large"``
-    (requires r > n_cut); ``equation`` is ``"vdw"`` (cubic) or ``"mgt"``
-    (quartic).  The returned set is marked ``approximate``.
+    (requires r > n_cut); the roots are those of the cubic, or of the
+    quartic when ``params.tau`` is set.  The returned set is marked
+    ``approximate``.
     """
     if zone not in ("small", "large"):
         raise DomainError(f"unknown zone {zone!r}")
-    if equation not in ("vdw", "mgt"):
-        raise DomainError(f"unknown equation {equation!r}")
     if zone == "small" and not 0 <= r < eps_cut:
         raise DomainError(f"small-zone expansion needs r < {eps_cut}, got {r}")
     if zone == "large" and not r > n_cut:
@@ -628,7 +627,7 @@ def asymptotic_roots(params: ModelParams, r: float, zone: str, equation: str,
 
     g = params.gamma
     gt = params.gamma_tilde
-    if equation == "vdw":
+    if params.tau is None:
         if zone == "small":
             pair_re = -params.parabolic_decay * r * r
             roots = [complex(pair_re, gt * r), complex(pair_re, -gt * r),
@@ -640,7 +639,7 @@ def asymptotic_roots(params: ModelParams, r: float, zone: str, equation: str,
                      complex(-r * r + 1.0)]
         coeffs = cubic_coefficients(g, r)
     else:
-        tau = params.require_tau()
+        tau = params.tau
         if zone == "small":
             pair_re = -((1.0 - tau) * g * g + tau * g + 1.0) / (2.0 * g * g) * r * r
             roots = [complex(pair_re, gt * r), complex(pair_re, -gt * r),

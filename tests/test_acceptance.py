@@ -67,7 +67,7 @@ class TestC01RootResiduals:
 class TestC02ExpansionOrders:
     @staticmethod
     def _gap(params, r, zone, eps_cut=0.1):
-        approx = asymptotic_roots(params, r, zone, "vdw", eps_cut=eps_cut)
+        approx = asymptotic_roots(params, r, zone, eps_cut=eps_cut)
         exact = cubic_char_roots(params, r)
         order = np.argmin(np.abs(exact.roots[:, None] - approx.roots[None, :]),
                           axis=1)

@@ -175,6 +175,19 @@ class TestRunCommand:
         rows = _csv_rows(out)
         assert rows.shape[0] == 17 and np.isfinite(rows).all()
 
+    def test_decay_past_the_panel_budget_is_refused_at_once(self, tmp_path, capsys):
+        # at t = 1e13 the oscillation caps alone would be about 6e6 panels;
+        # counted before they are built, the run refuses in well under a
+        # second instead of building them all first
+        cfg = write_cfg(tmp_path, "huge.cfg", "gamma = 2.0\nn = 3\n"
+                        "data.u1 = gaussian:1.0,1.0\nt.min = 1e13\nt.max = 1e14\n"
+                        "fit.min = 1e13\nfit.max = 1e14\n")
+        out = tmp_path / "huge.csv"
+        assert run_command(["decay", "--config", cfg, "--out", str(out)]) == 2
+        assert (capsys.readouterr().err
+                == "error: t=1e+13: adaptive quadrature exceeded 60000 panels\n")
+        assert not out.exists()
+
     def test_kernels_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "k.cfg", "gamma = 2.0\n")
         rc = run_command(["kernels", "--config", cfg,

@@ -112,7 +112,7 @@ class TestRadialNorm:
                              zone_filter="large")
         assert got == pytest.approx(math.sqrt(4 * math.pi * tail), rel=1e-9)
 
-    @pytest.mark.parametrize("zone", [None, "all", "small", "bounded", "large"])
+    @pytest.mark.parametrize("zone", ["all", "small", "bounded", "large"])
     def test_one_adaptive_pass_per_norm(self, monkeypatch, zone):
         # the zone cuts are panel edges of one pass, not separate integrals
         inner = quadrature.adaptive_integrals
@@ -131,10 +131,12 @@ class TestRadialNorm:
         eps, cut = quadrature.DEFAULT_EPS_CUT, quadrature.DEFAULT_N_CUT
         assert (eps, cut, cut - eps) in caps[0]
 
-    def test_refinement_changes_less_than_reported_error(self):
+    def test_refinement_changes_less_than_reported_error(self, monkeypatch):
         sp = DataSpectrum.gaussian(1.0, 1.0)
-        loose, err = l2_norm_radial(sp, n=3, s=0, rel_tol=1e-6, full_output=True)
-        tight = l2_norm_radial(sp, n=3, s=0, rel_tol=1e-12)
+        monkeypatch.setattr(quadrature, "REL_TOL", 1e-6)
+        loose, err = l2_norm_radial(sp, n=3, s=0, full_output=True)
+        monkeypatch.setattr(quadrature, "REL_TOL", 1e-12)
+        tight = l2_norm_radial(sp, n=3, s=0)
         assert abs(loose - tight) <= max(err, 1e-12 * tight)
 
     def test_argument_validation(self):
@@ -143,8 +145,9 @@ class TestRadialNorm:
             l2_norm_radial(sp, n=0, s=0)
         with pytest.raises(DomainError):
             l2_norm_radial(sp, n=3, s=-1)
-        with pytest.raises(DomainError):
-            l2_norm_radial(sp, n=3, s=0, zone_filter="everything")
+        for zone in ("everything", None):
+            with pytest.raises(DomainError, match="zone filter"):
+                l2_norm_radial(sp, n=3, s=0, zone_filter=zone)
         # an empty small zone would read as a zero norm
         for eps in (0.0, -0.1, math.nan):
             with pytest.raises(DomainError, match="eps_cut"):
@@ -152,7 +155,7 @@ class TestRadialNorm:
         # the large-zone map r = n_cut / (n_cut + 1 - y) needs a finite
         # n_cut above eps_cut; nan and -1 read a silent 0 without the check
         for cut in (math.nan, -1.0, 0.05, math.inf):
-            for zone in (None, "large"):
+            for zone in ("all", "large"):
                 with pytest.raises(DomainError, match="n_cut"):
                     l2_norm_radial(sp, n=3, s=0, zone_filter=zone, n_cut=cut)
 
@@ -212,18 +215,28 @@ class TestAdaptiveIntegral:
             adaptive_integral(lambda r: np.where(r == 0.5, math.inf, 1.0),
                               0.0, 1.0)
 
-    def test_depth_capped_panels_reported(self):
+    def test_depth_capped_panels_reported(self, monkeypatch):
         # a jump off the dyadic points never converges; at depth 4 the
-        # panel holding it still carries an error far above rel_tol
+        # panel holding it still carries an error far above REL_TOL
+        monkeypatch.setattr(quadrature, "MAX_DEPTH", 4)
         with pytest.raises(TruncationError, match="max_depth=4"):
-            adaptive_integral(lambda r: (r > 1.0 / 3.0).astype(float), 0.0, 1.0,
-                              max_depth=4)
+            adaptive_integral(lambda r: (r > 1.0 / 3.0).astype(float), 0.0, 1.0)
 
     def test_panel_budget_enforced(self, monkeypatch):
         # the same jump at the default depth cap splits past a small budget
         monkeypatch.setattr(quadrature, "MAX_PANELS", 20)
         with pytest.raises(TruncationError, match="exceeded 20 panels"):
             adaptive_integral(lambda r: (r > 1.0 / 3.0).astype(float), 0.0, 1.0)
+
+    def test_initial_panels_refused_before_they_are_built(self):
+        # caps of 1e15 panels: their edges would take petabytes, so the
+        # budget is checked on the count, before the integrand is called
+        seen = []
+        with pytest.raises(TruncationError,
+                           match=f"exceeded {quadrature.MAX_PANELS} panels"):
+            adaptive_integral(lambda r: seen.append(r.size) or r, 0.0, 1.0,
+                              cap_segments=[(0.0, 1.0, 1e-15)])
+        assert not seen
 
 
 @pytest.fixture
@@ -318,15 +331,16 @@ class TestVectorIntegrand:
         assert counts[0] < counts[1]
         assert sum(n_stack) == counts[1]
 
-    def test_one_depth_capped_component_reported(self):
+    def test_one_depth_capped_component_reported(self, monkeypatch):
         # the smooth component converges everywhere; the jump alone is
         # left capped at depth 4 and must still be reported
         def f(r):
             return np.stack([r * r, (r > 1.0 / 3.0).astype(float)])
 
+        monkeypatch.setattr(quadrature, "MAX_DEPTH", 4)
         with pytest.raises(TruncationError, match="max_depth=4"):
-            adaptive_integral(f, 0.0, 1.0, max_depth=4)
-        val, _ = adaptive_integral(lambda r: f(r)[:1], 0.0, 1.0, max_depth=4)
+            adaptive_integral(f, 0.0, 1.0)
+        val, _ = adaptive_integral(lambda r: f(r)[:1], 0.0, 1.0)
         assert val[0] == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_radial_norm_per_component(self):
@@ -353,28 +367,42 @@ class TestVectorIntegrand:
             l2_norm_radial(stack, n=3, s=0)
 
 
+@pytest.fixture
+def node_sizes(monkeypatch):
+    """The node count of every problem's piece of every lockstep call."""
+    inner = quadrature.adaptive_integrals
+    sizes = []
+
+    def counting(f, *args, **kwargs):
+        def counted(ks, nodes):
+            sizes.extend(x.size for x in nodes)
+            return f(ks, nodes)
+        return inner(counted, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "adaptive_integrals", counting)
+    return sizes
+
+
 class TestNodeBudget:
-    def test_decay_norms_use_one_kronrod_pass_per_panel(self, monkeypatch):
+    def test_decay_norms_use_one_kronrod_pass_per_panel(self, node_sizes):
         # the bench decay config (C05, n = 3) at its five fit-window times,
         # whose norms share each round's field calls; one 21-node evaluation
         # per panel and round gives 7,182 nodes; a rule that evaluates
         # panels again (45 nodes a panel) fails
-        inner = quadrature.adaptive_integrals
-        sizes = []
-
-        def counting(f, *args, **kwargs):
-            def counted(ks, nodes):
-                sizes.extend(x.size for x in nodes)
-                return f(ks, nodes)
-            return inner(counted, *args, **kwargs)
-
-        monkeypatch.setattr(quadrature, "adaptive_integrals", counting)
         cfg = ExperimentConfig(params=ModelParams(2.0), n=3,
                                t_grid=np.geomspace(100.0, 1e4, 5))
         norms = _norm_series(cfg)
         assert norms.shape == (2, 5) and np.all(norms > 0)
-        assert sizes and all(k % 21 == 0 for k in sizes)
-        assert sum(sizes) <= 9000
+        assert node_sizes and all(k % 21 == 0 for k in node_sizes)
+        assert sum(node_sizes) <= 9000
+
+    def test_kernel_norm_caps_stop_at_the_alive_radius(self, node_sizes):
+        # the caps of quadrature.oscillation_caps end at 1.3 times the
+        # radius where exp(-2 c r^2 t) is exp(-50), as the solution norms'
+        # do: about 39,000 nodes at t = 1e6, where capping the whole small
+        # zone took 472,668
+        kernel_norm(1e6, 0.0, 3, "cos_part", ModelParams(2.0))
+        assert sum(node_sizes) <= 50000
 
 
 class TestLockstep:
@@ -482,6 +510,24 @@ class TestKernelNorm:
         p = ModelParams(2.0)
         val = kernel_norm(100.0, 0.0, 2, "sin_part", p)
         assert np.isfinite(val) and val > 0
+
+    @pytest.mark.parametrize("t", [1e4, 1e5, 1e6])
+    @pytest.mark.parametrize("gamma", [2.0, 6.0])
+    @pytest.mark.parametrize("part, s, n", [
+        ("cos_part", 0.0, 1), ("cos_part", 0.0, 3), ("cos_part", 1.0, 3),
+        ("sin_part", 0.0, 3), ("sin_part", 1.0, 1), ("sin_part", 1.0, 3)])
+    def test_against_closed_form(self, part, s, n, gamma, t):
+        # cos^2 and sin^2 are 1/2 plus or minus cos(2 gt t r) / 2; under an
+        # even power r^(q-1) of the weight that oscillating half is of order
+        # exp(-gt^2 t / (2 c)), and the cut at eps_cut costs exp(-2 c t
+        # eps_cut^2), so norm^2 = omega_n / 4 Gamma(q/2) b^(-q/2), b = 2 c t,
+        # q = 2s + n for cos and 2s + n - 2 for sin (an odd power leaves an
+        # algebraic oscillating half, 3% at sin (0.75, 1))
+        p = ModelParams(gamma)
+        q = 2.0 * s + n - (0.0 if part == "cos_part" else 2.0)
+        b = 2.0 * p.parabolic_decay * t
+        want = math.sqrt(sphere_area(n) / 4.0 * math.gamma(q / 2.0) * b ** (-q / 2.0))
+        assert kernel_norm(t, s, n, part, p) == pytest.approx(want, rel=1e-9)
 
     def test_cos_norm_against_half_average(self):
         # once the oscillation has averaged out, the cos^2 weight halves

@@ -647,27 +647,24 @@ class TestAsymptoticRoots:
     def test_zone_mismatch_rejected(self):
         p = ModelParams(2.0)
         with pytest.raises(DomainError):
-            asymptotic_roots(p, 0.5, "small", "vdw")
+            asymptotic_roots(p, 0.5, "small")
         with pytest.raises(DomainError):
-            asymptotic_roots(p, 2.0, "large", "vdw")
+            asymptotic_roots(p, 2.0, "large")
         with pytest.raises(DomainError):
-            asymptotic_roots(p, 0.01, "middle", "vdw")
+            asymptotic_roots(p, 0.01, "middle")
 
     def test_small_zone_at_origin_equals_exact(self):
         p = ModelParams(2.0)
-        approx = asymptotic_roots(p, 0.0, "small", "vdw")
+        approx = asymptotic_roots(p, 0.0, "small")
         exact = cubic_char_roots(p, 0.0)
         assert np.allclose(np.sort_complex(approx.roots),
                            np.sort_complex(exact.roots), atol=1e-12)
         assert approx.approximate
 
     @staticmethod
-    def _max_gap(params, r, zone, equation, eps_cut=0.1):
-        approx = asymptotic_roots(params, r, zone, equation, eps_cut=eps_cut)
-        if equation == "vdw":
-            exact = cubic_char_roots(params, r)
-        else:
-            exact = quartic_char_roots(params, r)
+    def _max_gap(params, r, zone, eps_cut=0.1):
+        approx = asymptotic_roots(params, r, zone, eps_cut=eps_cut)
+        exact = cubic_char_roots(params, r)
         gaps = np.abs(exact.roots[:, None] - approx.roots[None, :])
         # nearest-neighbour matching of expansion to exact branches
         order = np.argmin(gaps, axis=1)
@@ -678,7 +675,7 @@ class TestAsymptoticRoots:
         # r = 0.1 endpoint of the geometric sequence)
         for g in (1.5, 2.0, 6.0):
             p = ModelParams(g)
-            q = [self._max_gap(p, r, "small", "vdw", eps_cut=0.11) / r ** 3
+            q = [self._max_gap(p, r, "small", eps_cut=0.11) / r ** 3
                  for r in (1e-1, 1e-2, 1e-3, 1e-4)]
             for a, b in zip(q, q[1:]):
                 assert b < 3.0 * a
@@ -686,7 +683,7 @@ class TestAsymptoticRoots:
     def test_large_zone_remainder_bounded(self):
         for g in (1.5, 2.0, 6.0):
             p = ModelParams(g)
-            q = [self._max_gap(p, r, "large", "vdw") * r
+            q = [self._max_gap(p, r, "large") * r
                  for r in (1e2, 1e3)]
             assert q[1] < 3.0 * q[0]
 
@@ -695,7 +692,7 @@ class TestAsymptoticRoots:
         # are, sit within about 4.47 / r of them at gamma = 2, tau = 0.1
         p = ModelParams(2.0, 0.1)
         for r in (20.0, 100.0, 1000.0):
-            approx = asymptotic_roots(p, r, "large", "mgt")
+            approx = asymptotic_roots(p, r, "large")
             assert approx.approximate and approx.roots.shape == (4,)
             gap = np.abs(approx.roots - quartic_char_roots(p, r).roots).max()
             assert gap * r == pytest.approx(4.47, rel=2e-3)
@@ -704,7 +701,7 @@ class TestAsymptoticRoots:
         p = ModelParams(2.0, 0.2)
         gaps = []
         for r in (1e-2, 1e-3):
-            approx = asymptotic_roots(p, r, "small", "mgt")
+            approx = asymptotic_roots(p, r, "small")
             exact = quartic_char_roots(p, r)
             pair_a = approx.roots[np.abs(approx.roots.imag) > 0]
             pair_e = exact.roots[np.abs(exact.roots.imag) > 0]

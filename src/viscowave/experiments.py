@@ -55,6 +55,10 @@ ORACLE_HORIZON = 20.0
 #: |K21 - G10| bound, relative to the largest value of each column, is the
 #: adaptive norms' quadrature.REL_TOL
 SWEEP_PANELS, SWEEP_MAX_PANELS = 16, 512
+#: most intervals of the energy run's history grid, whose memory kernel is a
+#: square array of that order (at 4,096, an energy run of 7 tau values peaks
+#: at about 0.4 GB)
+HISTORY_MAX_POINTS = 4096
 
 
 def thread_map(fn, items):
@@ -118,6 +122,10 @@ class ExperimentConfig:
         # one interval leaves the stride-2 check of the memory trapezoid
         # comparing the grid with itself
         self.history_points = _count("history_points", self.history_points, 2)
+        if self.history_points > HISTORY_MAX_POINTS:
+            raise InvalidParameterError(f"history_points must be <= {HISTORY_MAX_POINTS}, "
+                                        f"got {self.history_points} (the memory kernel is "
+                                        f"square in the history times)")
         if not 0 < self.eps_cut < self.n_cut:
             raise InvalidParameterError("need 0 < eps_cut < n_cut")
 
@@ -644,14 +652,15 @@ def _refined_sweep(config: ExperimentConfig, steps: int, one_tau):
     meets its own estimate; returns the results, the radii and the weights.
 
     ``one_tau(tau, t, w, w_t, w_tt, r, weights)`` returns a result and the
-    largest |K21 - G10| of its summed columns relative to that column's
-    largest value (:func:`_kg_gap`), where ``weights`` (B, 2) are the
-    Plancherel weights |S^(n-1)| r^(n-1) times the K21 and the G10 weights
-    of :func:`quadrature.panel_rule`.  The panels start as
-    ``SWEEP_PANELS`` equal ones on [0, R], R the largest tail radius of the
-    data, and every node of a tabulated datum is an edge too, so that its
-    kinks fall on edges.  While some tau's estimate is above ``REL_TOL``,
-    all panels are halved and the sweep runs again; past
+    list of its summed (..., 2) columns, the K21 and the G10 sum of each,
+    where ``weights`` (B, 2) are the Plancherel weights |S^(n-1)| r^(n-1)
+    times the K21 and the G10 weights of :func:`quadrature.panel_rule`.
+    The estimate of a tau is the largest |K21 - G10| of its columns, each
+    relative to that column's largest value (:func:`_kg_gap`).  The panels
+    start as ``SWEEP_PANELS`` equal ones on [0, R], R the largest tail
+    radius of the data, and every node of a tabulated datum is an edge
+    too, so that its kinks fall on edges.  While some tau's estimate is
+    above ``REL_TOL``, all panels are halved and the sweep runs again; past
     ``SWEEP_MAX_PANELS`` panels a :class:`RefinementError` names that tau.
     """
     spectra = [sp for sp in (config.u0, config.u1, config.v2)
@@ -666,8 +675,9 @@ def _refined_sweep(config: ExperimentConfig, steps: int, one_tau):
             * np.stack((k21, g10), axis=-1)
         out = _tau_sweep(config, r, steps,
                          lambda *tables: one_tau(*tables, r, weights))
-        bad = [(tau, gap) for tau, (_, gap) in zip(config.tau_list, out)
-               if not gap <= REL_TOL]          # NaN is not converged
+        gaps = (_kg_gap(columns) for _, columns in out)
+        # NaN is not converged
+        bad = [(tau, gap) for tau, gap in zip(config.tau_list, gaps) if not gap <= REL_TOL]
         if not bad:
             return [res for res, _ in out], r, weights
         if 2 * (edges.size - 1) > SWEEP_MAX_PANELS:
@@ -679,12 +689,12 @@ def _refined_sweep(config: ExperimentConfig, steps: int, one_tau):
         edges = np.union1d(edges, 0.5 * (edges[:-1] + edges[1:]))
 
 
-def _kg_gap(sums) -> float:
-    """Largest |K21 - G10| of (..., 2) sums, relative to the largest K21
-    value, 0 for an all-zero column."""
-    sums = np.asarray(sums)
-    return float(np.abs(sums[..., 0] - sums[..., 1]).max()
-                 / max(np.abs(sums[..., 0]).max(), 1e-300))
+def _kg_gap(columns) -> float:
+    """Largest |K21 - G10| of the (..., 2) sums of ``columns``, each relative
+    to its largest K21 value (0 for an all-zero column); NaN wherever a NaN
+    falls, as np.max, unlike max, keeps it."""
+    return float(np.max([np.abs(c[..., 0] - c[..., 1]).max()
+                         / max(np.abs(c[..., 0]).max(), 1e-300) for c in columns]))
 
 
 def _tau_exponent(config: ExperimentConfig) -> float:
@@ -708,43 +718,49 @@ def _tau_fit(config: ExperimentConfig, values: np.ndarray, two_sided: bool):
 
 
 def _memory_kernel(t_grid: np.ndarray, gamma: float, stride: int = 1):
-    """Kept indices and trapezoid kernel of :func:`_memory_series`.
+    """Kept indices and trapezoid kernel of :func:`_memory_sums`.
 
     The kept times s are every ``stride``-th time plus the last one (so the
-    last interval may be shorter).  Row i of the lower-triangular kernel is
-    gamma times the trapezoid weights of [s_0, s_i] times
-    ``exp(-gamma (s_i - s_j))``.  It depends on the grid only, so a run
-    builds it once for all its tau values.
+    last interval may be shorter).  Row i of the strictly lower-triangular
+    kernel is gamma times the trapezoid weights of [s_0, s_i] times
+    ``exp(-gamma (s_i - s_j))``; the weight of s_i itself is left out, as
+    its term ``||grad w(s_i) - grad w(s_i)||^2`` is 0.  It depends on the
+    grid only, so a run builds it once for all its tau values.
     """
-    idx = np.arange(0, len(t_grid), stride)
-    if idx[-1] != len(t_grid) - 1:
-        idx = np.append(idx, len(t_grid) - 1)
+    last = len(t_grid) - 1
+    # where the stride divides the grid the kept times are a slice, so that
+    # _memory_sums takes views of the tables, not copies
+    idx = (slice(0, None, stride) if last % stride == 0
+           else np.append(np.arange(0, last, stride), last))
     s = t_grid[idx]
     half = 0.5 * np.diff(s)
-    shape = (s.size, s.size)
-    # node j gets half of the interval to its left and, when j < i, half of
-    # the one to its right
-    weights = np.tril(np.broadcast_to(np.append(0.0, half), shape)) \
-        + np.tril(np.broadcast_to(np.append(half, 0.0), shape), -1)
-    # above the diagonal the weights are 0; the clip keeps exp finite there
+    # node j gets half of the interval on each side of it; above the
+    # diagonal the weights are 0, and the clip keeps exp finite there
+    node = np.append(0.0, half) + np.append(half, 0.0)
     lag = np.maximum(s[:, None] - s, 0.0)
-    return idx, gamma * weights * np.exp(-gamma * lag)
+    return idx, np.tril(gamma * node * np.exp(-gamma * lag), -1)
 
 
-def _memory_series(gram: np.ndarray, kernel) -> np.ndarray:
-    """History term by trapezoid over the (possibly strided) time grid.
+def _memory_sums(kernel, w: np.ndarray, grad_sq: np.ndarray, weights) -> np.ndarray:
+    """History term at every kept time of ``kernel``, per weight set.
 
-    ``gram[i, j]`` is the real gradient inner product of w(t_i) with
-    w(t_j), and ``kernel`` is :func:`_memory_kernel` of the grid.  The
-    result has one entry per kept time s_i: gamma times the trapezoid
-    integral over [s_0, s_i] of
-    ``exp(-gamma (s_i - s_j)) ||grad w(s_i) - grad w(s_j)||^2``, one
-    weighted row sum.
+    ``kernel`` is :func:`_memory_kernel` of the grid of the real (T, B)
+    table ``w``, ``weights`` (B, W) are gradient weights of its radial
+    nodes, and ``grad_sq`` (T, W) is ``(w * w) @ weights``.  Entry (i, m)
+    is gamma times the trapezoid integral over [s_0, s_i] of
+    ``exp(-gamma (s_i - s_j)) ||grad w(s_i) - grad w(s_j)||^2`` in the
+    weights of column m: with d = ``grad_sq`` and K the kernel,
+    d rowsum(K) + K d - 2 (w * (K w)) @ weights, one (T', T') @ (T', B)
+    product.
     """
-    idx, weights = kernel
-    sub = gram[np.ix_(idx, idx)]
-    diag = np.diag(sub)
-    return (weights * (diag[:, None] + diag - 2.0 * sub)).sum(axis=-1)
+    idx, k = kernel
+    w, d = w[idx], grad_sq[idx]
+    # one (T', B) temporary, multiplied in place: with a second one the heap
+    # of an energy run grew and was trimmed again at every tau, faulting its
+    # pages in anew
+    cross = k @ w
+    cross *= w
+    return d * k.sum(axis=1)[:, None] + k @ d - 2.0 * (cross @ weights)
 
 
 def singular_limit_energy(config: ExperimentConfig) -> SingularEnergyResult:
@@ -756,31 +772,26 @@ def singular_limit_energy(config: ExperimentConfig) -> SingularEnergyResult:
     """
     _require_tau_list(config)
     t_grid, _ = _sweep_grid(config, config.history_points)
-    kernel = _memory_kernel(t_grid, config.params.gamma)
-    kernel_coarse = _memory_kernel(t_grid, config.params.gamma, stride=2)
+    # the trapezoid on the grid, and on every other point of it as a check
+    kernels = [_memory_kernel(t_grid, config.params.gamma, stride) for stride in (1, 2)]
 
     def one_tau(tau: float, t, w, wt, wtt, r, w_s0):
         w_s1 = w_s0 * (r * r)[:, None]
-        # <grad w(t_i), grad w(t_j)>: one real (T, B) @ (B, T) product
-        gram = (w * w_s1[:, 0]) @ w.T
-        memory = _memory_series(gram, kernel)
-        mem_coarse = _memory_series(gram, kernel_coarse)
-        scale = max(float(memory[-1]), 1e-300)
-        if abs(mem_coarse[-1] - memory[-1]) > 0.01 * scale + 1e-30:
-            raise RefinementError(
-                "memory-history trapezoid not converged; raise history_points")
         wt_sq = wt * wt
         sums = dict(e_wtt=tau * ((wtt * wtt) @ w_s0), e_grad_wt=wt_sq @ w_s1,
                     e_grad_w=(w * w) @ w_s1, e_wt=tau * (wt_sq @ w_s0),
                     w_l2_sq=(w * w) @ w_s0)
-        # the G10 memory at the last time, from one G10 Gram row
-        grad_g10 = sums["e_grad_w"][:, 1]
-        row_g10 = (w[-1] * w_s1[:, 1]) @ w.T
-        mem_g10 = kernel[1][-1] @ (grad_g10[-1] + grad_g10 - 2.0 * row_g10)
-        gap = max(_kg_gap(s) for s in sums.values())
-        gap = max(gap, abs(memory[-1] - mem_g10) / max(memory.max(), 1e-300))
-        return EnergySeries(tau=tau, t=t, e_memory=memory,
-                            **{name: s[:, 0] for name, s in sums.items()}), gap
+        memory, coarse = (_memory_sums(k, w, sums["e_grad_w"], w_s1) for k in kernels)
+        sums["e_memory"] = memory
+        gap, scale = abs(coarse[-1, 0] - memory[-1, 0]), max(memory[-1, 0], 1e-300)
+        if gap > 0.01 * scale + 1e-30:
+            raise RefinementError(
+                f"memory-history trapezoid at tau={tau:g} not converged on "
+                f"{config.history_points} history points: the stride-2 sum differs by "
+                f"{gap / scale:.2e} of the last value (needs <= 0.01); "
+                f"raise history_points")
+        return EnergySeries(tau=tau, t=t, **{name: s[:, 0] for name, s in sums.items()}), \
+            list(sums.values())
 
     series, r, weights = _refined_sweep(config, config.history_points, one_tau)
     w2_modes = config.v2_values(r) + r * r * (config.u0(r) + config.u1(r))
@@ -818,7 +829,7 @@ def singular_limit_solution(config: ExperimentConfig,
 
     def one_tau(tau, t, w, wt, wtt, r, w_s0):
         sums = w[-1] ** 2 @ w_s0
-        return float(sums[0]), _kg_gap(sums)
+        return float(sums[0]), [sums]
 
     vals = np.array(_refined_sweep(config, 1, one_tau)[0])
     fit, meets = _tau_fit(config, vals, False)

@@ -244,7 +244,7 @@ class TestC13Determinism:
             "data.u1 = gaussian:1.0,1.0\n", encoding="utf-8")
         payloads = {}
         for run in (1, 2):
-            for command in ("decay", "roots"):
+            for command in ("decay", "roots", "singular-limit-energy"):
                 out = tmp_path / f"{command}-{run}.csv"
                 rc = run_command([command, "--config", str(cfg_path),
                                   "--out", str(out)])
@@ -255,5 +255,5 @@ class TestC13Determinism:
                 payloads.setdefault(command, []).append(body)
         ok = all(a == b for a, b in payloads.values())
         report("C13", "byte-identical CSV across two runs", ok,
-               f"decay identical={payloads['decay'][0] == payloads['decay'][1]}, "
-               f"roots identical={payloads['roots'][0] == payloads['roots'][1]}")
+               ", ".join(f"{command} identical={a == b}"
+                         for command, (a, b) in payloads.items()))

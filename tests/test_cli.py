@@ -424,6 +424,18 @@ class TestBadNumbers:
         assert line.split(" = ")[0] in err
         assert not (tmp_path / "bad.csv").exists()
 
+    def test_history_points_above_bound(self, tmp_path, capsys):
+        # refused before any table is built, naming the bound
+        from viscowave.experiments import HISTORY_MAX_POINTS
+
+        rc = self._run(tmp_path, "singular-limit-energy",
+                       _BASE_CFG + f"history.points = {HISTORY_MAX_POINTS + 1}\n")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"config error: history_points must be <= "
+                              f"{HISTORY_MAX_POINTS}, got {HISTORY_MAX_POINTS + 1}")
+        assert not (tmp_path / "bad.csv").exists()
+
     def test_seed_zero_is_accepted(self, tmp_path):
         assert self._run(tmp_path, "oracle-check",
                          "modes.count = 2\nseed = 0\n") == 0

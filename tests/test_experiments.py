@@ -15,8 +15,8 @@ from viscowave import (DataSpectrum, DomainError, ExperimentConfig,
                        singular_limit_energy, singular_limit_solution,
                        solution_norm, sphere_area)
 from viscowave import quadrature
-from viscowave.experiments import (_memory_kernel, _memory_series, _tau_sweep,
-                                   _vdw_tables, oracle_mode_comparison,
+from viscowave.experiments import (HISTORY_MAX_POINTS, _memory_kernel, _memory_sums,
+                                   _tau_sweep, _vdw_tables, oracle_mode_comparison,
                                    predicted_decay)
 from viscowave.kernels import leading_profiles
 from viscowave.oracle import default_step, integrate_vdw_many
@@ -127,6 +127,16 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(params=ModelParams(2.0), history_points=points,
                              tau_list=np.geomspace(0.1, 0.001, 5))
+
+    def test_history_points_bounded(self):
+        # the memory kernel is a square array of the history times: at
+        # 30,000 points one such array alone would take 7.2 GB
+        assert HISTORY_MAX_POINTS >= 1600
+        ExperimentConfig(params=ModelParams(2.0), history_points=HISTORY_MAX_POINTS)
+        with pytest.raises(InvalidParameterError,
+                           match=f"history_points must be <= {HISTORY_MAX_POINTS}, "
+                                 f"got {HISTORY_MAX_POINTS + 1}"):
+            ExperimentConfig(params=ModelParams(2.0), history_points=HISTORY_MAX_POINTS + 1)
 
     @pytest.mark.parametrize("n", [0, 2.5, np.nan, np.inf])
     def test_dimension_positive_integer(self, n):
@@ -495,7 +505,10 @@ class TestRefinementGuard:
                                v2=DataSpectrum.zero(),
                                tau_list=np.geomspace(1e-1, 1e-3, 5),
                                history_points=6)
-        with pytest.raises(RefinementError):
+        with pytest.raises(RefinementError,
+                           match=r"tau=0\.1 not converged on 6 history points: the "
+                                 r"stride-2 sum differs by 7\.\d+e-01 of the last value "
+                                 r"\(needs <= 0\.01\)"):
             singular_limit_energy(cfg)
 
 
@@ -703,6 +716,28 @@ def trapezoid_history(t_grid, gram, gamma, stride=1):
     return out
 
 
+def memory_sums(t_grid, gamma, w, weights, stride=1):
+    """:func:`_memory_sums` of the (T, B) table ``w`` on ``t_grid`` with the
+    (B, W) ``weights``, given the gradient sums it expects."""
+    return _memory_sums(_memory_kernel(t_grid, gamma, stride), w, (w * w) @ weights,
+                        weights)
+
+
+def longdouble_history(t_grid, w, weights, gamma):
+    """Reference for the memory history without the Gram cancellation: the
+    trapezoid over [0, t_i] of the pairwise differences w(t_i) - w(t_j),
+    squared and summed over the nodes with the (B,) ``weights``, in long
+    double."""
+    t, w = t_grid.astype(np.longdouble), w.astype(np.longdouble)
+    weights = weights.astype(np.longdouble)
+    out = np.zeros(len(t), dtype=np.longdouble)
+    for i in range(1, len(t)):
+        diff = w[i] - w[:i + 1]
+        integrand = np.exp(-gamma * (t[i] - t[:i + 1])) * ((diff * diff) @ weights)
+        out[i] = gamma * np.sum(0.5 * np.diff(t[:i + 1]) * (integrand[1:] + integrand[:-1]))
+    return out
+
+
 class TestMemorySeries:
     @pytest.mark.parametrize("points, stride", [
         (201, 1), (201, 2),
@@ -713,21 +748,40 @@ class TestMemorySeries:
         rng = np.random.default_rng(points + stride)
         t = np.sort(rng.uniform(0.0, 10.0, points))
         t[0] = 0.0
-        modes = rng.standard_normal((points, 30)) + 1j * rng.standard_normal((points, 30))
-        gram = (modes @ modes.conj().T).real
-        got = _memory_series(gram, _memory_kernel(t, 2.0, stride))
-        ref = trapezoid_history(t, gram, 2.0, stride)
-        assert got.shape == ref.shape
-        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+        w = rng.standard_normal((points, 30))
+        weights = rng.uniform(0.5, 2.0, (30, 2))
+        got = memory_sums(t, 2.0, w, weights, stride)
+        for m in range(2):
+            ref = trapezoid_history(t, (w * weights[:, m]) @ w.T, 2.0, stride)
+            assert got[:, m].shape == ref.shape
+            assert np.all(np.abs(got[:, m] - ref) <= 1e-13 * np.abs(ref))
 
     def test_large_gamma_stays_finite(self):
-        # exp(-gamma (t_i - s_j)) above the diagonal would overflow
+        # exp(-gamma (t_i - s_j)) above the diagonal would overflow; and a
+        # kernel weight on the diagonal would leave each row a self-term
+        # that cancels only to rounding, far above these values near 1e-214
         t = np.linspace(0.0, 10.0, 11)
-        gram = np.diag(np.linspace(1.0, 2.0, 11))
-        got = _memory_series(gram, _memory_kernel(t, 500.0))
-        ref = trapezoid_history(t, gram, 500.0)
+        w = np.diag(np.sqrt(np.linspace(1.0, 2.0, 11)))
+        got = memory_sums(t, 500.0, w, np.ones((11, 1)))[:, 0]
+        ref = trapezoid_history(t, w @ w.T, 500.0)
         assert np.all(np.isfinite(got))
         assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+    def test_sweep_tables_match_long_double_reference(self):
+        # the expansion d_i + d_j - 2 <grad w_i, grad w_j> of the history
+        # cancels where w varies slowly against the memory decay; on real
+        # sweep tables it keeps the history to 1e-13 of its largest value
+        cfg = ExperimentConfig(params=ModelParams(6.0), n=3,
+                               u0=DataSpectrum.gaussian(1.0, 1.0),
+                               u1=DataSpectrum.gaussian(1.0, 1.0), v2="consistent",
+                               tau_list=np.array([1e-1, 1e-3, 1e-5]))
+        r, k21, _ = panel_rule(np.linspace(0.0, cfg.u0.tail_radius(), 17))
+        weights = sphere_area(3) * r ** 4 * k21
+        for t, w in _tau_sweep(cfg, r, cfg.history_points,
+                               lambda tau, t, w, wt, wtt: (t, w)):
+            got = memory_sums(t, 6.0, w, weights[:, None])[:, 0]
+            ref = longdouble_history(t, w, weights, 6.0)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def _benchmark_relaxation_config(gamma):
@@ -935,10 +989,9 @@ def _dense_limit_sums(cfg: ExperimentConfig, steps: int, panels: int) -> list:
     w_s1 = w_s0 * r * r
 
     def one_tau(tau, t, w, wt, wtt):
-        gram = (w * w_s1) @ w.T
         return dict(e_wtt=tau * (wtt * wtt) @ w_s0, e_grad_wt=(wt * wt) @ w_s1,
-                    e_grad_w=np.diag(gram), e_wt=tau * (wt * wt) @ w_s0,
-                    e_memory=_memory_series(gram, _memory_kernel(t, cfg.params.gamma)),
+                    e_grad_w=(w * w) @ w_s1, e_wt=tau * (wt * wt) @ w_s0,
+                    e_memory=memory_sums(t, cfg.params.gamma, w, w_s1[:, None])[:, 0],
                     w_l2_sq=(w * w) @ w_s0)
 
     return _tau_sweep(cfg, r, steps, one_tau)

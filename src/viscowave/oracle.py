@@ -24,11 +24,12 @@ length h is exactly
 the scheme's stability function (Hairer & Wanner, Solving ODEs II, IV.2),
 so n equal steps are the matrix power ``P(hA)^n``: the same numbers as a
 stepped loop, up to rounding, with no eigendecomposition and no use of the
-root solver.  One call builds that power once per distinct output interval
-length and reuses it for every interval of exactly that length, so a
-uniform output grid costs one power and a path is bit-identical to the
-chain of its one-interval calls.  The step is tied to the stiffness scale
-max(gamma, r^2, 1/tau).
+root solver.  One call makes one power per distinct substep count, stacked
+over that count's distinct interval lengths, casts it to complex once and
+writes every step into the path in place.  Each interval of exactly one
+length reuses that length's propagator, so a uniform output grid costs one
+power and a path is bit-identical to the chain of its one-interval calls.
+The step is tied to the stiffness scale max(gamma, r^2, 1/tau).
 """
 
 from __future__ import annotations
@@ -98,27 +99,31 @@ def _rk4_path(a: np.ndarray, y0: np.ndarray, t_eval: np.ndarray,
     Each output interval is subdivided into an integer number of equal
     steps no larger than ``step``, so sample points are hit exactly, and
     advanced by one power of ``P(hA)``.  That power depends on the
-    interval length alone, so it is built once per distinct length and
-    reused for every interval of exactly that length: a uniform grid costs
-    one power, and the path is bit-identical to chaining one-interval calls.
+    interval length alone: one power per distinct substep count, stacked
+    over its interval lengths; complex propagators, cast once; steps
+    written into the path, a zero-length interval copying the state.  A
+    stacked power rounds each matrix as a lone one does, so the path is
+    bit-identical to chaining one-interval calls.
     """
     eye = np.eye(a.shape[-1])
+    dts = np.diff(t_eval, prepend=0.0).tolist()
+    groups = {}
+    for dt in dict.fromkeys(d for d in dts if d > 0):
+        groups.setdefault(max(1, int(np.ceil(dt / step - 1e-12))), []).append(dt)
     powers = {}
-    out = np.empty((len(t_eval),) + y0.shape, dtype=complex)
-    y = y0.astype(complex)
-    t = 0.0
-    for i, t_next in enumerate(t_eval):
-        dt = t_next - t
+    for n_sub, lengths in groups.items():
+        ha = np.multiply.outer(np.divide(lengths, n_sub), a)
+        p = eye + ha @ (eye + ha @ (eye / 2.0 + ha @ (eye / 6.0 + ha / 24.0)))
+        powers.update(zip(lengths, np.linalg.matrix_power(p, n_sub).astype(complex)))
+    path = np.empty((len(dts),) + y0.shape + (1,), dtype=complex)
+    y = y0[..., None]
+    for dt, out in zip(dts, path):
         if dt > 0:
-            if dt not in powers:
-                n_sub = max(1, int(np.ceil(dt / step - 1e-12)))
-                ha = (dt / n_sub) * a
-                p = eye + ha @ (eye + ha @ (eye / 2.0 + ha @ (eye / 6.0 + ha / 24.0)))
-                powers[dt] = np.linalg.matrix_power(p, n_sub)
-            y = (powers[dt] @ y[..., None])[..., 0]
-            t = t_next
-        out[i] = y
-    return out
+            np.matmul(powers[dt], y, out=out)
+        else:
+            out[...] = y
+        y = out
+    return path[..., 0]
 
 
 def _prepare_times(t_eval):

@@ -230,21 +230,39 @@ def test_matches_stepped_rk4(kind):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def _seeded_batch(kind, t_eval):
+def _seeded_batch(kind, t_eval, step=0.02):
     """Six seeded modes on the grid ``t_eval`` at one shared step."""
     rng = np.random.default_rng(5)
     g, tau = rng.uniform(1.1, 8.0, 6), rng.uniform(0.2, 1.0, 6)
     r = rng.uniform(0.0, 2.0, 6)
     u0, u1, v2 = (rng.normal(size=6) + 1j * rng.normal(size=6) for _ in range(3))
     if kind == "vdw":
-        return integrate_vdw_many(g, r, t_eval, u0, u1, step=0.02)
-    return integrate_mgt_many(g, tau, r, t_eval, u0, u1, v2, step=0.02)
+        return integrate_vdw_many(g, r, t_eval, u0, u1, step=step)
+    return integrate_mgt_many(g, tau, r, t_eval, u0, u1, v2, step=step)
+
+
+# the singular-limit sweep grid at the default probe_time and history_points
+_TAU_GRID = np.linspace(0.0, 10.0, 201)
+# the bench batch grid: 40 intervals of 25 steps of a non-dyadic step, whose
+# six lengths differ in the last bits only
+_BENCH_STEP = 0.02 / 3
+_BENCH_GRID = np.linspace(0.0, 1000 * _BENCH_STEP, 41)
+# one grid per case: (times, step)
+_GRIDS = {
+    "uniform": (np.linspace(0.0, 20.0, 41), 0.02),
+    "tau-grid": (_TAU_GRID, 0.02),
+    "bench": (_BENCH_GRID, _BENCH_STEP),
+    "repeated": (np.array([0.0, 0.3, 0.3, 0.75, 1.2, 1.2, 1.2, 2.0]), 0.02),
+    "late-start": (np.array([0.5, 0.9, 1.3, 1.33, 2.0]), 0.02),
+}
 
 
 @pytest.mark.parametrize("kind", ["vdw", "mgt"])
 def test_path_equals_chained_intervals(kind, monkeypatch):
-    # a path that reuses one propagator per interval length is bit for bit
-    # the chain of one-interval calls, each started where the last stopped
+    # on every grid, a path whose propagators are stacked by substep count
+    # is bit for bit the chain of one-interval calls, each started where the
+    # last stopped (a zero-length interval, the first one included, keeps
+    # the state)
     rk4_path, seen = oracle._rk4_path, []
 
     def capture(a, y0, t_eval, step):
@@ -252,39 +270,42 @@ def test_path_equals_chained_intervals(kind, monkeypatch):
         return rk4_path(a, y0, t_eval, step)
 
     monkeypatch.setattr(oracle, "_rk4_path", capture)
-    t = np.linspace(0.0, 20.0, 41)
-    traj = _seeded_batch(kind, t)
-    (a, y, step), = seen
-    chained = [y.astype(complex)]
-    for dt in np.diff(t):
-        y = rk4_path(a, y, np.array([dt]), step)[0]
-        chained.append(y)
-    chained = np.array(chained)
-    got = np.stack([traj.u, traj.ut, traj.z], axis=-1)
-    assert np.array_equal(got, chained[..., [0, 1, -1]])
+    for grid, (t, step) in _GRIDS.items():
+        seen.clear()
+        traj = _seeded_batch(kind, t, step)
+        (a, y, step), = seen
+        chained = []
+        for dt in np.diff(t, prepend=0.0):
+            y = rk4_path(a, y, np.array([dt]), step)[0]
+            chained.append(y)
+        chained = np.array(chained)
+        got = np.stack([traj.u, traj.ut, traj.z], axis=-1)
+        assert np.array_equal(got, chained[..., [0, 1, -1]]), grid
 
 
-# the singular-limit sweep grid at the default probe_time and history_points
-_TAU_GRID = np.linspace(0.0, 10.0, 201)
-
-
-@pytest.mark.parametrize("t_eval, powers", [
-    (np.linspace(0.0, 20.0, 41), 1),
-    (_TAU_GRID, np.unique(np.diff(_TAU_GRID)).size),
-    # a repeated start time, then 30 intervals of distinct lengths
-    (np.concatenate([[0.0, 0.0], np.geomspace(1.0, 1e4, 30)]), 30),
-], ids=["uniform", "tau-grid", "geometric"])
-def test_one_power_per_distinct_interval(t_eval, powers, monkeypatch):
+@pytest.mark.parametrize("t_eval, step, lengths", [
+    (*_GRIDS["uniform"], [1]),
+    (*_GRIDS["tau-grid"], [9]),
+    (*_GRIDS["bench"], [6]),
+    # a repeated start time, then 30 intervals of distinct substep counts
+    (np.concatenate([[0.0, 0.0], np.geomspace(1.0, 1e4, 30)]), 0.02, [1] * 30),
+], ids=["uniform", "tau-grid", "bench", "geometric"])
+def test_one_power_per_substep_count(t_eval, step, lengths, monkeypatch):
+    # one matrix_power per distinct substep count, stacked on a leading
+    # axis over that count's distinct interval lengths
     calls = []
     matrix_power = np.linalg.matrix_power
 
     def counted(m, n):
-        calls.append(n)
+        calls.append((n, m.shape))
         return matrix_power(m, n)
 
     monkeypatch.setattr(np.linalg, "matrix_power", counted)
-    _seeded_batch("vdw", t_eval)
-    assert len(calls) == powers
+    _seeded_batch("vdw", t_eval, step)
+    counts = [n for n, _ in calls]
+    assert len(set(counts)) == len(counts)
+    assert [shape[0] for _, shape in calls] == lengths
+    assert all(shape[1:] == (6, 3, 3) for _, shape in calls)
 
 
 _MODELS = {"vdw": (cubic_char_roots_batch, vdw_mode_solution),
